@@ -45,14 +45,7 @@ from .pathsearch import (
     sota_path,
     sota_path_report,
 )
-from .policy import (
-    NO_EDGE,
-    PolicyTable,
-    UpdateOrder,
-    compute_policy,
-    compute_update_order,
-    validate_update_order,
-)
+from .policy import NO_EDGE, PolicyTable, compute_policy
 from .potentials import (
     INFINITE_POTENTIAL,
     PotentialTable,
@@ -67,7 +60,6 @@ from .potentials import (
     save_archive,
 )
 from .synth import grid_topology, synthesize_distributions
-from .zdc import ZeroDelayConvolver
 
 __all__ = [
     "BenchmarkConfig",
@@ -89,15 +81,12 @@ __all__ = [
     "SearchBudgetExceeded",
     "SearchReport",
     "StochasticGraph",
-    "UpdateOrder",
-    "ZeroDelayConvolver",
     "brute_force_best_path",
     "brute_force_paths",
     "build_archive",
     "compute_arc_potentials",
     "compute_policy",
     "compute_realizability",
-    "compute_update_order",
     "convolve",
     "forward_reachability_oracle",
     "generate_instances",
@@ -119,7 +108,6 @@ __all__ = [
     "sota_path_report",
     "summarize",
     "synthesize_distributions",
-    "validate_update_order",
 ]
 
 __version__ = "0.1.0"

@@ -149,14 +149,13 @@ def path_cmd(graph_path, source, dest, budget, k, backend, pot_path):
 @click.option("--grid", "grid_k", type=int, required=True, help="Partition dimension (k x k regions).")
 @click.option("--horizon", type=int, required=True)
 @click.option("--mode", type=click.Choice(["policy", "path"]), default="policy", show_default=True)
-@click.option("--intervals", "k_intervals", type=int, default=1, show_default=True)
 @click.option("--source", "sources", multiple=True,
               help="Source node(s); required for path mode, optional conditioning for policy mode.")
 @click.option("--region", "regions", multiple=True, type=int,
               help="Limit to specific region ids (default: all).")
 @click.option("--backend", type=click.Choice(["zdc", "direct"]), default="zdc", show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
-def preprocess(graph_path, grid_k, horizon, mode, k_intervals, sources, regions, backend, out_path):
+def preprocess(graph_path, grid_k, horizon, mode, sources, regions, backend, out_path):
     """Build an activation-potential archive for query pruning."""
     graph = _load(graph_path)
     partition = grid_partition(graph, grid_k)
@@ -164,7 +163,7 @@ def preprocess(graph_path, grid_k, horizon, mode, k_intervals, sources, regions,
     if mode == "path" and not src:
         raise click.ClickException("path mode requires at least one --source")
     archive = build_archive(
-        graph, partition, horizon, mode=mode, k_intervals=k_intervals,
+        graph, partition, horizon, mode=mode,
         sources=src, regions=list(regions) or None, backend=backend,
     )
     save_archive(archive, out_path)

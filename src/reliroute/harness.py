@@ -51,7 +51,7 @@ def let_path(graph: StochasticGraph, source, dest) -> LetPath | None:
     toward the smaller predecessor node, keeping reruns identical.
     """
     s, d = graph.node_index(source), graph.node_index(dest)
-    means = [dist.mean() for dist in graph.edge_dists]
+    means = graph.edge_means.tolist()
     dist_to = {s: 0.0}
     parent: dict[int, tuple[int, int]] = {}
     heap = [(0.0, s)]
@@ -148,7 +148,6 @@ class BenchmarkConfig:
     # noise almost for free
     pruning: str | None = None  # None | "policy" | "path"
     grid_k: int | None = None
-    k_intervals: int = 1
     workers: int = 1
     queue_limit: int = 1_000_000
 
@@ -232,7 +231,7 @@ def _run_instance(args):
             sources = [inst.source] if config.pruning == "path" else None
             table = compute_arc_potentials(
                 graph, partition, d_region, inst.budget,
-                mode=config.pruning, k_intervals=config.k_intervals,
+                mode=config.pruning,
                 sources=sources, backend=config.backend,
             )
             mask = prune(graph, table, inst.budget)

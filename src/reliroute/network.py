@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import json
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -150,9 +151,15 @@ class StochasticGraph:
         t, h = self.node_index(tail_id), self.node_index(head_id)
         return [int(e) for e in self.out_edges[t] if self.edge_heads[e] == h]
 
-    def min_travel_bins(self) -> np.ndarray:
-        """Per-edge minimum travel time in bins."""
-        return np.array([d.min_bin for d in self.edge_dists], dtype=np.int64)
+    @cached_property
+    def edge_means(self) -> np.ndarray:
+        """Per-edge mean travel time in seconds, computed on first use.
+
+        Raises ``ValueError`` when an edge's distribution is truncated.
+        """
+        means = np.array([d.mean() for d in self.edge_dists], dtype=np.float64)
+        means.setflags(write=False)
+        return means
 
 
 # -- file ingestion ---------------------------------------------------------
@@ -161,8 +168,9 @@ class StochasticGraph:
 def load_graph(source) -> StochasticGraph:
     """Parse and validate a graph document.
 
-    ``source`` may be a dict, a JSON string or bytes, a path, or a readable
-    file object.  The document schema is::
+    ``source`` may be a dict, JSON bytes, a path, a readable file object or
+    a ``str``.  A ``str`` is JSON text when its first non-blank character is
+    ``{`` and a path otherwise.  The document schema is::
 
         {"dt": 1.0,
          "nodes": [{"id": ..., "x": ..., "y": ...}, ...],
@@ -174,7 +182,7 @@ def load_graph(source) -> StochasticGraph:
         doc = source
     else:
         if isinstance(source, Path) or (
-            isinstance(source, str) and len(source) < 4000 and "{" not in source
+            isinstance(source, str) and not source.lstrip().startswith("{")
         ):
             text = Path(source).read_text()
         elif isinstance(source, bytes):

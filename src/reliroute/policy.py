@@ -9,15 +9,13 @@ For a destination ``d`` and horizon ``T`` the solver fills, for every node
     u_d(.)  = 1
 
 Because every edge's minimum travel time is at least one bin, ``u_i(t)``
-depends only on values at strictly smaller budgets of other nodes, which is
-what makes a simple forward sweep over budgets valid; coarser "block" update
-orders extend each node as far as its neighbours' already-computed budgets
-allow and are validated mechanically by :func:`validate_update_order`.
+depends only on values at strictly smaller budgets, so the solver sweeps the
+budgets ``t = 1..T`` once, updating every node at each step.
 
 Two convolution backends are provided: ``direct`` evaluates the sums
 explicitly (quadratic in the horizon for long kernels, and the equality
-oracle for tests), while ``zdc`` streams each edge through a zero-delay
-convolver for near-linear scaling in the horizon.
+oracle for tests), while ``zdc`` streams the edges through zero-delay
+convolvers for near-linear scaling in the horizon.
 
 A single solve is sequential; many solves (e.g. different destinations) can
 run in parallel over the shared immutable graph, and a finished
@@ -33,117 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .network import StochasticGraph
-from .zdc import DEFAULT_CROSSOVER, ZeroDelayConvolver
-
-TIME_SWEEP = "time-sweep"
-DIJKSTRA_BLOCKS = "dijkstra-blocks"
 
 #: Sentinel in the successor table for "no edge offers positive probability".
 NO_EDGE = -1
-
-
-@dataclass(frozen=True)
-class UpdateOrder:
-    """A sequence of ``(node index, first bin, last bin)`` update entries.
-
-    Entries must respect the dependency rule: when node ``i`` is extended
-    through budget ``hi``, every out-neighbour ``j`` must already be computed
-    through ``hi - delta_ij``.
-    """
-
-    entries: tuple[tuple[int, int, int], ...]
-    horizon: int
-    strategy: str
-
-
-def compute_update_order(
-    graph: StochasticGraph, dest, T: int, strategy: str = TIME_SWEEP
-) -> UpdateOrder:
-    """Build an update order toward ``dest`` for budgets ``0..T``.
-
-    ``time-sweep`` emits one single-bin entry per node per budget; it is the
-    simple, always-valid baseline.  ``dijkstra-blocks`` repeatedly extends the
-    node whose computable frontier is lowest, which yields far fewer, coarser
-    entries (each node advances in blocks as large as its neighbours allow).
-    """
-    if T < 0:
-        raise ValueError(f"horizon must be nonnegative, got {T}")
-    d = graph.node_index(dest)
-    if strategy == TIME_SWEEP:
-        entries = tuple(
-            (i, t, t) for t in range(T + 1) for i in range(graph.num_nodes) if i != d
-        )
-        return UpdateOrder(entries, T, strategy)
-    if strategy != DIJKSTRA_BLOCKS:
-        raise ValueError(f"unknown update-order strategy {strategy!r}")
-
-    import heapq
-
-    mins = graph.min_travel_bins()
-    computed = np.full(graph.num_nodes, -1, dtype=np.int64)
-    computed[d] = T
-
-    def frontier(i: int) -> int:
-        out = graph.out_edges[i]
-        if len(out) == 0:
-            return T
-        return int(min(T, (computed[graph.edge_heads[out]] + mins[out]).min()))
-
-    heap = [(frontier(i), i) for i in range(graph.num_nodes) if i != d]
-    heapq.heapify(heap)
-    entries = []
-    while heap:
-        f, i = heapq.heappop(heap)
-        if computed[i] >= T:
-            continue
-        now = frontier(i)
-        if now != f:
-            if now > computed[i]:
-                heapq.heappush(heap, (now, i))
-            continue
-        if now <= computed[i]:
-            continue  # parked; re-queued when a successor advances
-        entries.append((i, int(computed[i] + 1), now))
-        computed[i] = now
-        for e in graph.in_edges[i]:
-            p = int(graph.edge_tails[e])
-            if p != d and computed[p] < T:
-                heapq.heappush(heap, (frontier(p), p))
-    if not np.all(computed >= T):  # pragma: no cover - safety net
-        raise RuntimeError("update order failed to cover every node")
-    return UpdateOrder(tuple(entries), T, strategy)
-
-
-def validate_update_order(graph: StochasticGraph, order: UpdateOrder, dest) -> None:
-    """Raise ``ValueError`` unless the order satisfies the dependency rule."""
-    d = graph.node_index(dest)
-    T = order.horizon
-    covered = np.full(graph.num_nodes, -1, dtype=np.int64)
-    covered[d] = T
-    mins = graph.min_travel_bins()
-    for pos, (i, lo, hi) in enumerate(order.entries):
-        if i == d:
-            raise ValueError(f"entry #{pos} updates the destination")
-        if lo != covered[i] + 1 or hi < lo or hi > T:
-            raise ValueError(
-                f"entry #{pos} for node {graph.node_ids[i]!r} covers [{lo},{hi}] "
-                f"but the node is computed through {covered[i]}"
-            )
-        for e in graph.out_edges[i]:
-            j = int(graph.edge_heads[e])
-            if j == i:
-                continue  # self-loop: earlier bins of this entry are computed in-sequence
-            need = hi - int(mins[e])
-            if covered[j] < need:
-                raise ValueError(
-                    f"entry #{pos} for node {graph.node_ids[i]!r} needs "
-                    f"{graph.node_ids[j]!r} through bin {need}, "
-                    f"but it is computed only through {covered[j]}"
-                )
-        covered[i] = hi
-    if not np.all(covered >= T):
-        missing = [graph.node_ids[i] for i in np.nonzero(covered < T)[0]]
-        raise ValueError(f"order leaves nodes incompletely covered: {missing[:5]}")
 
 
 @dataclass
@@ -162,7 +52,6 @@ class PolicyTable:
     u: np.ndarray
     w: np.ndarray
     backend: str = "direct"
-    order: str = TIME_SWEEP
     node_ids: tuple = field(default_factory=tuple, repr=False)
 
     def u_of(self, graph: StochasticGraph, node_id) -> np.ndarray:
@@ -186,7 +75,6 @@ class PolicyTable:
             "horizon": self.horizon,
             "dt": self.dt,
             "backend": self.backend,
-            "order": self.order,
             "nodes": list(self.node_ids),
         }
         target = Path(target)
@@ -217,7 +105,6 @@ class PolicyTable:
             u=u,
             w=w,
             backend=meta.get("backend", "direct"),
-            order=meta.get("order", TIME_SWEEP),
             node_ids=tuple(meta.get("nodes", ())),
         )
 
@@ -263,7 +150,7 @@ def _write_step(U, W, t, arrays: _EdgeArrays, vals):
     W[tails, t] = np.where(improved, w_new, W[tails, t - 1] if t > 0 else NO_EDGE)
 
 
-def _sweep_direct(graph, d, T, arrays: _EdgeArrays, U, W):
+def _sweep_direct(T, arrays: _EdgeArrays, U, W):
     n_edges = len(arrays.orig)
     if n_edges == 0:
         return
@@ -280,10 +167,26 @@ def _sweep_direct(graph, d, T, arrays: _EdgeArrays, U, W):
         _write_step(U, W, t, arrays, vals)
 
 
-class _ZdcGroup:
-    """All active edges sharing one minimum travel time, streamed together."""
+#: Kernel segments at offsets of at least this many bins go through cached FFTs;
+#: earlier, shorter ones are applied directly.
+_CROSSOVER = 32
 
-    def __init__(self, rows, heads, dists, T, crossover):
+
+class _ZdcGroup:
+    """All active edges sharing one minimum travel time, streamed together.
+
+    Each output ``y(t) = sum_tau x(t - tau) * p(tau)`` is needed as soon as
+    its inputs exist, because the sweep feeds the convolver with values
+    computed from its own earlier outputs; buffering a block first, as plain
+    FFT convolution does, would add latency the sweep cannot absorb.  So the
+    kernel core is split at power-of-two offsets into segments of length 1,
+    1, 2, 4, ...: the first tap is applied on every feed, and the segment at
+    offset ``L`` once per ``L`` inputs, on the block just completed, which is
+    always complete by the time the earliest output that needs it is read.
+    Amortized work per bin is polylogarithmic in the horizon.
+    """
+
+    def __init__(self, rows, heads, dists, T):
         self.rows = rows
         self.heads = heads
         self.delta = dists[0].min_bin
@@ -296,13 +199,13 @@ class _ZdcGroup:
         self.h0 = np.ascontiguousarray(cores[:, 0])
         width = max(T - self.delta + 2, 1)
         self.acc = np.zeros((n, width + 2 * self.kmax + 2))
-        # Kernel segments at power-of-two offsets; FFTs cached above crossover.
         self.levels = []
         offset = 1
         while offset < self.kmax:
             seg = cores[:, offset : min(2 * offset, self.kmax)]
-            fft = np.fft.rfft(seg, 2 * offset, axis=1) if offset >= crossover else seg.copy()
-            self.levels.append((offset, seg.shape[1], fft, offset >= crossover))
+            use_fft = offset >= _CROSSOVER
+            fft = np.fft.rfft(seg, 2 * offset, axis=1) if use_fft else seg.copy()
+            self.levels.append((offset, seg.shape[1], fft, use_fft))
             offset *= 2
 
     def step(self, U, t):
@@ -327,7 +230,7 @@ class _ZdcGroup:
         return self.acc[:, n]
 
 
-def _sweep_zdc(graph, d, T, arrays: _EdgeArrays, U, W, crossover):
+def _sweep_zdc(T, arrays: _EdgeArrays, U, W):
     n_edges = len(arrays.orig)
     if n_edges == 0:
         return
@@ -335,7 +238,7 @@ def _sweep_zdc(graph, d, T, arrays: _EdgeArrays, U, W, crossover):
     for delta in np.unique(arrays.mins):
         rows = np.nonzero(arrays.mins == delta)[0]
         groups.append(
-            _ZdcGroup(rows, arrays.heads[rows], [arrays.dists[r] for r in rows], T, crossover)
+            _ZdcGroup(rows, arrays.heads[rows], [arrays.dists[r] for r in rows], T)
         )
     vals = np.zeros(n_edges)
     for t in range(1, T + 1):
@@ -347,73 +250,18 @@ def _sweep_zdc(graph, d, T, arrays: _EdgeArrays, U, W, crossover):
         _write_step(U, W, t, arrays, np.maximum(vals, 0.0))
 
 
-def _run_entries(graph, d, T, arrays: _EdgeArrays, U, W, order: UpdateOrder, backend, crossover):
-    """Generic engine driven by an explicit update order (any valid order)."""
-    by_tail: dict[int, list[int]] = {}
-    for row, tail in enumerate(arrays.tails):
-        by_tail.setdefault(int(tail), []).append(row)
-    convolvers = None
-    fed = None
-    if backend == "zdc":
-        convolvers = [ZeroDelayConvolver(dist, crossover=crossover) for dist in arrays.dists]
-        fed = np.zeros(len(arrays.dists), dtype=np.int64)
-
-    for i, lo, hi in order.entries:
-        hi = min(hi, T)
-        if hi < lo:
-            continue
-        rows = by_tail.get(i, [])
-        if not rows:
-            continue
-        width = hi - lo + 1
-        vals = np.zeros((len(rows), width))
-        for r, row in enumerate(rows):
-            dist = arrays.dists[row]
-            j = int(arrays.heads[row])
-            delta = dist.min_bin
-            if backend == "zdc":
-                need = hi - delta + 1
-                if need > fed[row]:
-                    convolvers[row].feed_block(U[j, fed[row] : need])
-                    fed[row] = need
-                vals[r] = convolvers[row].read_block(lo, hi)
-            else:
-                limit = hi - delta + 1
-                if limit > 0:
-                    full = np.convolve(dist.mass, U[j, :limit])
-                    seg = full[lo : hi + 1]
-                    vals[r, : len(seg)] = seg
-        gmax = vals.max(axis=0)
-        winner_rows = (vals >= gmax).argmax(axis=0)
-        seed = U[i, lo - 1] if lo > 0 else 0.0
-        run = np.maximum.accumulate(np.concatenate([[seed], np.minimum(gmax, 1.0)]))[1:]
-        U[i, lo : hi + 1] = run
-        orig = arrays.orig[np.array(rows, dtype=np.int64)]
-        w_new = np.where(gmax > 0.0, orig[winner_rows], NO_EDGE)
-        carried = run > np.minimum(gmax, 1.0)
-        W[i, lo : hi + 1] = w_new
-        if np.any(carried):  # float-noise guard: keep the earlier winner
-            idxs = np.nonzero(carried)[0]
-            for k in idxs:
-                t = lo + int(k)
-                W[i, t] = W[i, t - 1] if t > 0 else NO_EDGE
-
-
 def compute_policy(
     graph: StochasticGraph,
     dest,
     T: int,
     backend: str = "zdc",
-    order: str | UpdateOrder = TIME_SWEEP,
     pruning=None,
     edge_mask=None,
-    crossover: int = DEFAULT_CROSSOVER,
 ) -> PolicyTable:
     """Solve the dynamic program toward ``dest`` for budgets ``0..T``.
 
     ``backend`` selects the convolution engine (``zdc`` by default; ``direct``
-    is the brute-force oracle and is faster for tiny horizons).  ``order`` is
-    either a strategy name or a prebuilt :class:`UpdateOrder`.  ``pruning``
+    is the brute-force oracle and is faster for tiny horizons).  ``pruning``
     is an optional ``(PotentialTable, budget)`` pair: edges whose activation
     potential exceeds the budget are ignored.  ``edge_mask`` restricts the
     graph directly (both restrictions compose).
@@ -440,18 +288,10 @@ def compute_policy(
     W = np.full((graph.num_nodes, T + 1), NO_EDGE, dtype=np.int32)
     U[d, :] = 1.0
 
-    order_name = order if isinstance(order, str) else order.strategy
-    if isinstance(order, str) and order == TIME_SWEEP:
-        if backend == "direct":
-            _sweep_direct(graph, d, T, arrays, U, W)
-        else:
-            _sweep_zdc(graph, d, T, arrays, U, W, crossover)
+    if backend == "direct":
+        _sweep_direct(T, arrays, U, W)
     else:
-        if isinstance(order, str):
-            order = compute_update_order(graph, dest, T, order)
-        if order.horizon < T:
-            raise ValueError("update order does not cover the requested horizon")
-        _run_entries(graph, d, T, arrays, U, W, order, backend, crossover)
+        _sweep_zdc(T, arrays, U, W)
 
     U.setflags(write=False)
     W.setflags(write=False)
@@ -462,6 +302,5 @@ def compute_policy(
         u=U,
         w=W,
         backend=backend,
-        order=order_name,
         node_ids=graph.node_ids,
     )

@@ -17,8 +17,8 @@ that budget.  Two flavours are computed:
 
 *Realizability* answers which ``(node, remaining budget)`` states a traveller
 following the optimal policy can actually occupy: flags propagate from the
-source through the chosen successors, visiting states in the reverse of a
-valid policy update order so every flag is final before it propagates.
+source through the chosen successors in descending budget order, so every
+flag is final before it propagates.
 
 Per-destination computations are independent; tables are immutable once
 built.
@@ -31,18 +31,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import signal
 
 from .distributions import DiscreteDistribution, EXACT_TOL, reliability_curve
 from .network import RegionPartition, StochasticGraph
-from .policy import (
-    NO_EDGE,
-    PolicyTable,
-    TIME_SWEEP,
-    UpdateOrder,
-    compute_policy,
-    compute_update_order,
-)
+from .policy import NO_EDGE, PolicyTable, compute_policy
 from .pathsearch import path_distribution, sota_path_report
 
 #: Serializable stand-in for "never active within the horizon".
@@ -71,9 +63,7 @@ def compute_realizability(
     policy: PolicyTable,
     source,
     T: int | None = None,
-    order: UpdateOrder | None = None,
     initial_budgets: str = "exact",
-    backend: str = "bitset",
 ) -> RealizabilityFlags:
     """Propagate reachable states from the source through the policy.
 
@@ -83,21 +73,27 @@ def compute_realizability(
     departures with any budget up to ``T`` (what a reusable pruning table
     needs).  ``source`` may be one node id or a list of them.
 
-    ``backend="bitset"`` scatters boolean flags directly; ``"convolution"``
-    ORs whole entries at once by convolving 0/1 indicators with each edge's
-    support indicator; same output, better asymptotics for long horizons.
+    The pass visits budgets ``t = T..0``, one vectorized step per budget
+    over every node reached at ``t`` with a successor.  Every travel time is
+    at least one bin, self-loops included, so each step lands only on
+    strictly smaller budgets and every flag is final before it propagates.
     """
     if initial_budgets not in ("exact", "any"):
         raise ValueError(f"unknown initial-budget mode {initial_budgets!r}")
-    if backend not in ("bitset", "convolution"):
-        raise ValueError(f"unknown realizability backend {backend!r}")
+    if policy.w.shape[0] != graph.num_nodes:
+        raise ValueError(
+            f"policy table has {policy.w.shape[0]} node rows but the graph has "
+            f"{graph.num_nodes} nodes; it was built for another graph"
+        )
+    if policy.node_ids and tuple(policy.node_ids) != graph.node_ids:
+        raise ValueError(
+            "policy table's node ids differ from the graph's; it was built for another graph"
+        )
     T = policy.horizon if T is None else int(T)
+    if T < 0:
+        raise ValueError(f"horizon must be nonnegative, got {T}")
     if T > policy.horizon:
         raise ValueError(f"horizon {T} exceeds the policy horizon {policy.horizon}")
-    if order is None:
-        order = compute_update_order(graph, policy.dest, T, TIME_SWEEP)
-    if order.horizon < T:
-        raise ValueError("update order does not cover the requested horizon")
 
     sources = source if isinstance(source, (list, tuple)) else [source]
     reached = np.zeros((graph.num_nodes, T + 1), dtype=bool)
@@ -110,50 +106,26 @@ def compute_realizability(
 
     edge_marked = np.zeros(graph.num_edges, dtype=bool)
     edge_first = np.full(graph.num_edges, INFINITE_POTENTIAL, dtype=np.int64)
-    supports = [np.nonzero(d.mass)[0] for d in graph.edge_dists]
-    has_self_loop = any(
-        graph.edge_tails[e] == graph.edge_heads[e] for e in range(graph.num_edges)
-    )
+    # supports[e] lists the bins with mass on edge e, padded by repeating its
+    # first bin (a repeated landing state is harmless).
+    taus = [np.nonzero(d.mass)[0] for d in graph.edge_dists]
+    supports = np.zeros((graph.num_edges, max((len(x) for x in taus), default=0)), dtype=np.int64)
+    for e, x in enumerate(taus):
+        supports[e] = x[0]
+        supports[e, : len(x)] = x
     W = policy.w
 
-    for i, lo, hi in reversed(order.entries):
-        hi = min(hi, T)
-        if hi < lo:
+    for t in range(T, -1, -1):
+        nodes = np.nonzero(reached[:, t] & (W[:, t] != NO_EDGE))[0]
+        if nodes.size == 0:
             continue
-        row = reached[i, lo : hi + 1]
-        if has_self_loop:
-            # Self-loops can propagate within the entry; go bin by bin.
-            for t in range(hi, lo - 1, -1):
-                if not reached[i, t]:
-                    continue
-                e = int(W[i, t])
-                if e == NO_EDGE:
-                    continue
-                j = int(graph.edge_heads[e])
-                taus = supports[e]
-                taus = taus[taus <= t]
-                if taus.size:
-                    reached[j, t - taus] = True
-                edge_marked[e] = True
-                edge_first[e] = min(edge_first[e], t)
-            continue
-        active = np.nonzero(row & (W[i, lo : hi + 1] != NO_EDGE))[0]
-        if active.size == 0:
-            continue
-        ts = active + lo
-        for e in np.unique(W[i, ts]):
-            e = int(e)
-            te = ts[W[i, ts] == e]
-            j = int(graph.edge_heads[e])
-            edge_marked[e] = True
-            edge_first[e] = min(edge_first[e], int(te.min()))
-            if backend == "bitset":
-                taus = supports[e]
-                landing = te[:, None] - taus[None, :]
-                landing = landing[landing >= 0]
-                reached[j, landing] = True
-            else:
-                _convolution_or(reached, j, te, supports[e], T)
+        edges = W[nodes, t]
+        edge_marked[edges] = True
+        edge_first[edges] = t
+        landing = t - supports[edges]
+        ok = landing >= 0
+        heads = np.broadcast_to(graph.edge_heads[edges][:, None], landing.shape)
+        reached[heads[ok], landing[ok]] = True
 
     return RealizabilityFlags(
         source=source,
@@ -163,26 +135,6 @@ def compute_realizability(
         edge_marked=edge_marked,
         edge_first_budget=edge_first,
     )
-
-
-def _convolution_or(reached, j, ts, taus, T):
-    """OR ``reached[j, t - tau]`` for all fed ``t`` and support ``tau`` via a
-    numeric convolution of indicator vectors (FFT above a size threshold, so
-    coarse update-order entries cost near-linearithmic time)."""
-    lo, hi = int(ts.min()), int(ts.max())
-    x = np.zeros(hi - lo + 1)
-    x[ts - lo] = 1.0
-    tau_max = int(taus.max())
-    kern = np.zeros(tau_max - int(taus.min()) + 1)
-    kern[tau_max - taus] = 1.0  # kern[b] = indicator(tau = tau_max - b)
-    if min(len(x), len(kern)) >= 64:
-        hits = signal.fftconvolve(x, kern)
-    else:
-        hits = np.convolve(x, kern)
-    # index r corresponds to budget r + lo - tau_max
-    budgets = np.nonzero(hits > 0.5)[0] + lo - tau_max
-    budgets = budgets[(budgets >= 0) & (budgets <= T)]
-    reached[j, budgets] = True
 
 
 def forward_reachability_oracle(
@@ -251,21 +203,14 @@ class PotentialTable:
     """Per-edge activation budgets toward one destination region.
 
     ``phi[e]`` is the least budget at which edge ``e`` becomes active
-    (``INFINITE_POTENTIAL`` when it never does within the horizon).  With
-    ``k_intervals > 1`` the lowest activation intervals are stored as well,
-    plus ``next_lb[e]``, a lower bound on any further activation (``horizon +
-    1`` when no more activity was seen).  ``phi`` always equals the start of
-    the first stored interval.
+    (``INFINITE_POTENTIAL`` when it never does within the horizon).
     """
 
     region: int
     horizon: int
     dt: float
     mode: str
-    k_intervals: int
     phi: np.ndarray
-    intervals: tuple
-    next_lb: np.ndarray
     sources: tuple | None = None
     region_nodes: tuple = field(default_factory=tuple, repr=False)
 
@@ -287,27 +232,14 @@ class PotentialTable:
 def prune(graph: StochasticGraph, table: PotentialTable, budget: int) -> np.ndarray:
     """Boolean keep-mask over the graph's edges for a query at ``budget``.
 
-    An edge survives iff its activation potential is at most the budget
-    (interval form: iff some stored interval starts at or below the budget,
-    or the recorded bound admits activity there, which reduces to the same
-    test because the first interval starts at ``phi``).  Optimal values on
+    An edge survives iff its activation potential is at most the budget.
+    Optimal values on
     the masked graph match the full graph for destinations in the table's
     region and budgets up to the horizon.
     """
     if len(table.phi) != graph.num_edges:
         raise ValueError("potential table does not match this graph's edge count")
     return table.edge_mask(budget)
-
-
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive True bins as (first, last) pairs."""
-    idx = np.nonzero(mask)[0]
-    if idx.size == 0:
-        return []
-    breaks = np.nonzero(np.diff(idx) > 1)[0]
-    starts = np.concatenate([[0], breaks + 1])
-    ends = np.concatenate([breaks, [idx.size - 1]])
-    return [(int(idx[a]), int(idx[b])) for a, b in zip(starts, ends)]
 
 
 def _activity_policy_mode(graph, region_nodes, T, backend, sources):
@@ -378,7 +310,6 @@ def compute_arc_potentials(
     region: int,
     T: int,
     mode: str = "policy",
-    k_intervals: int = 1,
     sources=None,
     backend: str = "zdc",
 ) -> PotentialTable:
@@ -391,16 +322,11 @@ def compute_arc_potentials(
     activity from optimal fixed paths, sweeping every budget and re-running
     the search only when the incumbent's certificate fails; it prunes far
     harder but is only valid for path queries from those sources.
-
-    With ``k_intervals > 1`` the lowest activation intervals are recorded in
-    addition to the minimum.
     """
     if T < 0:
         raise ValueError(f"horizon must be nonnegative, got {T}")
     if not 0 <= region < partition.region_count:
         raise ValueError(f"region {region} out of range 0..{partition.region_count - 1}")
-    if k_intervals < 1:
-        raise ValueError("k_intervals must be at least 1")
     if mode not in ("policy", "path"):
         raise ValueError(f"unknown mode {mode!r}")
     if sources is not None and not isinstance(sources, (list, tuple)):
@@ -414,26 +340,13 @@ def compute_arc_potentials(
             raise ValueError("path-mode potentials require one or more source nodes")
         activity = _activity_path_mode(graph, region_nodes, T, backend, sources)
 
-    phi = np.full(graph.num_edges, INFINITE_POTENTIAL, dtype=np.int64)
-    intervals = []
-    next_lb = np.full(graph.num_edges, T + 1, dtype=np.int64)
-    for e in range(graph.num_edges):
-        runs = _runs(activity[e])
-        if runs:
-            phi[e] = runs[0][0]
-        stored = tuple(runs[:k_intervals])
-        intervals.append(stored)
-        if len(runs) > k_intervals:
-            next_lb[e] = runs[k_intervals][0]
+    phi = np.where(activity.any(axis=1), activity.argmax(axis=1), INFINITE_POTENTIAL)
     return PotentialTable(
         region=region,
         horizon=T,
         dt=graph.dt,
         mode=mode,
-        k_intervals=k_intervals,
         phi=phi,
-        intervals=tuple(intervals),
-        next_lb=next_lb,
         sources=tuple(sources) if sources is not None else None,
         region_nodes=tuple(int(i) for i in region_nodes),
     )
@@ -448,7 +361,6 @@ def build_archive(
     partition: RegionPartition,
     T: int,
     mode: str = "policy",
-    k_intervals: int = 1,
     sources=None,
     regions=None,
     backend: str = "zdc",
@@ -458,13 +370,13 @@ def build_archive(
     chosen = range(partition.region_count) if regions is None else regions
     tables = {
         int(r): compute_arc_potentials(
-            graph, partition, int(r), T, mode=mode, k_intervals=k_intervals,
+            graph, partition, int(r), T, mode=mode,
             sources=sources, backend=backend,
         )
         for r in chosen
     }
     return {"partition": partition, "tables": tables, "horizon": T, "mode": mode,
-            "k_intervals": k_intervals, "dt": graph.dt}
+            "dt": graph.dt}
 
 
 def save_archive(archive: dict, target) -> None:
@@ -473,8 +385,6 @@ def save_archive(archive: dict, target) -> None:
     for r, tab in archive["tables"].items():
         tables[str(r)] = {
             "phi": [None if p >= INFINITE_POTENTIAL else int(p) for p in tab.phi],
-            "intervals": [[list(iv) for iv in edge_ivs] for edge_ivs in tab.intervals],
-            "next_lb": [int(x) for x in tab.next_lb],
             "sources": list(tab.sources) if tab.sources is not None else None,
             "region_nodes": list(tab.region_nodes),
         }
@@ -485,7 +395,6 @@ def save_archive(archive: dict, target) -> None:
         "horizon": archive["horizon"],
         "dt": archive["dt"],
         "mode": archive["mode"],
-        "k_intervals": archive["k_intervals"],
         "assignment": [int(r) for r in archive["partition"].assignment],
         "tables": tables,
     }
@@ -493,6 +402,12 @@ def save_archive(archive: dict, target) -> None:
 
 
 def load_archive(source) -> dict:
+    """Read an archive written by :func:`save_archive`.
+
+    Older documents also carry activation intervals (an interval count, and
+    per table the intervals and a bound on later activity); pruning never
+    read them, so they are ignored.
+    """
     doc = json.loads(Path(source).read_text())
     if doc.get("format") != "reliroute-potentials" or doc.get("version") != 1:
         raise ValueError("not a recognized potentials archive")
@@ -507,10 +422,7 @@ def load_archive(source) -> dict:
             horizon=int(doc["horizon"]),
             dt=float(doc["dt"]),
             mode=doc["mode"],
-            k_intervals=int(doc["k_intervals"]),
             phi=phi,
-            intervals=tuple(tuple(tuple(iv) for iv in edge_ivs) for edge_ivs in tab["intervals"]),
-            next_lb=np.array(tab["next_lb"], dtype=np.int64),
             sources=tuple(tab["sources"]) if tab["sources"] is not None else None,
             region_nodes=tuple(tab["region_nodes"]),
         )
@@ -519,6 +431,5 @@ def load_archive(source) -> dict:
         "tables": tables,
         "horizon": int(doc["horizon"]),
         "mode": doc["mode"],
-        "k_intervals": int(doc["k_intervals"]),
         "dt": float(doc["dt"]),
     }

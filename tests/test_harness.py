@@ -32,6 +32,12 @@ class TestLetPath:
     def test_unreachable(self, fixture_graph):
         assert rr.let_path(fixture_graph, "v3", "v1") is None
 
+    def test_truncated_edge_fails_only_when_means_are_needed(self):
+        cut = rr.DiscreteDistribution([0.0, 0.7], truncated_tail=0.3)
+        g = rr.StochasticGraph(1.0, [("a", 0, 0), ("b", 1, 0)], [("a", "b", cut)])
+        with pytest.raises(ValueError, match="truncated"):
+            rr.let_path(g, "a", "b")
+
 
 class TestGenerateInstances:
     def test_fixture_budget_window(self, fixture_graph):

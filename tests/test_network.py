@@ -84,6 +84,18 @@ class TestLoadGraph:
         with pytest.raises(GraphValidationError, match="JSON"):
             rr.load_graph("{not json")
 
+    def test_str_is_json_only_when_it_starts_with_a_brace(self, fixture_graph, tmp_path):
+        target = tmp_path / "d{x}" / "g.json"
+        target.parent.mkdir()
+        rr.save_graph(fixture_graph, target)
+        from_str = rr.load_graph(str(target))
+        from_path = rr.load_graph(target)
+        assert from_str.node_ids == from_path.node_ids == fixture_graph.node_ids
+        for a, b in zip(from_str.edge_dists, from_path.edge_dists):
+            assert np.array_equal(a.mass, b.mass)
+        again = rr.load_graph("\n  " + json.dumps(rr.save_graph(fixture_graph)))
+        assert again.num_edges == fixture_graph.num_edges
+
     def test_unknown_node_lookup(self, fixture_graph):
         with pytest.raises(ValueError, match="unknown node"):
             fixture_graph.node_index("v9")

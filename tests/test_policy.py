@@ -1,68 +1,15 @@
-"""Policy solver: update orders, DP values, backends, invariants."""
+"""Policy solver: DP values, backends, invariants."""
 
+import json
 import random
 
 import numpy as np
 import pytest
 
 import reliroute as rr
-from reliroute.policy import (
-    DIJKSTRA_BLOCKS,
-    NO_EDGE,
-    TIME_SWEEP,
-    compute_update_order,
-    validate_update_order,
-)
+from reliroute.policy import NO_EDGE
 
 from conftest import edge_by_label, edge_evaluation, random_connected_graph, reference_policy
-
-
-class TestUpdateOrder:
-    def test_single_edge_block(self):
-        dist = rr.DiscreteDistribution.from_pairs([[2, 0.5], [3, 0.5]])
-        g = rr.StochasticGraph(1.0, [("s", 0, 0), ("d", 1, 0)], [("s", "d", dist)])
-        order = compute_update_order(g, "d", 5, DIJKSTRA_BLOCKS)
-        s = g.node_index("s")
-        assert order.entries == ((s, 0, 5),)
-        # The only dependency is on the destination, needed through 5 - 2 = 3.
-        assert order.entries[0][2] - dist.min_bin == 3
-        validate_update_order(g, order, "d")
-
-    def test_time_sweep_structure(self, fixture_graph):
-        order = compute_update_order(fixture_graph, "v3", 3, TIME_SWEEP)
-        validate_update_order(fixture_graph, order, "v3")
-        assert len(order.entries) == 4 * 2  # (T+1) entries for each non-destination node
-        assert all(lo == hi for _, lo, hi in order.entries)
-
-    def test_horizon_zero(self, fixture_graph):
-        for strategy in (TIME_SWEEP, DIJKSTRA_BLOCKS):
-            order = compute_update_order(fixture_graph, "v3", 0, strategy)
-            validate_update_order(fixture_graph, order, "v3")
-            covered = {i: [] for i, _, _ in order.entries}
-            for i, lo, hi in order.entries:
-                covered[i].append((lo, hi))
-            assert all(v == [(0, 0)] for v in covered.values())
-
-    def test_blocks_pass_checker_on_randoms(self):
-        rng = random.Random(321)
-        for _ in range(25):
-            g, _, d = random_connected_graph(rng, max_nodes=12, max_extra_edges=20)
-            T = rng.randint(0, 40)
-            order = compute_update_order(g, d, T, DIJKSTRA_BLOCKS)
-            validate_update_order(g, order, d)
-
-    def test_checker_rejects_violation(self, fixture_graph):
-        order = compute_update_order(fixture_graph, "v3", 3, TIME_SWEEP)
-        swapped = rr.UpdateOrder(
-            entries=tuple(reversed(order.entries)), horizon=3, strategy="broken"
-        )
-        with pytest.raises(ValueError):
-            validate_update_order(fixture_graph, swapped, "v3")
-
-    def test_fixture_blocks(self, fixture_graph):
-        order = compute_update_order(fixture_graph, "v3", 4, DIJKSTRA_BLOCKS)
-        validate_update_order(fixture_graph, order, "v3")
-        assert len(order.entries) < 10  # coarser than the 10-entry time sweep
 
 
 class TestPolicyValues:
@@ -120,13 +67,9 @@ class TestPolicyValues:
         for _ in range(10):
             g, _, d = random_connected_graph(rng, max_nodes=12, max_extra_edges=18)
             T = rng.randint(0, 48)
-            tables = [
-                rr.compute_policy(g, d, T, backend=backend, order=order)
-                for backend in ("direct", "zdc")
-                for order in (TIME_SWEEP, DIJKSTRA_BLOCKS)
-            ]
-            for other in tables[1:]:
-                assert np.abs(tables[0].u - other.u).max() <= 1e-9
+            direct = rr.compute_policy(g, d, T, backend="direct")
+            zdc = rr.compute_policy(g, d, T, backend="zdc")
+            assert np.abs(direct.u - zdc.u).max() <= 1e-9
 
     def test_monotone_in_budget(self):
         rng = random.Random(13)
@@ -203,3 +146,16 @@ class TestPolicyTableIO:
         assert np.array_equal(again.u, pol.u)
         assert np.array_equal(again.w, pol.w)
         assert tuple(again.node_ids) == fixture_graph.node_ids
+
+    def test_load_ignores_update_order_field(self, fixture_graph, tmp_path):
+        # Tables written before the solver had a single traversal order carry
+        # an "order" entry.
+        pol = rr.compute_policy(fixture_graph, "v3", 5)
+        target = tmp_path / "table.json"
+        pol.save(target)
+        doc = json.loads(target.read_text())
+        doc["order"] = "dijkstra-blocks"
+        target.write_text(json.dumps(doc))
+        again = rr.PolicyTable.load(target)
+        assert np.array_equal(again.u, pol.u)
+        assert np.array_equal(again.w, pol.w)

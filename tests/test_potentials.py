@@ -1,5 +1,6 @@
 """Realizability propagation, activation potentials, and pruning soundness."""
 
+import json
 import random
 
 import numpy as np
@@ -8,11 +9,24 @@ import pytest
 import reliroute as rr
 from reliroute.potentials import INFINITE_POTENTIAL
 
-from conftest import edge_by_label, random_connected_graph
+from conftest import edge_by_label, random_connected_graph, random_edge_dist
 
 
 def marked_labels(graph, flags):
     return sorted(graph.edge_label(e) for e in np.nonzero(flags.edge_marked)[0])
+
+
+def with_self_loops_and_parallels(rng, g):
+    """``g`` plus a few self-loops and edges parallel to existing ones."""
+    edges = [(g.node_ids[g.edge_tails[e]], g.node_ids[g.edge_heads[e]], g.edge_dists[e])
+             for e in range(g.num_edges)]
+    for _ in range(rng.randint(1, 3)):
+        loop_node = rng.choice(g.node_ids)
+        edges.append((loop_node, loop_node, random_edge_dist(rng)))
+        tail, head, _ = edges[rng.randrange(g.num_edges)]
+        edges.append((tail, head, random_edge_dist(rng)))
+    nodes = [(nid, *g.coords[i]) for i, nid in enumerate(g.node_ids)]
+    return rr.StochasticGraph(1.0, nodes, edges)
 
 
 class TestRealizability:
@@ -42,9 +56,28 @@ class TestRealizability:
 
     def test_matches_forward_oracle_on_randoms(self):
         rng = random.Random(1234)
+        cases = []
         for _ in range(30):
             g, s, d = random_connected_graph(rng, max_nodes=10, max_extra_edges=16)
-            T = rng.randint(0, 40)
+            cases.append((g, s, d, rng.randint(0, 40)))
+        # Self-loops and parallel edges, with one source or a list of them.
+        for _ in range(10):
+            g, s, d = random_connected_graph(rng, max_nodes=8)
+            g = with_self_loops_and_parallels(rng, g)
+            sources = s if rng.random() < 0.5 else rng.sample(g.node_ids, rng.randint(1, 3))
+            cases.append((g, sources, d, rng.randint(0, 40)))
+        # 200-bin kernels at a 400-bin horizon.
+        np_rng = np.random.default_rng(17)
+        edges = []
+        for a, b in ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (1, 1)):
+            mass = np.zeros(200)
+            lo = int(np_rng.integers(1, 40))
+            mass[lo:] = np_rng.random(200 - lo)
+            edges.append((a, b, rr.DiscreteDistribution(mass / mass.sum())))
+        nodes = [(i, float(i), 0.0) for i in range(4)]
+        cases.append((rr.StochasticGraph(1.0, nodes, edges), [0, 1], 3, 400))
+
+        for g, s, d, T in cases:
             pol = rr.compute_policy(g, d, T)
             for mode in ("exact", "any"):
                 flags = rr.compute_realizability(g, pol, s, initial_budgets=mode)
@@ -53,16 +86,18 @@ class TestRealizability:
                 assert np.array_equal(flags.edge_marked, oracle.edge_marked)
                 assert np.array_equal(flags.edge_first_budget, oracle.edge_first_budget)
 
-    def test_convolution_backend_matches_bitset(self):
-        rng = random.Random(88)
-        for _ in range(15):
-            g, s, d = random_connected_graph(rng, max_nodes=10, max_extra_edges=14)
-            T = rng.randint(0, 40)
-            pol = rr.compute_policy(g, d, T)
-            a = rr.compute_realizability(g, pol, s, backend="bitset")
-            b = rr.compute_realizability(g, pol, s, backend="convolution")
-            assert np.array_equal(a.reached, b.reached)
-            assert np.array_equal(a.edge_marked, b.edge_marked)
+    def test_table_from_another_graph_rejected(self, fixture_graph):
+        g, _, d = random_connected_graph(random.Random(5), min_nodes=5, max_nodes=5)
+        pol = rr.compute_policy(g, d, 10)
+        with pytest.raises(ValueError, match="5 node rows but the graph has 3 nodes"):
+            rr.compute_realizability(fixture_graph, pol, "v1")
+        renamed = rr.StochasticGraph(
+            1.0, [(f"n{i}", 0.0, 0.0) for i in range(5)],
+            [(f"n{g.edge_tails[e]}", f"n{g.edge_heads[e]}", g.edge_dists[e])
+             for e in range(g.num_edges)],
+        )
+        with pytest.raises(ValueError, match="node ids differ"):
+            rr.compute_realizability(renamed, pol, "n0")
 
     def test_rollouts_stay_on_marked_edges(self, fixture_graph):
         g = fixture_graph
@@ -72,40 +107,6 @@ class TestRealizability:
         for _ in range(500):
             edges, _ = rr.rollout_policy(g, pol, "v1", 4, rng)
             assert all(flags.edge_marked[e] for e in edges)
-
-    def test_convolution_backend_fft_path_on_coarse_blocks(self):
-        # Long horizon + block update order makes entry spans and supports
-        # large enough to hit the FFT branch.
-        rng = np.random.default_rng(17)
-        nodes = [(i, float(i), 0.0) for i in range(4)]
-        edges = []
-        for a, b in ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3)):
-            mass = np.zeros(200)
-            lo = int(rng.integers(1, 40))
-            mass[lo:] = rng.random(200 - lo)
-            mass /= mass.sum()
-            edges.append((a, b, rr.DiscreteDistribution(mass)))
-        g = rr.StochasticGraph(1.0, nodes, edges)
-        T = 400
-        pol = rr.compute_policy(g, 3, T)
-        order = rr.compute_update_order(g, 3, T, "dijkstra-blocks")
-        assert any(hi - lo >= 64 for _, lo, hi in order.entries)
-        a = rr.compute_realizability(g, pol, 0, order=order, backend="bitset")
-        b = rr.compute_realizability(g, pol, 0, order=order, backend="convolution")
-        assert np.array_equal(a.reached, b.reached)
-        assert np.array_equal(a.edge_marked, b.edge_marked)
-
-    def test_block_order_matches_time_sweep(self):
-        rng = random.Random(44)
-        for _ in range(10):
-            g, s, d = random_connected_graph(rng, max_nodes=9, max_extra_edges=12)
-            T = rng.randint(0, 30)
-            pol = rr.compute_policy(g, d, T)
-            order = rr.compute_update_order(g, d, T, "dijkstra-blocks")
-            a = rr.compute_realizability(g, pol, s)
-            b = rr.compute_realizability(g, pol, s, order=order)
-            assert np.array_equal(a.reached, b.reached)
-            assert np.array_equal(a.edge_marked, b.edge_marked)
 
 
 @pytest.fixture(scope="module")
@@ -123,35 +124,10 @@ class TestArcPotentials:
         for label, phi in expect.items():
             assert table.phi[edge_by_label(fixture_graph, label)] == phi
 
-    def test_fixture_interval_form(self, fixture_graph, fixture_region):
-        partition, region = fixture_region
-        table = rr.compute_arc_potentials(
-            fixture_graph, partition, region, 6, k_intervals=2
-        )
-        e2 = edge_by_label(fixture_graph, "e2")
-        # The middle edge wins only at budget 4; from 5 on the slow-but-sure
-        # edge evaluates higher (0.95 > 0.85).
-        assert table.intervals[e2][0] == (4, 4)
-        assert table.phi[e2] == 4
-        e4 = edge_by_label(fixture_graph, "e4")
-        assert table.intervals[e4] == ((2, 6),)
-
     def test_zero_horizon_all_infinite(self, fixture_graph, fixture_region):
         partition, region = fixture_region
         table = rr.compute_arc_potentials(fixture_graph, partition, region, 0)
         assert np.all(table.phi == INFINITE_POTENTIAL)
-
-    def test_phi_is_infimum_of_intervals(self, fixture_graph, fixture_region):
-        partition, region = fixture_region
-        table = rr.compute_arc_potentials(
-            fixture_graph, partition, region, 6, k_intervals=3
-        )
-        for e in range(fixture_graph.num_edges):
-            if table.intervals[e]:
-                assert table.phi[e] == table.intervals[e][0][0]
-            else:
-                assert table.phi[e] == INFINITE_POTENTIAL
-            assert len(table.intervals[e]) <= 3
 
     def test_prune_fixture(self, fixture_graph, fixture_region):
         partition, region = fixture_region
@@ -237,16 +213,6 @@ class TestPruningSoundness:
             )
             assert path_table.kept_count(T) <= pol_table.kept_count(T)
 
-    def test_more_intervals_never_prune_fewer(self, fixture_graph, fixture_region):
-        partition, region = fixture_region
-        tables = [
-            rr.compute_arc_potentials(fixture_graph, partition, region, 6, k_intervals=k)
-            for k in (1, 2, 4)
-        ]
-        for budget in range(7):
-            kept = [t.kept_count(budget) for t in tables]
-            assert kept[0] >= kept[1] >= kept[2]
-
     def test_source_conditioned_policy_tables_prune_more(self):
         rng = random.Random(52)
         g, s, d, T = grid_instance(rng, k=4)
@@ -271,7 +237,7 @@ class TestPruningSoundness:
 class TestArchiveIO:
     def test_round_trip(self, fixture_graph, tmp_path):
         partition = rr.grid_partition(fixture_graph, 3)
-        archive = rr.build_archive(fixture_graph, partition, 6, k_intervals=2)
+        archive = rr.build_archive(fixture_graph, partition, 6)
         target = tmp_path / "potentials.json"
         rr.save_archive(archive, target)
         again = rr.load_archive(target)
@@ -280,8 +246,22 @@ class TestArchiveIO:
         for r, table in archive["tables"].items():
             loaded = again["tables"][r]
             assert np.array_equal(loaded.phi, table.phi)
-            assert loaded.intervals == table.intervals
-            assert np.array_equal(loaded.next_lb, table.next_lb)
+
+    def test_reads_documents_with_intervals(self, fixture_graph, tmp_path):
+        partition = rr.grid_partition(fixture_graph, 3)
+        archive = rr.build_archive(fixture_graph, partition, 6)
+        target = tmp_path / "potentials.json"
+        rr.save_archive(archive, target)
+        # Older writers also stored activation intervals; they are ignored.
+        doc = json.loads(target.read_text())
+        doc["k_intervals"] = 2
+        for tab in doc["tables"].values():
+            tab["intervals"] = [[[p, 6]] if p is not None else [] for p in tab["phi"]]
+            tab["next_lb"] = [7] * len(tab["phi"])
+        target.write_text(json.dumps(doc))
+        again = rr.load_archive(target)
+        for r, table in archive["tables"].items():
+            assert np.array_equal(again["tables"][r].phi, table.phi)
 
     def test_reject_foreign_file(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,120 +1,58 @@
-"""Streaming convolver vs. the direct-convolution oracle."""
+"""The streaming (``zdc``) policy backend vs. the direct backend and the oracle."""
 
 import random
 
 import numpy as np
 import pytest
 
-from reliroute.distributions import DiscreteDistribution
-from reliroute.zdc import ZeroDelayConvolver
+import reliroute as rr
+
+from conftest import reference_policy
 
 
-def random_kernel(rng, max_delta=8, max_core=90):
-    delta = rng.randint(1, max_delta)
-    core = rng.randint(1, max_core)
-    mass = np.zeros(delta + core)
-    for k in range(core):
-        mass[delta + k] = rng.random() + 1e-3
+def single_edge_graph(dist):
+    return rr.StochasticGraph(1.0, [("s", 0, 0), ("d", 1, 0)], [("s", "d", dist)])
+
+
+def long_kernel(rng):
+    """A kernel whose core (first to last bin with mass) spans 33-80 bins."""
+    delta = rng.randint(1, 6)
+    width = rng.randint(33, 80)
+    mass = np.zeros(delta + width)
+    mass[delta:] = [rng.random() + 0.01 for _ in range(width)]
     mass /= mass.sum()
-    return DiscreteDistribution(mass)
+    return rr.DiscreteDistribution(mass)
 
 
 def test_shift_by_one_kernel():
-    cv = ZeroDelayConvolver(DiscreteDistribution.point_mass(1))
-    for t, v in enumerate([1.0, 0.0, 0.0, 0.0]):
-        cv.feed(t, v)
-    assert cv.read(0) == 0.0
-    assert cv.read(1) == 1.0
-    assert cv.read(2) == 0.0
-    assert cv.read(4) == 0.0
+    g = single_edge_graph(rr.DiscreteDistribution.point_mass(1))
+    pol = rr.compute_policy(g, "d", 4)
+    assert pol.u_of(g, "s").tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
 
 
 def test_all_ones_input_yields_running_cdf():
-    e4 = DiscreteDistribution.from_pairs([[2, 0.5], [3, 0.5]])
-    cv = ZeroDelayConvolver(e4)
-    for t in range(6):
-        cv.feed(t, 1.0)
-    assert cv.read(2) == pytest.approx(0.5)
-    assert cv.read(3) == pytest.approx(1.0)
-    assert cv.read(5) == pytest.approx(1.0)
+    # The destination row is all ones, so the source row is the edge's CDF.
+    e4 = rr.DiscreteDistribution.from_pairs([[2, 0.5], [3, 0.5]])
+    g = single_edge_graph(e4)
+    pol = rr.compute_policy(g, "d", 5)
+    assert pol.u_of(g, "s").tolist() == pytest.approx([0.0, 0.0, 0.5, 1.0, 1.0, 1.0])
 
 
 def test_matches_direct_convolution_on_random_pairs():
+    # Cores longer than the FFT crossover (32 bins) and horizons of 128 or
+    # more reach both the direct and the FFT levels of the streaming
+    # convolver.  Graphs may carry self-loops and parallel edges.
     rng = random.Random(20240817)
-    for _ in range(200):
-        kernel = random_kernel(rng)
-        n = rng.randint(1, 128)
-        xs = np.array([rng.random() for _ in range(n)])
-        cv = ZeroDelayConvolver(kernel, crossover=rng.choice([1, 4, 32]))
-        for t, v in enumerate(xs):
-            cv.feed(t, v)
-        reference = np.convolve(kernel.mass, xs)
-        for t in range(kernel.min_bin + n):
-            if t - kernel.min_bin >= n:
-                break
-            expected = reference[t] if t < len(reference) else 0.0
-            assert cv.read(t) == pytest.approx(expected, abs=1e-12)
-
-
-def test_fixed_prefix_of_64_matches_direct():
-    rng = random.Random(11)
-    kernel = random_kernel(rng, max_delta=3, max_core=40)
-    xs = np.array([rng.random() for _ in range(64)])
-    cv = ZeroDelayConvolver(kernel)
-    cv.feed_block(xs)
-    reference = np.convolve(kernel.mass, xs)
-    got = cv.read_block(0, kernel.min_bin + 63)
-    assert np.allclose(got, reference[: len(got)], atol=1e-12, rtol=0)
-
-
-def test_block_feed_equals_scalar_feed():
-    rng = random.Random(5)
-    kernel = random_kernel(rng)
-    xs = np.array([rng.random() for _ in range(100)])
-    a = ZeroDelayConvolver(kernel)
-    b = ZeroDelayConvolver(kernel)
-    for t, v in enumerate(xs):
-        a.feed(t, v)
-    b.feed_block(xs[:37])
-    b.feed_block(xs[37:38])
-    b.feed_block(xs[38:])
-    lo, hi = 0, kernel.min_bin + len(xs) - 1
-    assert np.array_equal(a.read_block(lo, hi), b.read_block(lo, hi))
-
-
-def test_crossover_knob_does_not_change_results():
-    rng = random.Random(9)
-    kernel = random_kernel(rng, max_delta=2, max_core=70)
-    xs = np.array([rng.random() for _ in range(90)])
-    outputs = []
-    for crossover in (1, 4, 64):
-        cv = ZeroDelayConvolver(kernel, crossover=crossover)
-        cv.feed_block(xs)
-        outputs.append(cv.read_block(0, kernel.min_bin + len(xs) - 1))
-    assert np.allclose(outputs[0], outputs[1], atol=1e-12, rtol=0)
-    assert np.allclose(outputs[0], outputs[2], atol=1e-12, rtol=0)
-
-
-def test_out_of_order_feed_rejected():
-    cv = ZeroDelayConvolver(DiscreteDistribution.point_mass(2))
-    cv.feed(0, 1.0)
-    with pytest.raises(ValueError, match="out-of-order"):
-        cv.feed(2, 1.0)
-    with pytest.raises(ValueError, match="out-of-order"):
-        cv.feed(0, 1.0)
-
-
-def test_read_before_required_feeds_rejected():
-    cv = ZeroDelayConvolver(DiscreteDistribution.point_mass(2))
-    assert cv.read(1) == 0.0  # below min_bin: no feeds required
-    with pytest.raises(ValueError, match="read"):
-        cv.read(2)
-    cv.feed(0, 0.5)
-    assert cv.read(2) == pytest.approx(0.5 * 1.0)
-
-
-def test_kernel_must_have_mass():
-    with pytest.raises(ValueError):
-        ZeroDelayConvolver(
-            DiscreteDistribution(np.zeros(3), truncated_tail=1.0)
-        )
+    for _ in range(6):
+        n = rng.randint(2, 6)
+        nodes = [(i, float(i), 0.0) for i in range(n)]
+        pairs = [(i, i + 1) for i in range(n - 1)]
+        pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        g = rr.StochasticGraph(1.0, nodes, [(a, b, long_kernel(rng)) for a, b in pairs])
+        d = n - 1
+        T = rng.randint(128, 200)
+        ref_u, _ = reference_policy(g, d, T)
+        direct = rr.compute_policy(g, d, T, backend="direct")
+        zdc = rr.compute_policy(g, d, T, backend="zdc")
+        assert np.abs(zdc.u - direct.u).max() <= 1e-12
+        assert np.abs(zdc.u - ref_u).max() <= 1e-12
