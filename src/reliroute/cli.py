@@ -112,10 +112,20 @@ def path_cmd(graph_path, source, dest, budget, k, backend, pot_path):
     mask = None
     if pot_path:
         archive = load_archive(pot_path)
+        nodes = len(archive["partition"].assignment)
+        if nodes != graph.num_nodes:
+            raise click.ClickException(
+                f"potentials archive assigns {nodes} nodes to regions but the graph has {graph.num_nodes}"
+            )
+        if archive["dt"] != graph.dt:
+            raise click.ClickException(f"potentials archive has dt={archive['dt']} but the graph has dt={graph.dt}")
         region = archive["partition"].region_of_index(graph.node_index(dest))
         if region not in archive["tables"]:
             raise click.ClickException(f"archive has no table for region {region}")
-        mask = prune(graph, archive["tables"][region], budget)
+        try:
+            mask = prune(graph, archive["tables"][region], budget)
+        except ValueError as exc:  # another edge set, or a budget past the horizon
+            raise click.ClickException(str(exc)) from exc
     t0 = time.perf_counter()
     table = compute_policy(graph, dest, budget, backend=backend, edge_mask=mask)
     report = sota_path_report(graph, table, source, T=budget, k=k, edge_mask=mask)

@@ -105,6 +105,7 @@ def sota_path_report(
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    policy.check_graph(graph)
     T = policy.horizon if T is None else int(T)
     if T < 0 or T > policy.horizon:
         raise ValueError(f"budget {T} outside the policy horizon 0..{policy.horizon}")

@@ -10,12 +10,9 @@ For a destination ``d`` and horizon ``T`` the solver fills, for every node
 
 Because every edge's minimum travel time is at least one bin, ``u_i(t)``
 depends only on values at strictly smaller budgets, so the solver sweeps the
-budgets ``t = 1..T`` once, updating every node at each step.
-
-Two convolution backends are provided: ``direct`` evaluates the sums
-explicitly (quadratic in the horizon for long kernels, and the equality
-oracle for tests), while ``zdc`` streams the edges through zero-delay
-convolvers for near-linear scaling in the horizon.
+budgets ``t = 1..T`` once: the ``direct`` backend one budget at a time,
+evaluating every sum (the equality oracle for tests), and ``zdc`` in blocks
+of the least minimum travel time, by partitioned FFT convolution.
 
 A single solve is sequential; many solves (e.g. different destinations) can
 run in parallel over the shared immutable graph, and a finished
@@ -30,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .distributions import EXACT_TOL
 from .network import StochasticGraph
 
 #: Sentinel in the successor table for "no edge offers positive probability".
@@ -63,6 +61,16 @@ class PolicyTable:
     def next_edge(self, graph: StochasticGraph, node_id, t: int) -> int | None:
         e = int(self.w[graph.node_index(node_id), t])
         return None if e == NO_EDGE else e
+
+    def check_graph(self, graph: StochasticGraph) -> None:
+        """Raise ``ValueError`` unless the table's rows are ``graph``'s nodes."""
+        if self.w.shape[0] != graph.num_nodes:
+            raise ValueError(
+                f"policy table has {self.w.shape[0]} node rows but the graph has "
+                f"{graph.num_nodes} nodes; it was built for another graph"
+            )
+        if self.node_ids and tuple(self.node_ids) != graph.node_ids:
+            raise ValueError("policy table's node ids differ from the graph's; it was built for another graph")
 
     def save(self, target) -> None:
         """Write the table, keyed by (destination, horizon, dt).
@@ -135,27 +143,25 @@ class _EdgeArrays:
 
 
 def _write_step(U, W, t, arrays: _EdgeArrays, vals):
-    """Reduce per-edge evaluations at budget ``t`` into u and w rows."""
-    if len(vals) == 0:
-        return
+    """Reduce per-edge evaluations at budget ``t`` into u and w rows.
+
+    Values within ``EXACT_TOL`` count as equal, so that convolution rounding
+    never decides the successor; ``u`` is the exact maximum.
+    """
     gmax = np.maximum.reduceat(vals, arrays.group_starts)
-    candidates = np.where(vals >= gmax[arrays.group_of_edge], np.arange(len(vals)), len(vals))
+    candidates = np.where(vals >= gmax[arrays.group_of_edge] - EXACT_TOL, np.arange(len(vals)), len(vals))
     winner = np.minimum.reduceat(candidates, arrays.group_starts)
     tails = arrays.group_tails
     best = np.minimum(gmax, 1.0)
-    prev_u = U[tails, t - 1] if t > 0 else np.zeros(len(tails))
-    improved = best >= prev_u
-    U[tails, t] = np.where(improved, best, prev_u)
-    w_new = np.where(best > 0.0, arrays.orig[np.minimum(winner, len(vals) - 1)], NO_EDGE)
-    W[tails, t] = np.where(improved, w_new, W[tails, t - 1] if t > 0 else NO_EDGE)
+    prev_u = U[tails, t - 1]
+    U[tails, t] = np.maximum(best, prev_u)
+    w_new = np.where(best > 0.0, arrays.orig[winner], NO_EDGE)
+    W[tails, t] = np.where(best < prev_u - EXACT_TOL, W[tails, t - 1], w_new)
 
 
 def _sweep_direct(T, arrays: _EdgeArrays, U, W):
-    n_edges = len(arrays.orig)
-    if n_edges == 0:
-        return
     max_tau = max(dist.support_end - 1 for dist in arrays.dists)
-    prev = np.zeros((n_edges, max_tau))  # prev[e, j] = p_e(max_tau - j)
+    prev = np.zeros((len(arrays.orig), max_tau))  # prev[e, j] = p_e(max_tau - j)
     for row, dist in enumerate(arrays.dists):
         m = dist.mass
         prev[row, max_tau - len(m) + 1 :] = m[:0:-1]
@@ -167,87 +173,51 @@ def _sweep_direct(T, arrays: _EdgeArrays, U, W):
         _write_step(U, W, t, arrays, vals)
 
 
-#: Kernel segments at offsets of at least this many bins go through cached FFTs;
-#: earlier, shorter ones are applied directly.
-_CROSSOVER = 32
+def _sweep_blocks(T, arrays: _EdgeArrays, U, W):
+    """Sweep the budgets in blocks of ``D``, the least minimum travel time.
 
-
-class _ZdcGroup:
-    """All active edges sharing one minimum travel time, streamed together.
-
-    Each output ``y(t) = sum_tau x(t - tau) * p(tau)`` is needed as soon as
-    its inputs exist, because the sweep feeds the convolver with values
-    computed from its own earlier outputs; buffering a block first, as plain
-    FFT convolution does, would add latency the sweep cannot absorb.  So the
-    kernel core is split at power-of-two offsets into segments of length 1,
-    1, 2, 4, ...: the first tap is applied on every feed, and the segment at
-    offset ``L`` once per ``L`` inputs, on the block just completed, which is
-    always complete by the time the earliest output that needs it is read.
-    Amortized work per bin is polylogarithmic in the horizon.
+    No kernel has mass below ``D`` bins, so block ``b``, budgets
+    ``[bD, bD + D)``, reads only earlier blocks and is computed at once by
+    uniformly partitioned overlap-save convolution: partition ``k`` of each
+    kernel, bins ``[kD, kD + D)``, meets the window of blocks ``b - k - 1``
+    and ``b - k``.
     """
-
-    def __init__(self, rows, heads, dists, T):
-        self.rows = rows
-        self.heads = heads
-        self.delta = dists[0].min_bin
-        self.kmax = max(d.support_end - d.min_bin for d in dists)
-        n = len(rows)
-        cores = np.zeros((n, self.kmax))
-        for r, d in enumerate(dists):
-            core = d.mass[d.min_bin :]
-            cores[r, : len(core)] = core
-        self.h0 = np.ascontiguousarray(cores[:, 0])
-        width = max(T - self.delta + 2, 1)
-        self.acc = np.zeros((n, width + 2 * self.kmax + 2))
-        self.levels = []
-        offset = 1
-        while offset < self.kmax:
-            seg = cores[:, offset : min(2 * offset, self.kmax)]
-            use_fft = offset >= _CROSSOVER
-            fft = np.fft.rfft(seg, 2 * offset, axis=1) if use_fft else seg.copy()
-            self.levels.append((offset, seg.shape[1], fft, use_fft))
-            offset *= 2
-
-    def step(self, U, t):
-        """Feed sample ``t - delta`` and return this group's outputs at ``t``."""
-        n = t - self.delta
-        if n < 0:
-            return None
-        x = U[self.heads, n]
-        self.acc[:, n] += x * self.h0
-        for offset, seg_len, seg, use_fft in self.levels:
-            if (n + 1) % offset == 0 and n + 1 >= offset:
-                block = U[self.heads, n + 1 - offset : n + 1]
-                if use_fft:
-                    contrib = np.fft.irfft(np.fft.rfft(block, 2 * offset, axis=1) * seg, 2 * offset, axis=1)[
-                        :, : offset + seg_len - 1
-                    ]
-                else:
-                    contrib = np.zeros((len(self.rows), offset + seg_len - 1))
-                    for j in range(seg_len):
-                        contrib[:, j : j + offset] += seg[:, j : j + 1] * block
-                self.acc[:, n + 1 : n + 1 + contrib.shape[1]] += contrib
-        return self.acc[:, n]
-
-
-def _sweep_zdc(T, arrays: _EdgeArrays, U, W):
-    n_edges = len(arrays.orig)
-    if n_edges == 0:
-        return
-    groups = []
-    for delta in np.unique(arrays.mins):
-        rows = np.nonzero(arrays.mins == delta)[0]
-        groups.append(
-            _ZdcGroup(rows, arrays.heads[rows], [arrays.dists[r] for r in rows], T)
-        )
-    vals = np.zeros(n_edges)
-    for t in range(1, T + 1):
-        vals[:] = 0.0
-        for grp in groups:
-            out = grp.step(U, t)
-            if out is not None:
-                vals[grp.rows] = out
-        _write_step(U, W, t, arrays, np.maximum(vals, 0.0))
+    if T < arrays.mins.min():
+        return  # nothing arrives within the horizon
+    D = int(arrays.mins.min())
+    heads, mins = arrays.heads, arrays.mins
+    first_mass = np.array([dist.mass[dist.min_bin] for dist in arrays.dists])
+    # Partition 0 is empty, and partitions from T // D + 1 on never meet an
+    # input window, so R partitions remain.
+    R = min(-(-max(dist.support_end for dist in arrays.dists) // D), T // D + 1) - 1
+    kernels = np.zeros((len(heads), (R + 1) * D))
+    for row, dist in enumerate(arrays.dists):
+        kernels[row, : dist.support_end] = dist.mass[: (R + 1) * D]
+    # spectra[e, :, i] is partition R - i of edge e (partition axis last).
+    parts = kernels.reshape(len(heads), R + 1, D)[:, :0:-1]
+    spectra = np.ascontiguousarray(np.fft.rfft(parts, 2 * D, axis=2).transpose(0, 2, 1))
+    # ring[:, :, j % R] is the spectrum of block j's window.  At block b,
+    # slots [0, s) hold blocks b - s .. b - 1 and, from block R on, slots
+    # [s, R) hold blocks b - R .. b - s - 1.
+    ring = np.zeros_like(spectra)
+    window = np.zeros((len(heads), 2 * D))
+    for b in range(T // D + 1):
+        if b:
+            window[:, :D] = window[:, D:]
+            window[:, D:] = U[heads, (b - 1) * D : b * D]
+            ring[:, :, (b - 1) % R] = np.fft.rfft(window, axis=1)
+        s = b % R
+        acc = np.einsum("efk,efk->ef", ring[:, :, :s], spectra[:, :, R - s :])
+        if b >= R:
+            acc += np.einsum("efk,efk->ef", ring[:, :, s:], spectra[:, :, : R - s])
+        out = np.fft.irfft(acc, 2 * D, axis=1)[:, D:]
+        # U's rows never decrease, so the first support bin's term is a lower
+        # bound that is zero exactly when the sum is, whatever FFT rounding.
+        lag = np.arange(b * D, b * D + D) - mins[:, None]
+        low = np.where(lag >= 0, first_mass[:, None] * U[heads[:, None], np.maximum(lag, 0)], 0.0)
+        out = np.where(low > 0.0, np.maximum(out, low), 0.0)
+        for t in range(max(b * D, 1), min(b * D + D, T + 1)):
+            _write_step(U, W, t, arrays, out[:, t - b * D])
 
 
 def compute_policy(
@@ -260,14 +230,15 @@ def compute_policy(
 ) -> PolicyTable:
     """Solve the dynamic program toward ``dest`` for budgets ``0..T``.
 
-    ``backend`` selects the convolution engine (``zdc`` by default; ``direct``
-    is the brute-force oracle and is faster for tiny horizons).  ``pruning``
+    ``backend`` selects the convolution engine (``zdc``, the default, by blocks
+    of budgets; ``direct``, every sum explicitly, is the reference).  ``pruning``
     is an optional ``(PotentialTable, budget)`` pair: edges whose activation
     potential exceeds the budget are ignored.  ``edge_mask`` restricts the
     graph directly (both restrictions compose).
 
-    Argmax ties break toward the smallest (head node, edge), so deterministic
-    reruns yield identical successor tables.
+    ``w`` is the smallest (head node, edge) within ``EXACT_TOL`` of the best
+    edge, or the previous budget's edge when the best is more than ``EXACT_TOL``
+    below the previous ``u``, so both backends yield identical successor tables.
     """
     if T < 0:
         raise ValueError(f"horizon must be nonnegative, got {T}")
@@ -288,10 +259,9 @@ def compute_policy(
     W = np.full((graph.num_nodes, T + 1), NO_EDGE, dtype=np.int32)
     U[d, :] = 1.0
 
-    if backend == "direct":
-        _sweep_direct(T, arrays, U, W)
-    else:
-        _sweep_zdc(T, arrays, U, W)
+    sweep = _sweep_direct if backend == "direct" else _sweep_blocks
+    if len(arrays.orig):
+        sweep(T, arrays, U, W)
 
     U.setflags(write=False)
     W.setflags(write=False)

@@ -80,15 +80,7 @@ def compute_realizability(
     """
     if initial_budgets not in ("exact", "any"):
         raise ValueError(f"unknown initial-budget mode {initial_budgets!r}")
-    if policy.w.shape[0] != graph.num_nodes:
-        raise ValueError(
-            f"policy table has {policy.w.shape[0]} node rows but the graph has "
-            f"{graph.num_nodes} nodes; it was built for another graph"
-        )
-    if policy.node_ids and tuple(policy.node_ids) != graph.node_ids:
-        raise ValueError(
-            "policy table's node ids differ from the graph's; it was built for another graph"
-        )
+    policy.check_graph(graph)
     T = policy.horizon if T is None else int(T)
     if T < 0:
         raise ValueError(f"horizon must be nonnegative, got {T}")

@@ -128,3 +128,32 @@ def test_invalid_graph_is_reported(runner, tmp_path):
     )
     assert result.exit_code != 0
     assert "no nodes" in result.output
+
+
+@pytest.mark.parametrize(
+    "graph_args, budget, message",
+    [
+        (["--grid", "4"], "200", "budget 200 exceeds the preprocessed horizon 120"),
+        (["--grid", "5"], "100", "assigns 16 nodes to regions but the graph has 25"),
+        (["--grid", "4", "--dt", "0.5"], "100", "dt=1.0 but the graph has dt=0.5"),
+    ],
+)
+def test_path_rejects_mismatched_potentials(runner, tmp_path, graph_args, budget, message):
+    built, queried = tmp_path / "built.json", tmp_path / "queried.json"
+    runner.invoke(main, ["synth", "--grid", "4", "--seed", "7", "--out", str(built)])
+    runner.invoke(main, ["synth", *graph_args, "--seed", "7", "--out", str(queried)])
+    pot_file = tmp_path / "potentials.json"
+    result = runner.invoke(
+        main,
+        ["preprocess", "--graph", str(built), "--grid", "2", "--horizon", "120",
+         "--region", "3", "--out", str(pot_file)],
+    )
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(
+        main,
+        ["path", "--graph", str(queried), "--source", "n00_00", "--dest", "n03_03",
+         "--budget", budget, "--potentials", str(pot_file)],
+    )
+    assert result.exit_code != 0
+    assert message in result.output
+    assert isinstance(result.exception, SystemExit)

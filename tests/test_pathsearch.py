@@ -153,6 +153,12 @@ class TestSearchProperties:
         with pytest.raises(ValueError, match="horizon"):
             rr.sota_path(fixture_graph, fixture_policy, "v1", 9)
 
+    def test_table_from_another_graph_rejected(self):
+        g4, g5 = (rr.synthesize_distributions(rr.grid_topology(k), seed=1) for k in (4, 5))
+        pol = rr.compute_policy(g5, "n03_03", 60)
+        with pytest.raises(ValueError, match="25 node rows but the graph has 16 nodes"):
+            rr.sota_path(g4, pol, "n00_00", 60)
+
     def test_pruned_search_with_mask(self, fixture_graph):
         g = fixture_graph
         mask = np.ones(g.num_edges, dtype=bool)

@@ -1,9 +1,10 @@
-"""The streaming (``zdc``) policy backend vs. the direct backend and the oracle."""
+"""The block (``zdc``) policy backend vs. the direct backend and the oracle."""
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reliroute as rr
 
@@ -14,14 +15,39 @@ def single_edge_graph(dist):
     return rr.StochasticGraph(1.0, [("s", 0, 0), ("d", 1, 0)], [("s", "d", dist)])
 
 
-def long_kernel(rng):
-    """A kernel whose core (first to last bin with mass) spans 33-80 bins."""
-    delta = rng.randint(1, 6)
-    width = rng.randint(33, 80)
+def kernel(rng, deltas, widths):
+    """A kernel with its first mass at a bin drawn from ``deltas`` and a core
+    (first to last bin with mass) as wide as a draw from ``widths``."""
+    delta = rng.randint(*deltas)
+    width = rng.randint(*widths)
     mass = np.zeros(delta + width)
     mass[delta:] = [rng.random() + 0.01 for _ in range(width)]
-    mass /= mass.sum()
-    return rr.DiscreteDistribution(mass)
+    return rr.DiscreteDistribution(mass / mass.sum())
+
+
+def random_graph(rng, n, make_kernel):
+    """A chain 0 -> 1 -> ... -> n-1 plus random extra edges, self-loops and
+    parallel edges allowed."""
+    nodes = [(i, float(i), 0.0) for i in range(n)]
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+    return rr.StochasticGraph(1.0, nodes, [(a, b, make_kernel()) for a, b in pairs])
+
+
+def assert_backends_agree(g, d, T):
+    ref_u, _ = reference_policy(g, d, T)
+    direct = rr.compute_policy(g, d, T, backend="direct")
+    zdc = rr.compute_policy(g, d, T, backend="zdc")
+    assert np.abs(zdc.u - direct.u).max() <= 1e-12
+    assert np.abs(zdc.u - ref_u).max() <= 1e-12
+    assert np.array_equal(zdc.w, direct.w)
+    others = np.arange(g.num_nodes) != g.node_index(d)
+    assert np.array_equal(zdc.w[others] == rr.NO_EDGE, zdc.u[others] == 0.0)
+    assert np.all(np.diff(zdc.u, axis=1) >= 0.0)
+
+
+def least_min_bin(g):
+    return min(dist.min_bin for dist in g.edge_dists)
 
 
 def test_shift_by_one_kernel():
@@ -39,20 +65,99 @@ def test_all_ones_input_yields_running_cdf():
 
 
 def test_matches_direct_convolution_on_random_pairs():
-    # Cores longer than the FFT crossover (32 bins) and horizons of 128 or
-    # more reach both the direct and the FFT levels of the streaming
-    # convolver.  Graphs may carry self-loops and parallel edges.
+    # Cores of 33-80 bins against blocks of 1-6 bins split every kernel into
+    # many partitions, and horizons of 128 or more fill the ring of window
+    # spectra and wrap around it.
     rng = random.Random(20240817)
     for _ in range(6):
         n = rng.randint(2, 6)
-        nodes = [(i, float(i), 0.0) for i in range(n)]
-        pairs = [(i, i + 1) for i in range(n - 1)]
-        pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
-        g = rr.StochasticGraph(1.0, nodes, [(a, b, long_kernel(rng)) for a, b in pairs])
-        d = n - 1
-        T = rng.randint(128, 200)
-        ref_u, _ = reference_policy(g, d, T)
-        direct = rr.compute_policy(g, d, T, backend="direct")
-        zdc = rr.compute_policy(g, d, T, backend="zdc")
-        assert np.abs(zdc.u - direct.u).max() <= 1e-12
-        assert np.abs(zdc.u - ref_u).max() <= 1e-12
+        g = random_graph(rng, n, lambda: kernel(rng, (1, 6), (33, 80)))
+        assert_backends_agree(g, n - 1, rng.randint(128, 200))
+
+
+def test_mixed_minimum_travel_times_and_ragged_horizons():
+    # Minimum travel times of 2-12 bins: the block is the least of them, most
+    # kernels start partitions later, and the horizon ends inside a block.
+    rng = random.Random(7)
+    for _ in range(8):
+        n = rng.randint(2, 6)
+        g = random_graph(rng, n, lambda: kernel(rng, (2, 12), (1, 20)))
+        D = least_min_bin(g)
+        T = rng.randint(3, 12) * D + rng.randint(1, D - 1)
+        assert T % D
+        assert_backends_agree(g, n - 1, T)
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0])
+def test_horizon_at_most_one_block(offset):
+    # T = 0, T = D - 1 (nothing can arrive) and T = D (one bin can).
+    rng = random.Random(11)
+    for _ in range(4):
+        n = rng.randint(2, 5)
+        g = random_graph(rng, n, lambda: kernel(rng, (4, 9), (1, 12)))
+        T = 0 if offset is None else least_min_bin(g) + offset
+        assert_backends_agree(g, n - 1, T)
+
+
+def test_kernels_longer_than_the_horizon():
+    rng = random.Random(12)
+    for _ in range(6):
+        n = rng.randint(2, 5)
+        g = random_graph(rng, n, lambda: kernel(rng, (1, 8), (60, 100)))
+        assert_backends_agree(g, n - 1, rng.randint(10, 50))
+
+
+def test_unit_block_with_long_kernels():
+    # One edge reaches the destination in a single bin, so blocks are one
+    # bin long while every other kernel spans dozens of partitions.
+    rng = random.Random(13)
+    for _ in range(4):
+        n = rng.randint(2, 5)
+        g = random_graph(rng, n, lambda: kernel(rng, (2, 6), (33, 80)))
+        edges = [(g.node_ids[g.edge_tails[e]], g.node_ids[g.edge_heads[e]], g.edge_dists[e])
+                 for e in range(g.num_edges)]
+        edges.append((n - 2, n - 1, rr.DiscreteDistribution.point_mass(1)))
+        g = rr.StochasticGraph(1.0, [(i, float(i), 0.0) for i in range(n)], edges)
+        assert least_min_bin(g) == 1
+        assert_backends_agree(g, n - 1, rng.randint(60, 120))
+
+
+def test_probabilities_below_rounding():
+    # A first bin of mass 1e-20, followed by a gap, gives probabilities far
+    # below FFT rounding of the larger terms in the same block; they must
+    # stay positive, with a successor, exactly where the direct sums are.
+    rng = random.Random(14)
+
+    def tiny_first_bin():
+        delta, gap, width = rng.randint(3, 8), rng.randint(1, 5), rng.randint(5, 40)
+        mass = np.zeros(delta + gap + width)
+        mass[delta + gap :] = [rng.random() + 0.01 for _ in range(width)]
+        mass[delta] = 1e-20 * mass.sum()
+        return rr.DiscreteDistribution(mass / mass.sum())
+
+    for _ in range(10):
+        n = rng.randint(2, 6)
+        g = random_graph(rng, n, tiny_first_bin)
+        assert_backends_agree(g, n - 1, rng.randint(40, 120))
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 5))
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+    edges = []
+    for a, b in pairs:
+        delta = draw(st.integers(1, 4))
+        core = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12))
+        mass = np.concatenate([np.zeros(delta), core])
+        edges.append((a, b, rr.DiscreteDistribution(mass / mass.sum())))
+    return rr.StochasticGraph(1.0, [(i, float(i), 0.0) for i in range(n)], edges), n - 1
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(graph=small_graphs(), T=st.integers(0, 40))
+def test_property_block_engine_matches_direct_and_oracle(graph, T):
+    # Minimum travel times of one bin, self-loops and parallel edges all occur.
+    g, d = graph
+    assert_backends_agree(g, d, T)
