@@ -14,8 +14,6 @@ from .distributions import (
     EXACT_TOL,
     NORMALIZATION_TOL,
     convolve,
-    reliability_curve,
-    shifted_dot,
 )
 from .errors import GraphValidationError, RelirouteError, SearchBudgetExceeded
 from .harness import (
@@ -98,12 +96,10 @@ __all__ = [
     "path_distribution",
     "path_reliability",
     "prune",
-    "reliability_curve",
     "rollout_policy",
     "run_benchmark",
     "save_archive",
     "save_graph",
-    "shifted_dot",
     "sota_path",
     "sota_path_report",
     "summarize",

@@ -24,7 +24,18 @@ from .potentials import build_archive, load_archive, prune, save_archive
 from .synth import grid_topology, synthesize_distributions
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a ``ValueError`` from any subcommand (a bad budget, an unknown
+    node, a mismatched archive, ...) as a usage error, not a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main():
     """Reliability routing on stochastic networks."""
 
@@ -59,14 +70,13 @@ def synth(grid_k, dt, spacing, speed, cov, delay_factor, seed, out_path):
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
 @click.option("--dest", required=True)
 @click.option("--budget", type=int, required=True)
-@click.option("--backend", type=click.Choice(["zdc", "direct"]), default="zdc", show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Export the table (.json or .npz).")
-def policy(graph_path, dest, budget, backend, out_path):
+def policy(graph_path, dest, budget, out_path):
     """Compute the arrival-probability policy toward a destination."""
     graph = _load(graph_path)
     t0 = time.perf_counter()
-    table = compute_policy(graph, _coerce_id(graph, dest), budget, backend=backend)
+    table = compute_policy(graph, _coerce_id(graph, dest), budget)
     wall = time.perf_counter() - t0
     if out_path:
         table.save(out_path)
@@ -74,7 +84,6 @@ def policy(graph_path, dest, budget, backend, out_path):
         "dest": table.dest,
         "budget": budget,
         "dt": graph.dt,
-        "backend": backend,
         "wall_time": wall,
         "nodes_with_positive_u": int((table.u[:, budget] > 0).sum()),
     }
@@ -102,10 +111,9 @@ def _coerce_id(graph, raw):
 @click.option("--dest", required=True)
 @click.option("--budget", type=int, required=True)
 @click.option("--k", type=int, default=1, show_default=True, help="Number of ranked paths.")
-@click.option("--backend", type=click.Choice(["zdc", "direct"]), default="zdc", show_default=True)
 @click.option("--potentials", "pot_path", type=click.Path(exists=True), default=None,
               help="Activation-potential archive for pruning.")
-def path_cmd(graph_path, source, dest, budget, k, backend, pot_path):
+def path_cmd(graph_path, source, dest, budget, k, pot_path):
     """Find the most reliable path(s) within a time budget."""
     graph = _load(graph_path)
     source, dest = _coerce_id(graph, source), _coerce_id(graph, dest)
@@ -122,12 +130,9 @@ def path_cmd(graph_path, source, dest, budget, k, backend, pot_path):
         region = archive["partition"].region_of_index(graph.node_index(dest))
         if region not in archive["tables"]:
             raise click.ClickException(f"archive has no table for region {region}")
-        try:
-            mask = prune(graph, archive["tables"][region], budget)
-        except ValueError as exc:  # another edge set, or a budget past the horizon
-            raise click.ClickException(str(exc)) from exc
+        mask = prune(graph, archive["tables"][region], budget)
     t0 = time.perf_counter()
-    table = compute_policy(graph, dest, budget, backend=backend, edge_mask=mask)
+    table = compute_policy(graph, dest, budget, edge_mask=mask)
     report = sota_path_report(graph, table, source, T=budget, k=k, edge_mask=mask)
     wall = time.perf_counter() - t0
     best = report.paths[0] if report.paths else None
@@ -163,9 +168,8 @@ def path_cmd(graph_path, source, dest, budget, k, backend, pot_path):
               help="Source node(s); required for path mode, optional conditioning for policy mode.")
 @click.option("--region", "regions", multiple=True, type=int,
               help="Limit to specific region ids (default: all).")
-@click.option("--backend", type=click.Choice(["zdc", "direct"]), default="zdc", show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
-def preprocess(graph_path, grid_k, horizon, mode, sources, regions, backend, out_path):
+def preprocess(graph_path, grid_k, horizon, mode, sources, regions, out_path):
     """Build an activation-potential archive for query pruning."""
     graph = _load(graph_path)
     partition = grid_partition(graph, grid_k)
@@ -173,8 +177,7 @@ def preprocess(graph_path, grid_k, horizon, mode, sources, regions, backend, out
     if mode == "path" and not src:
         raise click.ClickException("path mode requires at least one --source")
     archive = build_archive(
-        graph, partition, horizon, mode=mode,
-        sources=src, regions=list(regions) or None, backend=backend,
+        graph, partition, horizon, mode=mode, sources=src, regions=list(regions) or None
     )
     save_archive(archive, out_path)
     kept = {r: tab.kept_count(horizon) for r, tab in archive["tables"].items()}
@@ -194,18 +197,14 @@ def preprocess(graph_path, grid_k, horizon, mode, sources, regions, backend, out
 @click.option("--grid", "grid_k", type=int, default=None, help="Region grid for pruning runs.")
 @click.option("--preprocess", "pruning", type=click.Choice(["policy", "path"]), default=None,
               help="Also run each instance with this pruning mode.")
-@click.option("--backend", type=click.Choice(["zdc", "direct"]), default="zdc", show_default=True)
 @click.option("--repetitions", type=int, default=3, show_default=True)
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-def bench(graph_path, n_instances, seed, grid_k, pruning, backend, repetitions, workers, out_dir):
+def bench(graph_path, n_instances, seed, grid_k, pruning, repetitions, workers, out_dir):
     """Run the timing study; writes records.csv and plot data."""
     graph = _load(graph_path)
     instances = generate_instances(graph, n_instances, seed=seed)
-    config = BenchmarkConfig(
-        backend=backend, repetitions=repetitions, pruning=pruning,
-        grid_k=grid_k, workers=workers,
-    )
+    config = BenchmarkConfig(repetitions=repetitions, pruning=pruning, grid_k=grid_k, workers=workers)
     records = run_benchmark(graph, instances, config=config, out_dir=out_dir)
     click.echo(json.dumps(summarize(records), indent=1))
 

@@ -223,38 +223,3 @@ def convolve(a: DiscreteDistribution, b: DiscreteDistribution, cap: int | None =
     tail = max(grand_total - stored, 0.0)
     return DiscreteDistribution(full, dt=a.dt, truncated_tail=tail)
 
-
-def shifted_dot(q: DiscreteDistribution, u: np.ndarray, T: int) -> float:
-    """Mix a path distribution with a per-budget reliability curve.
-
-    Returns ``sum_{t=0..T} q[t] * u[T - t]``: the probability of finishing the
-    fixed prefix in ``t`` bins and then succeeding with the remaining budget
-    ``T - t``.  ``u`` must cover budgets ``0..T``.
-    """
-    if T < 0:
-        raise ValueError(f"budget must be nonnegative, got {T}")
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 1 or len(u) < T + 1:
-        raise ValueError(f"reliability array must cover budgets 0..{T}")
-    qm = q.mass[: T + 1]
-    if len(qm) == 0:
-        return 0.0
-    rev = u[T::-1]
-    return float(np.dot(qm, rev[: len(qm)]))
-
-
-def reliability_curve(q: DiscreteDistribution, u: np.ndarray, horizon: int) -> np.ndarray:
-    """``shifted_dot(q, u, t)`` for every ``t = 0..horizon`` in one pass.
-
-    Equivalent to convolving ``q`` with ``u`` and reading the first
-    ``horizon + 1`` entries; used when a whole budget range is swept.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    qm = q.mass[: horizon + 1]
-    if len(qm) == 0 or len(u) == 0:
-        return np.zeros(horizon + 1)
-    full = np.convolve(qm, u[: horizon + 1])
-    out = np.zeros(horizon + 1)
-    n = min(horizon + 1, len(full))
-    out[:n] = full[:n]
-    return out

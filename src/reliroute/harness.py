@@ -230,9 +230,7 @@ def _run_instance(args):
             d_region = partition.region_of_index(graph.node_index(inst.dest))
             sources = [inst.source] if config.pruning == "path" else None
             table = compute_arc_potentials(
-                graph, partition, d_region, inst.budget,
-                mode=config.pruning,
-                sources=sources, backend=config.backend,
+                graph, partition, d_region, inst.budget, mode=config.pruning, sources=sources
             )
             mask = prune(graph, table, inst.budget)
             rec.pruned_kept_edges = int(mask.sum())

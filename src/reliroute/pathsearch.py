@@ -92,16 +92,19 @@ def sota_path_report(
     edge_mask=None,
     queue_limit: int = DEFAULT_QUEUE_LIMIT,
     keep_frontier: bool = False,
-    q_cap: int | None = None,
 ) -> SearchReport:
     """Best-first search for the ``k`` most reliable loop-free paths.
 
     ``policy`` must be computed toward the desired destination with a horizon
     of at least ``T``.  ``edge_mask`` optionally restricts the edge set (e.g.
     from activation-potential pruning).  ``queue_limit`` bounds memory;
-    exceeding it raises :class:`SearchBudgetExceeded`.  ``q_cap`` widens the
-    stored prefix distributions past ``T + 1`` bins so a kept frontier stays
-    usable at larger budgets.
+    exceeding it raises :class:`SearchBudgetExceeded`.
+
+    Prefix distributions are kept to ``policy.horizon + 1`` bins.  With
+    ``keep_frontier`` the report's ``frontier`` lists ``(prefix mass, last
+    node)`` for every unexpanded partial path, including those whose key is
+    zero at ``T``, so that together they bound every other path at every
+    budget up to the horizon.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -109,7 +112,7 @@ def sota_path_report(
     T = policy.horizon if T is None else int(T)
     if T < 0 or T > policy.horizon:
         raise ValueError(f"budget {T} outside the policy horizon 0..{policy.horizon}")
-    cap = T + 1 if q_cap is None else max(int(q_cap), T + 1)
+    cap = policy.horizon + 1
     s = graph.node_index(source)
     d = graph.node_index(policy.dest)
     mask = None if edge_mask is None else np.asarray(edge_mask, dtype=bool)
@@ -167,6 +170,8 @@ def sota_path_report(
             child_key = float(np.dot(qk, uj[: len(qk)]))
             report.max_child_key_excess = max(report.max_child_key_excess, child_key - key)
             if child_key <= 0.0:
+                if keep_frontier:  # hopeless at T, but maybe not at a larger budget
+                    report.frontier.append((child_q, j))
                 continue
             heapq.heappush(heap, (-child_key, len(edges) + 1, nodes + (j,), edges + (int(e),), child_q))
             report.pushed += 1
@@ -179,7 +184,7 @@ def sota_path_report(
     if not report.paths:
         report.status = "no_feasible_path"
     if keep_frontier:
-        report.frontier = [(entry[4], entry[2][-1]) for entry in heap]
+        report.frontier += [(entry[4], entry[2][-1]) for entry in heap]
     report.wall_time = time.perf_counter() - start
     return report
 

@@ -95,21 +95,29 @@ class PolicyTable:
     @classmethod
     def load(cls, source) -> "PolicyTable":
         source = Path(source)
-        if source.suffix == ".json":
-            doc = json.loads(source.read_text())
-            u = np.array(doc["u"], dtype=np.float64)
-            w = np.array(doc["w"], dtype=np.int32)
-            meta = doc
-        else:
-            with np.load(source) as data:
-                meta = json.loads(str(data["meta"]))
-                u, w = data["u"], data["w"]
+        try:
+            if source.suffix == ".json":
+                meta = json.loads(source.read_text())
+                u = np.array(meta["u"], dtype=np.float64)
+                w = np.array(meta["w"], dtype=np.int32)
+            else:
+                with np.load(source) as data:
+                    meta = json.loads(str(data["meta"]))
+                    u, w = data["u"], data["w"]
+            dest, horizon, dt = meta["destination"], int(meta["horizon"]), float(meta["dt"])
+        except KeyError as exc:
+            raise ValueError(f"policy table document is missing a field: {exc}") from None
+        if u.shape != w.shape or u.ndim != 2 or u.shape[1] != horizon + 1:
+            raise ValueError(
+                f"policy table's u has shape {u.shape} and its w {w.shape}; both need one row "
+                f"per node and one column per budget 0..{horizon}"
+            )
         u.setflags(write=False)
         w.setflags(write=False)
         return cls(
-            dest=meta["destination"],
-            horizon=int(meta["horizon"]),
-            dt=float(meta["dt"]),
+            dest=dest,
+            horizon=horizon,
+            dt=dt,
             u=u,
             w=w,
             backend=meta.get("backend", "direct"),
@@ -225,16 +233,14 @@ def compute_policy(
     dest,
     T: int,
     backend: str = "zdc",
-    pruning=None,
     edge_mask=None,
 ) -> PolicyTable:
     """Solve the dynamic program toward ``dest`` for budgets ``0..T``.
 
     ``backend`` selects the convolution engine (``zdc``, the default, by blocks
-    of budgets; ``direct``, every sum explicitly, is the reference).  ``pruning``
-    is an optional ``(PotentialTable, budget)`` pair: edges whose activation
-    potential exceeds the budget are ignored.  ``edge_mask`` restricts the
-    graph directly (both restrictions compose).
+    of budgets; ``direct``, every sum explicitly, is the reference).
+    ``edge_mask`` restricts the graph to the edges it marks, e.g. the mask that
+    :func:`~reliroute.potentials.prune` returns.
 
     ``w`` is the smallest (head node, edge) within ``EXACT_TOL`` of the best
     edge, or the previous budget's edge when the best is more than ``EXACT_TOL``
@@ -246,15 +252,7 @@ def compute_policy(
         raise ValueError(f"unknown backend {backend!r}")
     d = graph.node_index(dest)
 
-    mask = None
-    if edge_mask is not None:
-        mask = np.asarray(edge_mask, dtype=bool)
-    if pruning is not None:
-        table, budget = pruning
-        pruned = table.edge_mask(budget)
-        mask = pruned if mask is None else (mask & pruned)
-
-    arrays = _EdgeArrays(graph, d, mask)
+    arrays = _EdgeArrays(graph, d, edge_mask)
     U = np.zeros((graph.num_nodes, T + 1))
     W = np.full((graph.num_nodes, T + 1), NO_EDGE, dtype=np.int32)
     U[d, :] = 1.0

@@ -4,16 +4,17 @@ An edge's *activation potential* for a destination region is the least time
 budget at which the edge participates in an optimal solution toward some
 destination in that region.  At query time, edges whose potential exceeds the
 query budget can be dropped without changing any optimal value at or below
-that budget.  Two flavours are computed:
+that budget.  Each table keeps one running minimum per edge, in one of two
+modes:
 
-- ``policy`` mode marks an edge active at budget ``t`` when it is the chosen
+- ``policy`` mode takes the least budget at which the edge is the chosen
   successor ``w_i(t)`` of some policy toward a region destination (optionally
-  intersected with realizability from a source side, which tightens the table
-  for queries known to start there);
-- ``path`` mode marks an edge active at ``t`` when it lies on an optimal
-  fixed path at budget ``t`` from a given source toward a region destination.
-  Optimal paths change rarely as the budget grows, so the sweep re-runs the
-  search only when the incumbent path's optimality certificate fails.
+  only at states realizable from a source side, which tightens the table for
+  queries known to start there);
+- ``path`` mode takes the least budget at which the edge lies on an optimal
+  fixed path from a given source toward a region destination.  Optimal paths
+  change rarely as the budget grows, so the sweep re-runs the search only
+  when the incumbent path's optimality certificate fails.
 
 *Realizability* answers which ``(node, remaining budget)`` states a traveller
 following the optimal policy can actually occupy: flags propagate from the
@@ -32,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, EXACT_TOL, reliability_curve
+from .distributions import EXACT_TOL
 from .network import RegionPartition, StochasticGraph
 from .policy import NO_EDGE, PolicyTable, compute_policy
 from .pathsearch import path_distribution, sota_path_report
@@ -234,66 +235,31 @@ def prune(graph: StochasticGraph, table: PotentialTable, budget: int) -> np.ndar
     return table.edge_mask(budget)
 
 
-def _activity_policy_mode(graph, region_nodes, T, backend, sources):
-    activity = np.zeros((graph.num_edges, T + 1), dtype=bool)
-    for d_idx in region_nodes:
-        pol = compute_policy(graph, graph.node_ids[d_idx], T, backend=backend)
-        valid = pol.w != NO_EDGE
-        if sources is not None:
-            flags = compute_realizability(
-                graph, pol, list(sources), T, initial_budgets="any"
-            )
-            valid &= flags.reached
-        nodes_t = np.nonzero(valid)
-        activity[pol.w[valid], nodes_t[1]] = True
-    return activity
-
-
-def _activity_path_mode(graph, region_nodes, T, backend, sources):
-    activity = np.zeros((graph.num_edges, T + 1), dtype=bool)
-    for d_idx in region_nodes:
-        dest = graph.node_ids[d_idx]
-        pol = compute_policy(graph, dest, T, backend=backend)
-        for s in sources:
-            s_idx = graph.node_index(s)
-            if s_idx == d_idx:
+def _lower_along_optimal_paths(phi, graph, pol, source, T):
+    """Lower ``phi[e]`` to the least budget at which edge ``e`` lies on an
+    optimal path from ``source`` under ``pol``.  The search re-runs only when
+    the certificate fails: some unexpanded prefix of the last search,
+    completed by the policy, may beat the incumbent at that budget."""
+    u_s = pol.u[graph.node_index(source)]
+    incumbent_edges = None
+    incumbent_rel = None  # incumbent's reliability at every budget
+    frontier_bound = None  # upper bound on every other path, per budget
+    for t in range(T + 1):
+        if u_s[t] <= 0.0:
+            continue
+        if incumbent_edges is None or incumbent_rel[t] < frontier_bound[t] - EXACT_TOL:
+            rep = sota_path_report(graph, pol, source, T=t, k=1, keep_frontier=True)
+            if not rep.paths:
                 continue
-            u_s = pol.u[s_idx]
-            incumbent_edges = None
-            incumbent_rel = None  # incumbent's reliability at every budget
-            frontier_bound = None  # upper bound on every other path, per budget
-            for t in range(T + 1):
-                if u_s[t] <= 0.0:
-                    continue
-                stale = (
-                    incumbent_edges is None
-                    or incumbent_rel[t] < frontier_bound[t] - EXACT_TOL
-                )
-                if stale:
-                    # Prefix distributions are kept to the full horizon so the
-                    # frontier keys stay exact at later budgets.
-                    rep = sota_path_report(
-                        graph, pol, s, T=t, k=1, keep_frontier=True, q_cap=T + 1
-                    )
-                    if not rep.paths:
-                        continue
-                    incumbent_edges = rep.paths[0].edges
-                    q = path_distribution(graph, incumbent_edges, cap=T + 1)
-                    incumbent_rel = np.zeros(T + 1)
-                    c = q.cdf_array()
-                    incumbent_rel[: len(c)] = c
-                    if len(c) and len(c) <= T:
-                        incumbent_rel[len(c):] = c[-1]
-                    frontier_bound = np.zeros(T + 1)
-                    for qmass, last in rep.frontier:
-                        qd = DiscreteDistribution(
-                            qmass, dt=graph.dt, truncated_tail=max(1.0 - qmass.sum(), 0.0)
-                        )
-                        curve = reliability_curve(qd, pol.u[last], T)
-                        np.maximum(frontier_bound, curve, out=frontier_bound)
-                if incumbent_edges and incumbent_rel[t] > 0.0:
-                    activity[list(incumbent_edges), t] = True
-    return activity
+            incumbent_edges = list(rep.paths[0].edges)
+            c = path_distribution(graph, incumbent_edges, cap=T + 1).cdf_array()
+            incumbent_rel = np.pad(c, (0, T + 1 - len(c)), mode="edge")
+            frontier_bound = np.zeros(T + 1)
+            for qmass, last in rep.frontier:
+                curve = np.convolve(qmass[: T + 1], pol.u[last])[: T + 1]
+                np.maximum(frontier_bound, curve, out=frontier_bound)
+        if incumbent_rel[t] > 0.0:
+            phi[incumbent_edges] = np.minimum(phi[incumbent_edges], t)
 
 
 def compute_arc_potentials(
@@ -303,17 +269,17 @@ def compute_arc_potentials(
     T: int,
     mode: str = "policy",
     sources=None,
-    backend: str = "zdc",
 ) -> PotentialTable:
     """Activation potentials for all edges toward one destination region.
 
-    ``mode="policy"`` derives activity from the optimal policies toward every
-    destination in the region (``sources`` optionally conditions on
-    realizability from those nodes, shrinking the table to trips that can
-    actually start there).  ``mode="path"`` requires ``sources`` and derives
-    activity from optimal fixed paths, sweeping every budget and re-running
-    the search only when the incumbent's certificate fails; it prunes far
-    harder but is only valid for path queries from those sources.
+    ``mode="policy"`` takes, for every edge, the least budget at which it is
+    the chosen successor of an optimal policy toward some destination in the
+    region (``sources`` optionally conditions on realizability from those
+    nodes, shrinking the table to trips that can actually start there).
+    ``mode="path"`` requires ``sources`` and takes the least budget at which
+    the edge lies on an optimal fixed path, sweeping every budget and
+    re-running the search only when the incumbent's certificate fails; it
+    prunes far harder but is only valid for path queries from those sources.
     """
     if T < 0:
         raise ValueError(f"horizon must be nonnegative, got {T}")
@@ -323,16 +289,26 @@ def compute_arc_potentials(
         raise ValueError(f"unknown mode {mode!r}")
     if sources is not None and not isinstance(sources, (list, tuple)):
         sources = [sources]
+    if mode == "path" and not sources:
+        raise ValueError("path-mode potentials require one or more source nodes")
 
     region_nodes = partition.regions[region]
-    if mode == "policy":
-        activity = _activity_policy_mode(graph, region_nodes, T, backend, sources)
-    else:
-        if not sources:
-            raise ValueError("path-mode potentials require one or more source nodes")
-        activity = _activity_path_mode(graph, region_nodes, T, backend, sources)
+    phi = np.full(graph.num_edges, INFINITE_POTENTIAL, dtype=np.int64)
+    for d_idx in region_nodes:
+        pol = compute_policy(graph, graph.node_ids[d_idx], T)
+        if mode == "path":
+            for s in sources:
+                if graph.node_index(s) != d_idx:
+                    _lower_along_optimal_paths(phi, graph, pol, s, T)
+        elif sources is None:
+            # Budgets come out ascending, so an edge's first choice is its least.
+            t, nodes = np.nonzero((pol.w != NO_EDGE).T)
+            edges, first = np.unique(pol.w[nodes, t], return_index=True)
+            phi[edges] = np.minimum(phi[edges], t[first])
+        else:
+            flags = compute_realizability(graph, pol, list(sources), T, initial_budgets="any")
+            np.minimum(phi, flags.edge_first_budget, out=phi)
 
-    phi = np.where(activity.any(axis=1), activity.argmax(axis=1), INFINITE_POTENTIAL)
     return PotentialTable(
         region=region,
         horizon=T,
@@ -355,16 +331,12 @@ def build_archive(
     mode: str = "policy",
     sources=None,
     regions=None,
-    backend: str = "zdc",
 ) -> dict:
     """Compute tables for several regions; returns ``{region: PotentialTable}``
     plus the partition, bundled for serialization."""
     chosen = range(partition.region_count) if regions is None else regions
     tables = {
-        int(r): compute_arc_potentials(
-            graph, partition, int(r), T, mode=mode,
-            sources=sources, backend=backend,
-        )
+        int(r): compute_arc_potentials(graph, partition, int(r), T, mode=mode, sources=sources)
         for r in chosen
     }
     return {"partition": partition, "tables": tables, "horizon": T, "mode": mode,
@@ -398,30 +370,29 @@ def load_archive(source) -> dict:
 
     Older documents also carry activation intervals (an interval count, and
     per table the intervals and a bound on later activity); pruning never
-    read them, so they are ignored.
+    read them, so they are ignored.  A missing field raises ``ValueError``
+    naming it.
     """
     doc = json.loads(Path(source).read_text())
     if doc.get("format") != "reliroute-potentials" or doc.get("version") != 1:
         raise ValueError("not a recognized potentials archive")
-    partition = RegionPartition(np.array(doc["assignment"], dtype=np.int64))
-    tables = {}
-    for r, tab in doc["tables"].items():
-        phi = np.array(
-            [INFINITE_POTENTIAL if p is None else p for p in tab["phi"]], dtype=np.int64
-        )
-        tables[int(r)] = PotentialTable(
-            region=int(r),
-            horizon=int(doc["horizon"]),
-            dt=float(doc["dt"]),
-            mode=doc["mode"],
-            phi=phi,
-            sources=tuple(tab["sources"]) if tab["sources"] is not None else None,
-            region_nodes=tuple(tab["region_nodes"]),
-        )
-    return {
-        "partition": partition,
-        "tables": tables,
-        "horizon": int(doc["horizon"]),
-        "mode": doc["mode"],
-        "dt": float(doc["dt"]),
-    }
+    where = "potentials archive"
+    try:
+        horizon, dt, mode = int(doc["horizon"]), float(doc["dt"]), doc["mode"]
+        partition = RegionPartition(np.array(doc["assignment"], dtype=np.int64))
+        tables = {}
+        for r, tab in doc["tables"].items():
+            where = f"potentials archive table {r}"
+            phi = np.array([INFINITE_POTENTIAL if p is None else p for p in tab["phi"]], dtype=np.int64)
+            tables[int(r)] = PotentialTable(
+                region=int(r),
+                horizon=horizon,
+                dt=dt,
+                mode=mode,
+                phi=phi,
+                sources=tuple(tab["sources"]) if tab["sources"] is not None else None,
+                region_nodes=tuple(tab["region_nodes"]),
+            )
+    except KeyError as exc:
+        raise ValueError(f"{where} is missing a field: {exc}") from None
+    return {"partition": partition, "tables": tables, "horizon": horizon, "mode": mode, "dt": dt}

@@ -37,7 +37,7 @@ def test_policy_summary_on_fixture(runner, tmp_path):
     result = runner.invoke(
         main,
         ["policy", "--graph", str(FIXTURE_PATH), "--dest", "v3", "--budget", "4",
-         "--backend", "direct", "--out", str(out_file)],
+         "--out", str(out_file)],
     )
     assert result.exit_code == 0, result.output
     out = json.loads(result.output)
@@ -156,4 +156,26 @@ def test_path_rejects_mismatched_potentials(runner, tmp_path, graph_args, budget
     )
     assert result.exit_code != 0
     assert message in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["policy", "--dest", "v3", "--budget", "-1"], "horizon must be nonnegative, got -1"),
+        (["policy", "--dest", "nope", "--budget", "4"], "unknown node id 'nope'"),
+        (["path", "--source", "v1", "--dest", "v3", "--budget", "-1"], "horizon must be nonnegative"),
+        (["path", "--source", "v1", "--dest", "nope", "--budget", "4"], "unknown node id 'nope'"),
+        (["path", "--source", "nope", "--dest", "v3", "--budget", "4"], "unknown node id 'nope'"),
+        (["preprocess", "--grid", "2", "--horizon", "-1", "--out", "x.json"], "horizon must be nonnegative"),
+        (["preprocess", "--grid", "2", "--horizon", "6", "--mode", "path", "--source", "nope",
+          "--out", "x.json"], "unknown node id 'nope'"),
+        (["bench", "--instances", "0", "--out", "out"], "need at least one instance, got 0"),
+    ],
+)
+def test_value_errors_are_reported_without_traceback(runner, args, message):
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, [args[0], "--graph", str(FIXTURE_PATH), *args[1:]])
+    assert result.exit_code == 1
+    assert f"Error: {message}" in result.output
     assert isinstance(result.exception, SystemExit)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reliroute as rr
-from reliroute.distributions import DiscreteDistribution, convolve, reliability_curve, shifted_dot
+from reliroute.distributions import DiscreteDistribution, convolve
 
 E1 = [[2, 0.9], [3, 0.1]]
 E2 = [[1, 0.5], [2, 0.3], [3, 0.1], [4, 0.1]]
@@ -157,42 +157,3 @@ class TestCdfPercentile:
         assert dist(E2).mean() == pytest.approx(1.8)
         assert dist(E3).mean() == pytest.approx(2.2)
         assert dist(E4).mean() == pytest.approx(2.5)
-
-
-class TestShiftedDot:
-    def test_policy_mixing_value(self):
-        # q = e2, u = running CDF of e4 (the destination-side reliability).
-        u = np.array([dist(E4).cdf(t) for t in range(5)])
-        assert shifted_dot(dist(E2), u, 4) == pytest.approx(0.65)
-
-    def test_all_ones_reduces_to_cdf(self):
-        q = convolve(dist(E2), dist(E4))
-        for T in range(8):
-            assert shifted_dot(q, np.ones(T + 1), T) == pytest.approx(q.cdf(T))
-
-    def test_point_mass_at_zero_reads_u(self):
-        u = np.array([0.0, 0.2, 0.7, 0.9])
-        q = DiscreteDistribution.point_mass(0)
-        assert shifted_dot(q, u, 2) == pytest.approx(0.7)
-
-    def test_requires_full_u_coverage(self):
-        with pytest.raises(ValueError):
-            shifted_dot(dist(E2), np.ones(3), 4)
-
-    def test_nondecreasing_in_budget_for_monotone_u(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            m = rng.random(rng.integers(1, 30))
-            q = DiscreteDistribution(m / m.sum())
-            u = np.minimum(np.cumsum(rng.random(64)) / 20.0, 1.0)
-            vals = [shifted_dot(q, u, T) for T in range(len(u))]
-            assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_reliability_curve_matches_pointwise(self):
-        rng = np.random.default_rng(5)
-        m = rng.random(9)
-        q = DiscreteDistribution(m / m.sum())
-        u = np.minimum(np.cumsum(rng.random(20)) / 5.0, 1.0)
-        curve = reliability_curve(q, u, 19)
-        for T in range(20):
-            assert curve[T] == pytest.approx(shifted_dot(q, u, T), abs=1e-12)

@@ -153,6 +153,17 @@ class TestSearchProperties:
         with pytest.raises(ValueError, match="horizon"):
             rr.sota_path(fixture_graph, fixture_policy, "v1", 9)
 
+    def test_budget_below_policy_horizon(self):
+        # A table solved past the budget answers it like one solved to it
+        # (``direct`` makes the two tables agree exactly up to the budget).
+        rng = random.Random(31)
+        for _ in range(15):
+            g, s, d = random_connected_graph(rng, max_nodes=8)
+            T = rng.randint(1, 40)
+            long_pol = rr.compute_policy(g, d, T + rng.randint(1, 30), backend="direct")
+            pol = rr.compute_policy(g, d, T, backend="direct")
+            assert rr.sota_path(g, long_pol, s, T, k=3) == rr.sota_path(g, pol, s, T, k=3)
+
     def test_table_from_another_graph_rejected(self):
         g4, g5 = (rr.synthesize_distributions(rr.grid_topology(k), seed=1) for k in (4, 5))
         pol = rr.compute_policy(g5, "n03_03", 60)

@@ -161,3 +161,21 @@ class TestPolicyTableIO:
         again = rr.PolicyTable.load(target)
         assert np.array_equal(again.u, pol.u)
         assert np.array_equal(again.w, pol.w)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["w"].pop(), r"u has shape \(3, 6\) and its w \(2, 6\)"),
+            (lambda doc: doc.update(horizon=4), r"one column per budget 0..4"),
+            (lambda doc: doc.pop("destination"), r"missing a field: 'destination'"),
+        ],
+        ids=["row-counts-differ", "wrong-horizon", "no-destination"],
+    )
+    def test_load_rejects_malformed_documents(self, fixture_graph, tmp_path, edit, message):
+        target = tmp_path / "table.json"
+        rr.compute_policy(fixture_graph, "v3", 5).save(target)
+        doc = json.loads(target.read_text())
+        edit(doc)
+        target.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            rr.PolicyTable.load(target)

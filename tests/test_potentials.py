@@ -146,12 +146,39 @@ class TestArcPotentials:
     def test_policy_accepts_pruning_pair(self, fixture_graph, fixture_region):
         partition, region = fixture_region
         table = rr.compute_arc_potentials(fixture_graph, partition, region, 6)
-        pruned = rr.compute_policy(fixture_graph, "v3", 4, pruning=(table, 4))
+        pruned = rr.compute_policy(fixture_graph, "v3", 4, edge_mask=rr.prune(fixture_graph, table, 4))
         full = rr.compute_policy(fixture_graph, "v3", 4)
         # Budget-4 pruning drops only the never-active-by-4 edge; u is intact.
         assert np.abs(pruned.u - full.u).max() <= 1e-12
         v1 = fixture_graph.node_index("v1")
         assert pruned.w[v1, 4] == edge_by_label(fixture_graph, "e2")
+
+    def test_policy_mode_matches_loop_oracle(self):
+        # phi[e] is the least budget t at which some region destination's
+        # policy chooses e at a node (reached from the sources, if given).
+        rng = random.Random(61)
+        for case in range(24):
+            g, s, _ = random_connected_graph(rng, max_nodes=8)
+            if case % 3 == 0:
+                g = with_self_loops_and_parallels(rng, g)
+            T = rng.randint(0, 30)
+            partition = rr.grid_partition(g, 2)
+            for region in range(partition.region_count):
+                for sources in (None, [s], rng.sample(g.node_ids, 2)):
+                    expect = [INFINITE_POTENTIAL] * g.num_edges
+                    for d in partition.regions[region]:
+                        pol = rr.compute_policy(g, g.node_ids[d], T)
+                        if sources is not None:
+                            reached = rr.forward_reachability_oracle(
+                                g, pol, sources, T, initial_budgets="any"
+                            ).reached
+                        for i in range(g.num_nodes):
+                            for t in range(T + 1):
+                                e = int(pol.w[i, t])
+                                if e != rr.NO_EDGE and (sources is None or reached[i, t]):
+                                    expect[e] = min(expect[e], t)
+                    table = rr.compute_arc_potentials(g, partition, region, T, sources=sources)
+                    assert table.phi.tolist() == expect
 
     def test_path_mode_requires_sources(self, fixture_graph, fixture_region):
         partition, region = fixture_region
@@ -168,6 +195,28 @@ class TestArcPotentials:
         assert table.phi[edge_by_label(fixture_graph, "e3")] == 3
         assert table.phi[edge_by_label(fixture_graph, "e2")] == 4
         assert table.phi[edge_by_label(fixture_graph, "e1")] == 5
+
+
+    def test_path_mode_keeps_paths_hopeless_at_the_search_budget(self):
+        # At budget 7 the only path is s->d (0.1); s->y->d cannot arrive yet,
+        # but from budget 8 on it arrives surely.
+        late = np.zeros(21)
+        late[[7, 20]] = [0.1, 0.9]
+        hop = np.zeros(5)
+        hop[4] = 1.0
+        g = rr.StochasticGraph(
+            1.0,
+            [("s", 0.0, 0.0), ("y", 1.0, 0.0), ("d", 2.0, 0.0)],
+            [("s", "d", rr.DiscreteDistribution(late)), ("s", "y", rr.DiscreteDistribution(hop)),
+             ("y", "d", rr.DiscreteDistribution(hop))],
+        )
+        partition = rr.RegionPartition([int(nid == "d") for nid in g.node_ids])
+        table = rr.compute_arc_potentials(g, partition, 1, 12, mode="path", sources=["s"])
+        phi = {(a, b): table.phi[g.find_edges(a, b)[0]] for a, b in (("s", "d"), ("s", "y"), ("y", "d"))}
+        assert phi == {("s", "d"): 7, ("s", "y"): 8, ("y", "d"): 8}
+        mask = rr.prune(g, table, 8)
+        pol = rr.compute_policy(g, "d", 8, edge_mask=mask)
+        assert rr.sota_path(g, pol, "s", 8, edge_mask=mask)[0].reliability == 1.0
 
 
 def grid_instance(rng, k=5, T_cap=140):
@@ -200,6 +249,24 @@ class TestPruningSoundness:
             table = rr.compute_arc_potentials(g, partition, region, T, mode="policy")
             ppol = rr.compute_policy(g, d, T, edge_mask=rr.prune(g, table, T))
             assert abs(ppol.u[g.node_index(s), T] - pol.u[g.node_index(s), T]) <= 1e-12
+
+    def test_path_mode_sound_at_every_budget(self):
+        rng = random.Random(70)
+        for _ in range(80):
+            g, s, d = random_connected_graph(rng, max_nodes=8, max_width=3)
+            T = rng.randint(1, 40)
+            partition = rr.grid_partition(g, 2)
+            region = partition.region_of_index(g.node_index(d))
+            table = rr.compute_arc_potentials(g, partition, region, T, mode="path", sources=[s])
+            pol = rr.compute_policy(g, d, T)
+            for budget in range(T + 1):
+                base = rr.sota_path(g, pol, s, budget)
+                mask = rr.prune(g, table, budget)
+                ppol = rr.compute_policy(g, d, budget, edge_mask=mask)
+                got = rr.sota_path(g, ppol, s, budget, edge_mask=mask)
+                assert (got[0].reliability if got else 0.0) == pytest.approx(
+                    base[0].reliability if base else 0.0, abs=1e-12
+                ), (budget, T)
 
     def test_path_mode_prunes_at_least_as_much(self):
         rng = random.Random(51)
@@ -262,6 +329,28 @@ class TestArchiveIO:
         again = rr.load_archive(target)
         for r, table in archive["tables"].items():
             assert np.array_equal(again["tables"][r].phi, table.phi)
+
+    @pytest.mark.parametrize(
+        "drop, message",
+        [
+            (("assignment",), "potentials archive is missing a field: 'assignment'"),
+            (("horizon",), "potentials archive is missing a field: 'horizon'"),
+            (("tables", "2", "sources"), "potentials archive table 2 is missing a field: 'sources'"),
+            (("tables", "2", "phi"), "potentials archive table 2 is missing a field: 'phi'"),
+        ],
+    )
+    def test_missing_field_is_named(self, fixture_graph, tmp_path, drop, message):
+        partition = rr.grid_partition(fixture_graph, 3)
+        target = tmp_path / "potentials.json"
+        rr.save_archive(rr.build_archive(fixture_graph, partition, 6, regions=[2]), target)
+        doc = json.loads(target.read_text())
+        parent = doc
+        for key in drop[:-1]:
+            parent = parent[key]
+        del parent[drop[-1]]
+        target.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            rr.load_archive(target)
 
     def test_reject_foreign_file(self, tmp_path):
         bad = tmp_path / "bad.json"
