@@ -27,13 +27,6 @@ NORMALIZATION_TOL = 1e-9
 EXACT_TOL = 1e-12
 
 
-def _as_mass_array(mass) -> np.ndarray:
-    arr = np.asarray(mass, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("mass must be a 1-D array of probabilities per bin")
-    return arr
-
-
 class DiscreteDistribution:
     """An immutable PMF on integer time bins.
 
@@ -53,7 +46,9 @@ class DiscreteDistribution:
     __slots__ = ("dt", "mass", "truncated_tail", "min_bin", "_cdf")
 
     def __init__(self, mass, dt: float = 1.0, truncated_tail: float = 0.0):
-        arr = _as_mass_array(mass).copy()
+        arr = np.array(mass, dtype=np.float64)
+        if arr.ndim != 1:
+            raise ValueError("mass must be a 1-D array of probabilities per bin")
         if not (dt > 0.0):
             raise ValueError(f"dt must be positive, got {dt}")
         if truncated_tail < -EXACT_TOL:
@@ -186,9 +181,6 @@ class DiscreteDistribution:
         if len(self.mass) == 0:
             return 0.0
         return float(np.dot(np.arange(len(self.mass)), self.mass)) * self.dt
-
-    def convolve(self, other: "DiscreteDistribution", cap: int | None = None) -> "DiscreteDistribution":
-        return convolve(self, other, cap=cap)
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{k}:{self.mass[k]:.6g}" for k in np.nonzero(self.mass)[0][:8])

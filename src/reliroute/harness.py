@@ -149,7 +149,6 @@ class BenchmarkConfig:
     pruning: str | None = None  # None | "policy" | "path"
     grid_k: int | None = None
     workers: int = 1
-    queue_limit: int = 1_000_000
 
 
 @dataclass
@@ -205,9 +204,7 @@ def _run_instance(args):
 
         path_reps = config.path_repetitions or config.repetitions
         path_time, rep = _median_time(
-            lambda: sota_path_report(
-                graph, pol, inst.source, T=inst.budget, queue_limit=config.queue_limit
-            ),
+            lambda: sota_path_report(graph, pol, inst.source, T=inst.budget),
             path_reps,
         )
         rec.path_time = path_time
@@ -242,8 +239,7 @@ def _run_instance(args):
             )
             rec.pruned_path_time, prep = _median_time(
                 lambda: sota_path_report(
-                    graph, ppol, inst.source, T=inst.budget,
-                    edge_mask=mask, queue_limit=config.queue_limit,
+                    graph, ppol, inst.source, T=inst.budget, edge_mask=mask
                 ),
                 path_reps,
             )

@@ -9,6 +9,9 @@ time itself reachable, so an edge's minimum travel time lands exactly at
 
 Residual mass past the cutoff quantile is folded into the last bin so every
 generated PMF sums to one exactly.
+
+CDFs and quantiles come from :mod:`scipy.special` alone; importing
+:mod:`scipy.stats` would cost more than the rest of the package.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .distributions import DiscreteDistribution
 
@@ -58,17 +61,13 @@ def shifted_gamma_pmf(
     if cov < 0:
         raise ValueError(f"coefficient of variation must be nonnegative, got {cov}")
     if mean_delay == 0.0 or cov == 0.0:
-        dist = DiscreteDistribution.point_mass(min_bin, dt=dt)
-        if mean_delay > 0:
-            # Deterministic delay still shifts the point mass.
-            dist = DiscreteDistribution.point_mass(
-                min_bin + int(round(mean_delay / dt)), dt=dt
-            )
-        return dist
+        # A deterministic delay still shifts the point mass.
+        return DiscreteDistribution.point_mass(min_bin + int(round(mean_delay / dt)), dt=dt)
 
     shape = 1.0 / (cov * cov)
     scale = mean_delay * cov * cov
-    last = int(math.ceil(stats.gamma.ppf(1.0 - TAIL_EPS, shape, scale=scale) / dt)) + 1
+    # Equals scipy.stats.gamma.ppf(1 - TAIL_EPS, shape, scale=scale) exactly.
+    last = int(math.ceil(special.gammaincinv(shape, 1.0 - TAIL_EPS) * scale / dt)) + 1
     edges = (np.arange(last + 1) + 0.5) * dt
     cdf = special.gammainc(shape, edges / scale)
     pmf = np.empty(last + 1)

@@ -8,12 +8,16 @@ set of available routes.  Edges therefore carry their own identity (a user label
 their position in the input document) and policies and paths refer to edges,
 not just successor nodes.
 
+Every node and edge is checked once, in the constructor, whether it comes from
+:func:`load_graph`, from :mod:`reliroute.synth` or from a direct call, and a
+failure names the offending node or edge.  Each node keeps one adjacency
+index, its outgoing edges.
+
 Graphs are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from functools import cached_property
 from pathlib import Path
@@ -23,6 +27,11 @@ import numpy as np
 from .distributions import DiscreteDistribution
 from .errors import GraphValidationError
 from .models import resolve_distribution_literal
+
+
+def _edge_ident(label, pos: int) -> str:
+    # How validation messages name an edge: its label, else its input position.
+    return f"edge {label!r}" if label is not None else f"edge #{pos}"
 
 
 def _id_sort_key(node_id):
@@ -59,12 +68,12 @@ class StochasticGraph:
         self.dt = float(dt)
 
         node_list = []
-        for n in nodes:
-            if isinstance(n, dict):
-                node_list.append((n["id"], float(n["x"]), float(n["y"])))
-            else:
-                nid, x, y = n
+        for pos, n in enumerate(nodes):
+            try:
+                nid, x, y = (n["id"], n["x"], n["y"]) if isinstance(n, dict) else n
                 node_list.append((nid, float(x), float(y)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise GraphValidationError(f"node #{pos}: {exc}") from exc
         if not node_list:
             raise GraphValidationError("graph has no nodes")
         ids = [n[0] for n in node_list]
@@ -83,8 +92,7 @@ class StochasticGraph:
         for pos, e in enumerate(edges):
             tail_id, head_id, dist = e[0], e[1], e[2]
             label = e[3] if len(e) > 3 else None
-            ident = f"edge {label!r}" if label is not None else f"edge #{pos}"
-            where = f"{ident} ({tail_id!r}->{head_id!r})"
+            where = f"{_edge_ident(label, pos)} ({tail_id!r}->{head_id!r})"
             if tail_id not in self._index or head_id not in self._index:
                 raise GraphValidationError(f"{where}: endpoint is not a declared node")
             if not isinstance(dist, DiscreteDistribution):
@@ -108,13 +116,9 @@ class StochasticGraph:
         self.edge_dists = tuple(r[3] for r in raw)
         self._edge_labels = tuple(r[4] for r in raw)
 
-        out: list[list[int]] = [[] for _ in self.node_ids]
-        incoming: list[list[int]] = [[] for _ in self.node_ids]
-        for eidx in range(len(raw)):
-            out[self.edge_tails[eidx]].append(eidx)
-            incoming[self.edge_heads[eidx]].append(eidx)
-        self.out_edges = tuple(np.array(lst, dtype=np.int64) for lst in out)
-        self.in_edges = tuple(np.array(lst, dtype=np.int64) for lst in incoming)
+        # Edges are sorted by tail, so each node's out-edges are one run.
+        bounds = np.searchsorted(self.edge_tails, np.arange(self.num_nodes + 1))
+        self.out_edges = tuple(np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
 
     # -- lookups -----------------------------------------------------------
 
@@ -176,7 +180,9 @@ def load_graph(source) -> StochasticGraph:
          "nodes": [{"id": ..., "x": ..., "y": ...}, ...],
          "edges": [{"from": ..., "to": ..., "dist": <literal>, "id": optional}, ...]}
 
-    Validation failures name the first offending node or edge.
+    Validation failures name the first offending node or edge: the loader
+    resolves each edge's distribution literal on the document's ``dt``, and
+    :class:`StochasticGraph` checks everything else.
     """
     if isinstance(source, dict):
         doc = source
@@ -187,7 +193,7 @@ def load_graph(source) -> StochasticGraph:
             text = Path(source).read_text()
         elif isinstance(source, bytes):
             text = source.decode("utf-8")
-        elif isinstance(source, io.IOBase) or hasattr(source, "read"):
+        elif hasattr(source, "read"):
             text = source.read()
             if isinstance(text, bytes):
                 text = text.decode("utf-8")
@@ -206,38 +212,29 @@ def load_graph(source) -> StochasticGraph:
     dt = float(doc["dt"])
     if not dt > 0:
         raise GraphValidationError(f"time step must be positive, got {dt}")
-    if not doc["nodes"]:
-        raise GraphValidationError("graph has no nodes")
-
-    nodes = []
-    for pos, n in enumerate(doc["nodes"]):
-        try:
-            nodes.append((n["id"], float(n["x"]), float(n["y"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GraphValidationError(f"node #{pos}: {exc}") from exc
 
     edges = []
     for pos, e in enumerate(doc["edges"]):
         label = e.get("id") if isinstance(e, dict) else None
-        ident = f"edge {label!r}" if label is not None else f"edge #{pos}"
         try:
             tail, head = e["from"], e["to"]
             dist = resolve_distribution_literal(e["dist"], dt)
         except GraphValidationError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
-            raise GraphValidationError(f"{ident}: {exc}") from exc
+            raise GraphValidationError(f"{_edge_ident(label, pos)}: {exc}") from exc
         edges.append((tail, head, dist, label))
 
-    return StochasticGraph(dt, nodes, edges)
+    # A null node list is reported as an empty one.
+    return StochasticGraph(dt, doc["nodes"] or (), edges)
 
 
 def save_graph(graph: StochasticGraph, target=None) -> dict:
     """Serialize a graph to the document schema used by :func:`load_graph`.
 
     PMF values round-trip bit-identically (floats are emitted with full
-    precision).  Returns the document; also writes JSON when ``target`` is a
-    path or file object.
+    precision).  Returns the document; also writes it as compact JSON when
+    ``target`` is a path or file object.
     """
     doc = {
         "dt": graph.dt,
@@ -257,10 +254,11 @@ def save_graph(graph: StochasticGraph, target=None) -> dict:
             entry["id"] = graph._edge_labels[eidx]
         doc["edges"].append(entry)
     if target is not None:
+        text = json.dumps(doc)
         if isinstance(target, (str, Path)):
-            Path(target).write_text(json.dumps(doc, indent=1))
+            Path(target).write_text(text)
         else:
-            target.write(json.dumps(doc, indent=1))
+            target.write(text)
     return doc
 
 

@@ -49,18 +49,7 @@ class PolicyTable:
     dt: float
     u: np.ndarray
     w: np.ndarray
-    backend: str = "direct"
     node_ids: tuple = field(default_factory=tuple, repr=False)
-
-    def u_of(self, graph: StochasticGraph, node_id) -> np.ndarray:
-        return self.u[graph.node_index(node_id)]
-
-    def success_probability(self, graph: StochasticGraph, node_id, t: int) -> float:
-        return float(self.u[graph.node_index(node_id), t])
-
-    def next_edge(self, graph: StochasticGraph, node_id, t: int) -> int | None:
-        e = int(self.w[graph.node_index(node_id), t])
-        return None if e == NO_EDGE else e
 
     def check_graph(self, graph: StochasticGraph) -> None:
         """Raise ``ValueError`` unless the table's rows are ``graph``'s nodes."""
@@ -82,7 +71,6 @@ class PolicyTable:
             "destination": self.dest,
             "horizon": self.horizon,
             "dt": self.dt,
-            "backend": self.backend,
             "nodes": list(self.node_ids),
         }
         target = Path(target)
@@ -120,7 +108,6 @@ class PolicyTable:
             dt=dt,
             u=u,
             w=w,
-            backend=meta.get("backend", "direct"),
             node_ids=tuple(meta.get("nodes", ())),
         )
 
@@ -269,6 +256,5 @@ def compute_policy(
         dt=graph.dt,
         u=U,
         w=W,
-        backend=backend,
         node_ids=graph.node_ids,
     )

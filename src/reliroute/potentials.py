@@ -222,16 +222,30 @@ class PotentialTable:
         return int(self.edge_mask(budget).sum())
 
 
+def _check_graph(graph: StochasticGraph, dt: float, edges: int | None = None, nodes: int | None = None) -> None:
+    """Raise ``ValueError`` unless a potentials archive or table built with
+    time step ``dt``, ``edges`` edges and ``nodes`` region assignments (the
+    counts are checked when given) fits ``graph``."""
+    if nodes is not None and nodes != graph.num_nodes:
+        raise ValueError(
+            f"potentials archive assigns {nodes} nodes to regions but the graph has {graph.num_nodes}"
+        )
+    if dt != graph.dt:
+        raise ValueError(f"potentials archive has dt={dt} but the graph has dt={graph.dt}")
+    if edges is not None and edges != graph.num_edges:
+        raise ValueError("potential table does not match this graph's edge count")
+
+
 def prune(graph: StochasticGraph, table: PotentialTable, budget: int) -> np.ndarray:
     """Boolean keep-mask over the graph's edges for a query at ``budget``.
 
     An edge survives iff its activation potential is at most the budget.
     Optimal values on
     the masked graph match the full graph for destinations in the table's
-    region and budgets up to the horizon.
+    region and budgets up to the horizon.  A table built for a graph with
+    another ``dt`` or edge count raises ``ValueError``.
     """
-    if len(table.phi) != graph.num_edges:
-        raise ValueError("potential table does not match this graph's edge count")
+    _check_graph(graph, table.dt, edges=len(table.phi))
     return table.edge_mask(budget)
 
 

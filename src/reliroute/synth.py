@@ -12,7 +12,7 @@ import random
 
 from .errors import GraphValidationError
 from .models import free_flow_bins, shifted_gamma_pmf
-from .network import StochasticGraph
+from .network import StochasticGraph, _edge_ident
 
 #: Default generator: gamma-distributed delay on top of the free-flow time.
 DEFAULT_MODEL = {"name": "shifted-gamma", "delay_factor": 0.5, "cov": 1.0, "randomize": True}
@@ -67,11 +67,10 @@ def synthesize_distributions(topology: dict, model: dict | None = None, seed: in
     dt = float(topology.get("dt", 1.0))
     rng = random.Random(seed)
 
-    nodes = [(n["id"], n["x"], n["y"]) for n in topology["nodes"]]
     edges = []
     for pos, e in enumerate(topology["edges"]):
         label = e.get("id")
-        ident = f"edge {label!r}" if label is not None else f"edge #{pos}"
+        ident = _edge_ident(label, pos)
         length = float(e["length"])
         speed = float(e["speed_limit"])
         if length <= 0:
@@ -97,4 +96,4 @@ def synthesize_distributions(topology: dict, model: dict | None = None, seed: in
             raise ValueError(f"unknown generator {name!r}")
         edges.append((e["from"], e["to"], dist, label))
 
-    return StochasticGraph(dt, nodes, edges)
+    return StochasticGraph(dt, topology["nodes"], edges)

@@ -1,11 +1,19 @@
 """Parametric travel-time models and synthetic network generation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import special
 
 import reliroute as rr
+from reliroute import synth
 from reliroute.errors import GraphValidationError
 from reliroute.models import (
+    TAIL_EPS,
     free_flow_bins,
     gaussian_mixture_pmf,
     resolve_distribution_literal,
@@ -44,6 +52,28 @@ class TestModels:
         assert d.to_pairs() == [[7, 1.0]]
         d = shifted_gamma_pmf(7, 3.0, 0.0)
         assert d.to_pairs() == [[10, 1.0]]
+
+    def test_gamma_cutoff_quantile_equals_scipy_stats(self, monkeypatch):
+        # The support cutoff uses special.gammaincinv in place of
+        # stats.gamma.ppf; both must give the same float, so the PMFs are
+        # unchanged.  Check a seeded sample and every (shape, scale) pair the
+        # 32x32 acceptance grid draws.
+        stats = pytest.importorskip("scipy.stats")
+        calls = []
+
+        def recording(min_bin, mean_delay, cov, dt=1.0):
+            calls.append((mean_delay, cov))
+            return shifted_gamma_pmf(min_bin, mean_delay, cov, dt=dt)
+
+        monkeypatch.setattr(synth, "shifted_gamma_pmf", recording)
+        rr.synthesize_distributions(rr.grid_topology(32), seed=20250808)
+        assert len(calls) == 3968
+        mean_delay, cov = np.array(calls).T
+        rng = np.random.default_rng(11)
+        shape = np.concatenate([rng.uniform(0.05, 50.0, 20000), 1.0 / (cov * cov)])
+        scale = np.concatenate([rng.uniform(0.01, 500.0, 20000), mean_delay * cov * cov])
+        ours = special.gammaincinv(shape, 1.0 - TAIL_EPS) * scale
+        assert np.array_equal(ours, stats.gamma.ppf(1.0 - TAIL_EPS, shape, scale=scale))
 
     def test_gaussian_mixture_respects_floor(self):
         d = gaussian_mixture_pmf(
@@ -130,3 +160,12 @@ class TestSynthesize:
         assert len(topo["edges"]) == 2 * (2 * 3 * 2)  # 12 undirected street segments
         g = rr.synthesize_distributions(topo, seed=0)
         assert g.num_nodes == 9 and g.num_edges == 24
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes longer to import than the rest of the package.
+    src = str(Path(rr.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import reliroute, sys; assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

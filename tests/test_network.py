@@ -22,8 +22,6 @@ class TestLoadGraph:
         for i in range(g.num_nodes):
             for e in g.out_edges[i]:
                 assert g.edge_tails[e] == i
-            for e in g.in_edges[i]:
-                assert g.edge_heads[e] == i
         assert sum(len(g.out_edges[i]) for i in range(g.num_nodes)) == g.num_edges
 
     def test_parallel_edges_are_distinct(self, fixture_graph):
@@ -35,6 +33,15 @@ class TestLoadGraph:
     def test_empty_node_list_rejected(self):
         with pytest.raises(GraphValidationError, match="no nodes"):
             rr.load_graph({"dt": 1.0, "nodes": [], "edges": []})
+        with pytest.raises(GraphValidationError, match="no nodes"):
+            rr.load_graph({"dt": 1.0, "nodes": None, "edges": []})
+
+    def test_malformed_node_named_by_position(self):
+        nodes = [{"id": "a", "x": 0, "y": 0}, {"id": "b", "x": 1}]
+        with pytest.raises(GraphValidationError, match="node #1: 'y'"):
+            rr.load_graph({"dt": 1.0, "nodes": nodes, "edges": []})
+        with pytest.raises(GraphValidationError, match="node #1: 'y'"):
+            rr.StochasticGraph(1.0, nodes, [])
 
     def test_mass_at_bin_zero_rejected(self):
         doc = {

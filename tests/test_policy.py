@@ -162,6 +162,20 @@ class TestPolicyTableIO:
         assert np.array_equal(again.u, pol.u)
         assert np.array_equal(again.w, pol.w)
 
+    def test_load_ignores_backend_field(self, fixture_graph, tmp_path):
+        # Tables written before the table stopped recording its convolution
+        # backend carry a "backend" entry.
+        pol = rr.compute_policy(fixture_graph, "v3", 5)
+        target = tmp_path / "table.json"
+        pol.save(target)
+        doc = json.loads(target.read_text())
+        assert "backend" not in doc
+        doc["backend"] = "zdc"
+        target.write_text(json.dumps(doc))
+        again = rr.PolicyTable.load(target)
+        assert np.array_equal(again.u, pol.u)
+        assert np.array_equal(again.w, pol.w)
+
     @pytest.mark.parametrize(
         "edit, message",
         [

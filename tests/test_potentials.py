@@ -1,5 +1,6 @@
 """Realizability propagation, activation potentials, and pruning soundness."""
 
+import dataclasses
 import json
 import random
 
@@ -142,6 +143,12 @@ class TestArcPotentials:
         table = rr.compute_arc_potentials(fixture_graph, partition, region, 6)
         with pytest.raises(ValueError, match="horizon"):
             rr.prune(fixture_graph, table, 7)
+
+    def test_prune_rejects_table_with_another_dt(self, fixture_graph, fixture_region):
+        partition, region = fixture_region
+        table = rr.compute_arc_potentials(fixture_graph, partition, region, 6)
+        with pytest.raises(ValueError, match="dt=0.5 but the graph has dt=1.0"):
+            rr.prune(fixture_graph, dataclasses.replace(table, dt=0.5), 4)
 
     def test_policy_accepts_pruning_pair(self, fixture_graph, fixture_region):
         partition, region = fixture_region

@@ -53,7 +53,7 @@ def least_min_bin(g):
 def test_shift_by_one_kernel():
     g = single_edge_graph(rr.DiscreteDistribution.point_mass(1))
     pol = rr.compute_policy(g, "d", 4)
-    assert pol.u_of(g, "s").tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
+    assert pol.u[g.node_index("s")].tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
 
 
 def test_all_ones_input_yields_running_cdf():
@@ -61,7 +61,7 @@ def test_all_ones_input_yields_running_cdf():
     e4 = rr.DiscreteDistribution.from_pairs([[2, 0.5], [3, 0.5]])
     g = single_edge_graph(e4)
     pol = rr.compute_policy(g, "d", 5)
-    assert pol.u_of(g, "s").tolist() == pytest.approx([0.0, 0.0, 0.5, 1.0, 1.0, 1.0])
+    assert pol.u[g.node_index("s")].tolist() == pytest.approx([0.0, 0.0, 0.5, 1.0, 1.0, 1.0])
 
 
 def test_matches_direct_convolution_on_random_pairs():
