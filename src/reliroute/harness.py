@@ -24,12 +24,12 @@ import random
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .network import RegionPartition, StochasticGraph, grid_partition
+from .network import StochasticGraph, grid_partition
 from .pathsearch import path_distribution, sota_path_report
 from .policy import compute_policy
 from .potentials import compute_arc_potentials, prune
@@ -165,8 +165,6 @@ class BenchmarkRecord:
     policy_bound: float = 0.0
     path_edge_count: int = 0
     path_mean_seconds: float = 0.0
-    path_nodes: tuple = ()
-    path_edges: tuple = ()
     popped: int = 0
     pushed: int = 0
     queue_peak: int = 0
@@ -179,6 +177,8 @@ class BenchmarkRecord:
     pruned_policy_time: float = 0.0
     pruned_path_time: float = 0.0
     pruned_reliability: float = float("nan")
+    path_nodes: tuple = ()
+    path_edges: tuple = ()
 
 
 def _median_time(fn, repetitions: int):
@@ -222,7 +222,7 @@ def _run_instance(args):
                 sum(graph.edge_dists[e].mean() for e in best.edges)
             )
 
-        if config.pruning and partition is not None:
+        if config.pruning:
             rec.pruning = config.pruning
             d_region = partition.region_of_index(graph.node_index(inst.dest))
             sources = [inst.source] if config.pruning == "path" else None
@@ -254,13 +254,16 @@ def run_benchmark(
     graph: StochasticGraph,
     instances: list[ProblemInstance],
     config: BenchmarkConfig | None = None,
-    partition: RegionPartition | None = None,
     out_dir=None,
 ) -> list[BenchmarkRecord]:
-    """Execute all instances and optionally emit CSV/plot data to ``out_dir``."""
+    """Execute all instances and optionally emit CSV/plot data to ``out_dir``.
+
+    Pruning runs prune by the regions of ``grid_partition(graph, config.grid_k)``.
+    """
     config = config or BenchmarkConfig()
-    if partition is None and config.grid_k:
-        partition = grid_partition(graph, config.grid_k)
+    if config.pruning and not config.grid_k:
+        raise ValueError(f"pruning {config.pruning!r} needs grid_k, the region grid to prune by (bench --grid)")
+    partition = grid_partition(graph, config.grid_k) if config.pruning else None
     jobs = [(graph, partition, inst, config, i) for i, inst in enumerate(instances)]
     if config.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -273,13 +276,7 @@ def run_benchmark(
     return records
 
 
-RECORD_COLUMNS = [
-    "index", "source", "dest", "budget", "policy_time", "path_time", "reliability",
-    "policy_bound", "path_edge_count", "path_mean_seconds", "popped", "pushed",
-    "queue_peak", "max_child_key_excess", "final_queue_max_key", "status", "error",
-    "pruning", "pruned_kept_edges", "pruned_policy_time", "pruned_path_time",
-    "pruned_reliability", "path_nodes", "path_edges",
-]
+RECORD_COLUMNS = [f.name for f in fields(BenchmarkRecord)]
 
 
 def write_benchmark_outputs(records: list[BenchmarkRecord], out_dir) -> None:
@@ -294,7 +291,7 @@ def write_benchmark_outputs(records: list[BenchmarkRecord], out_dir) -> None:
             row = asdict(rec)
             row["path_nodes"] = "|".join(str(n) for n in rec.path_nodes)
             row["path_edges"] = "|".join(str(e) for e in rec.path_edges)
-            writer.writerow({k: row[k] for k in RECORD_COLUMNS})
+            writer.writerow(row)
 
     ok = [r for r in records if r.status in ("ok", "found")]
     with open(out / "plots" / "budget_vs_time.csv", "w", newline="") as fh:

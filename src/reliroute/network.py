@@ -172,35 +172,23 @@ class StochasticGraph:
 def load_graph(source) -> StochasticGraph:
     """Parse and validate a graph document.
 
-    ``source`` may be a dict, JSON bytes, a path, a readable file object or
-    a ``str``.  A ``str`` is JSON text when its first non-blank character is
-    ``{`` and a path otherwise.  The document schema is::
+    ``source`` is the document as a dict, or the path (``str`` or ``Path``) of
+    a JSON file holding it.  The document schema is::
 
         {"dt": 1.0,
          "nodes": [{"id": ..., "x": ..., "y": ...}, ...],
          "edges": [{"from": ..., "to": ..., "dist": <literal>, "id": optional}, ...]}
 
-    Validation failures name the first offending node or edge: the loader
-    resolves each edge's distribution literal on the document's ``dt``, and
-    :class:`StochasticGraph` checks everything else.
+    Validation failures name the first offending field, node or edge: the
+    loader checks the top-level fields and resolves each edge's distribution
+    literal on the document's ``dt``, and :class:`StochasticGraph` checks
+    everything else.
     """
     if isinstance(source, dict):
         doc = source
     else:
-        if isinstance(source, Path) or (
-            isinstance(source, str) and not source.lstrip().startswith("{")
-        ):
-            text = Path(source).read_text()
-        elif isinstance(source, bytes):
-            text = source.decode("utf-8")
-        elif hasattr(source, "read"):
-            text = source.read()
-            if isinstance(text, bytes):
-                text = text.decode("utf-8")
-        else:
-            text = str(source)
         try:
-            doc = json.loads(text)
+            doc = json.loads(Path(source).read_text())
         except json.JSONDecodeError as exc:
             raise GraphValidationError(f"graph document is not valid JSON: {exc}") from exc
 
@@ -209,9 +197,17 @@ def load_graph(source) -> StochasticGraph:
     for key in ("dt", "nodes", "edges"):
         if key not in doc:
             raise GraphValidationError(f"graph document is missing the {key!r} field")
-    dt = float(doc["dt"])
+    try:
+        dt = float(doc["dt"])
+    except (TypeError, ValueError) as exc:
+        raise GraphValidationError(f"graph document's 'dt' field is not a number: {exc}") from exc
     if not dt > 0:
         raise GraphValidationError(f"time step must be positive, got {dt}")
+    # A null node list is reported as an empty one.
+    nodes = () if doc["nodes"] is None else doc["nodes"]
+    for key, value in (("nodes", nodes), ("edges", doc["edges"])):
+        if not isinstance(value, (list, tuple)):
+            raise GraphValidationError(f"graph document's {key!r} field must be a list, not {type(value).__name__}")
 
     edges = []
     for pos, e in enumerate(doc["edges"]):
@@ -225,16 +221,15 @@ def load_graph(source) -> StochasticGraph:
             raise GraphValidationError(f"{_edge_ident(label, pos)}: {exc}") from exc
         edges.append((tail, head, dist, label))
 
-    # A null node list is reported as an empty one.
-    return StochasticGraph(dt, doc["nodes"] or (), edges)
+    return StochasticGraph(dt, nodes, edges)
 
 
 def save_graph(graph: StochasticGraph, target=None) -> dict:
     """Serialize a graph to the document schema used by :func:`load_graph`.
 
     PMF values round-trip bit-identically (floats are emitted with full
-    precision).  Returns the document; also writes it as compact JSON when
-    ``target`` is a path or file object.
+    precision).  Returns the document; also writes it as compact JSON to the
+    path ``target`` when one is given.
     """
     doc = {
         "dt": graph.dt,
@@ -254,11 +249,7 @@ def save_graph(graph: StochasticGraph, target=None) -> dict:
             entry["id"] = graph._edge_labels[eidx]
         doc["edges"].append(entry)
     if target is not None:
-        text = json.dumps(doc)
-        if isinstance(target, (str, Path)):
-            Path(target).write_text(text)
-        else:
-            target.write(text)
+        Path(target).write_text(json.dumps(doc))
     return doc
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .distributions import DiscreteDistribution, convolve
 from .errors import SearchBudgetExceeded
 from .network import StochasticGraph
-from .policy import PolicyTable
+from .policy import PolicyTable, _edge_mask
 
 DEFAULT_QUEUE_LIMIT = 1_000_000
 
@@ -115,7 +115,7 @@ def sota_path_report(
     cap = policy.horizon + 1
     s = graph.node_index(source)
     d = graph.node_index(policy.dest)
-    mask = None if edge_mask is None else np.asarray(edge_mask, dtype=bool)
+    mask = _edge_mask(graph, edge_mask)
     U = policy.u
 
     start = time.perf_counter()
@@ -158,7 +158,7 @@ def sota_path_report(
             continue
 
         for e in graph.out_edges[last]:
-            if mask is not None and not mask[e]:
+            if not mask[e]:
                 continue
             j = int(graph.edge_heads[e])
             if j in nodes:

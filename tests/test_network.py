@@ -1,7 +1,5 @@
 """Graph model, file ingestion/validation, and grid partitioning."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -87,11 +85,13 @@ class TestLoadGraph:
         with pytest.raises(GraphValidationError, match="duplicate"):
             rr.load_graph(doc)
 
-    def test_parse_error(self):
+    def test_parse_error(self, tmp_path):
+        target = tmp_path / "g.json"
+        target.write_text("{not json")
         with pytest.raises(GraphValidationError, match="JSON"):
-            rr.load_graph("{not json")
+            rr.load_graph(target)
 
-    def test_str_is_json_only_when_it_starts_with_a_brace(self, fixture_graph, tmp_path):
+    def test_str_and_path_sources_load_alike(self, fixture_graph, tmp_path):
         target = tmp_path / "d{x}" / "g.json"
         target.parent.mkdir()
         rr.save_graph(fixture_graph, target)
@@ -100,8 +100,21 @@ class TestLoadGraph:
         assert from_str.node_ids == from_path.node_ids == fixture_graph.node_ids
         for a, b in zip(from_str.edge_dists, from_path.edge_dists):
             assert np.array_equal(a.mass, b.mass)
-        again = rr.load_graph("\n  " + json.dumps(rr.save_graph(fixture_graph)))
-        assert again.num_edges == fixture_graph.num_edges
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("edges", None, "'edges' field must be a list, not NoneType"),
+            ("nodes", 5, "'nodes' field must be a list, not int"),
+            ("dt", None, "'dt' field is not a number"),
+            ("dt", "x", "'dt' field is not a number"),
+        ],
+    )
+    def test_malformed_top_level_field_named(self, field, value, message):
+        doc = {"dt": 1.0, "nodes": [{"id": "a", "x": 0, "y": 0}], "edges": []}
+        doc[field] = value
+        with pytest.raises(GraphValidationError, match=message):
+            rr.load_graph(doc)
 
     def test_unknown_node_lookup(self, fixture_graph):
         with pytest.raises(ValueError, match="unknown node"):
@@ -119,7 +132,7 @@ class TestSaveRoundTrip:
 
     def test_round_trip_preserves_labels_and_coords(self, fixture_graph):
         doc = rr.save_graph(fixture_graph)
-        again = rr.load_graph(json.dumps(doc))
+        again = rr.load_graph(doc)
         assert [again.edge_label(e) for e in range(4)] == ["e1", "e2", "e3", "e4"]
         assert np.array_equal(again.coords, fixture_graph.coords)
 

@@ -177,3 +177,12 @@ class TestSearchProperties:
         pol = rr.compute_policy(g, "v3", 4, edge_mask=mask)
         paths = rr.sota_path(g, pol, "v1", 4, edge_mask=mask)
         assert [g.edge_label(e) for e in paths[0].edges] == ["e3", "e4"]
+
+    @pytest.mark.parametrize("length", [2, 9])
+    def test_mask_of_another_length_rejected(self, fixture_graph, fixture_policy, length):
+        mask = np.ones(length, dtype=bool)
+        message = f"edge mask has shape \\({length},\\) but the graph has 4 edges"
+        with pytest.raises(ValueError, match=message):
+            rr.sota_path_report(fixture_graph, fixture_policy, "v1", 4, edge_mask=mask)
+        with pytest.raises(ValueError, match=message):
+            rr.compute_policy(fixture_graph, "v3", 4, edge_mask=mask)
