@@ -51,8 +51,10 @@ class DiscreteDistribution:
             raise ValueError("mass must be a 1-D array of probabilities per bin")
         if not (dt > 0.0):
             raise ValueError(f"dt must be positive, got {dt}")
-        if truncated_tail < -EXACT_TOL:
-            raise ValueError(f"truncated_tail must be nonnegative, got {truncated_tail}")
+        if not (np.isfinite(truncated_tail) and truncated_tail >= -EXACT_TOL):
+            raise ValueError(f"truncated_tail must be finite and nonnegative, got {truncated_tail}")
+        if not np.isfinite(arr).all():
+            raise ValueError("probability mass must be finite; NaN or infinity in mass array")
         lowest = arr.min(initial=0.0)
         if lowest < -EXACT_TOL:
             raise ValueError(f"negative probability {lowest} in mass array")
@@ -136,10 +138,6 @@ class DiscreteDistribution:
     def total_mass(self) -> float:
         """Stored mass, excluding the truncated tail."""
         return float(self.mass.sum())
-
-    def to_pairs(self) -> list[list]:
-        """Nonzero ``[bin, probability]`` pairs, suitable for JSON round-trips."""
-        return [[int(k), float(self.mass[k])] for k in np.nonzero(self.mass)[0]]
 
     def cdf_array(self) -> np.ndarray:
         """Cumulative mass per bin, clamped into [0, 1] (read-only, cached)."""

@@ -31,8 +31,8 @@ import numpy as np
 
 from .network import StochasticGraph, grid_partition
 from .pathsearch import path_distribution, sota_path_report
-from .policy import compute_policy
-from .potentials import compute_arc_potentials, prune
+from .policy import BACKENDS, compute_policy
+from .potentials import MODES, compute_arc_potentials, prune
 
 
 @dataclass(frozen=True)
@@ -261,6 +261,10 @@ def run_benchmark(
     Pruning runs prune by the regions of ``grid_partition(graph, config.grid_k)``.
     """
     config = config or BenchmarkConfig()
+    if config.backend not in BACKENDS:
+        raise ValueError(f"backend {config.backend!r} is not one of {BACKENDS}")
+    if config.pruning and config.pruning not in MODES:
+        raise ValueError(f"pruning {config.pruning!r} is not one of {MODES}")
     if config.pruning and not config.grid_k:
         raise ValueError(f"pruning {config.pruning!r} needs grid_k, the region grid to prune by (bench --grid)")
     partition = grid_partition(graph, config.grid_k) if config.pruning else None

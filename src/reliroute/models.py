@@ -115,17 +115,35 @@ def gaussian_mixture_pmf(
     return DiscreteDistribution(full, dt=dt)
 
 
+def _dense_histogram(literal: dict, dt: float) -> DiscreteDistribution:
+    first, mass = literal.get("first_bin"), literal.get("mass")
+    if isinstance(first, bool) or not isinstance(first, (int, np.integer)) or first < 0:
+        raise ValueError(f"'first_bin' must be a nonnegative integer, got {first!r}")
+    if not isinstance(mass, list) or not mass:
+        raise ValueError(f"'mass' must be a nonempty list of probabilities, got {mass!r:.40}")
+    arr = np.zeros(first + len(mass))
+    arr[first:] = np.asarray(mass, dtype=np.float64)
+    return DiscreteDistribution(arr, dt=dt, truncated_tail=float(literal.get("truncated_tail", 0.0)))
+
+
 def resolve_distribution_literal(literal: dict, dt: float) -> DiscreteDistribution:
     """Turn a distribution literal from an input file into a PMF.
 
     Accepted forms::
 
+        {"first_bin": k, "mass": [p_k, p_k+1, ...]}      # optionally with
+                                                         # "truncated_tail", "dt"
         {"pmf": [[bin, prob], ...]}                      # optionally with "dt"
-        {"model": "histogram", "pmf": [[bin, prob], ...]}
+        {"model": "histogram", ...}                      # either form above
         {"model": "shifted-gamma", "shift": s, "mean_delay": s, "cov": c}
         {"model": "discretized-gaussian-mixture",
          "components": [{"weight": w, "mean": s, "std": s}, ...],
          "min_seconds": s}
+
+    A literal with a ``"mass"`` key is the dense form that
+    :func:`~reliroute.network.save_graph` writes: ``mass[j]`` is the
+    probability of bin ``first_bin + j`` and ``truncated_tail`` (default 0)
+    the mass past the last bin.  It is read without a per-bin loop.
     """
     if not isinstance(literal, dict):
         raise ValueError(f"distribution literal must be an object, got {type(literal).__name__}")
@@ -133,10 +151,13 @@ def resolve_distribution_literal(literal: dict, dt: float) -> DiscreteDistributi
         raise ValueError(
             f"distribution dt {literal['dt']} does not match the graph time step {dt}"
         )
-    model = literal.get("model", "histogram" if "pmf" in literal else None)
+    dense, pairs = "mass" in literal, "pmf" in literal
+    model = literal.get("model", "histogram" if dense or pairs else None)
     if model == "histogram":
-        if "pmf" not in literal:
-            raise ValueError("histogram literal requires a 'pmf' list")
+        if dense == pairs:
+            raise ValueError("histogram literal requires either a 'mass' list or a 'pmf' list")
+        if dense:
+            return _dense_histogram(literal, dt)
         return DiscreteDistribution.from_pairs(literal["pmf"], dt=dt)
     if model == "shifted-gamma":
         shift = float(literal["shift"])

@@ -179,6 +179,11 @@ def load_graph(source) -> StochasticGraph:
          "nodes": [{"id": ..., "x": ..., "y": ...}, ...],
          "edges": [{"from": ..., "to": ..., "dist": <literal>, "id": optional}, ...]}
 
+    ``<literal>`` is any form :func:`~reliroute.models.resolve_distribution_literal`
+    accepts: the dense ``{"first_bin": k, "mass": [...]}`` that
+    :func:`save_graph` writes, ``{"pmf": [[bin, prob], ...]}`` pairs, or a
+    parametric model.
+
     Validation failures name the first offending field, node or edge: the
     loader checks the top-level fields and resolves each edge's distribution
     literal on the document's ``dt``, and :class:`StochasticGraph` checks
@@ -227,9 +232,12 @@ def load_graph(source) -> StochasticGraph:
 def save_graph(graph: StochasticGraph, target=None) -> dict:
     """Serialize a graph to the document schema used by :func:`load_graph`.
 
-    PMF values round-trip bit-identically (floats are emitted with full
-    precision).  Returns the document; also writes it as compact JSON to the
-    path ``target`` when one is given.
+    Each edge's PMF is written as the dense literal ``{"first_bin": k,
+    "mass": [p_k, p_k+1, ...]}`` from its first nonzero bin, plus
+    ``"truncated_tail"`` when that is nonzero.  PMF values and tails
+    round-trip bit-identically (floats are emitted with full precision).
+    Returns the document; also writes it as compact JSON to the path
+    ``target`` when one is given.
     """
     doc = {
         "dt": graph.dt,
@@ -240,10 +248,13 @@ def save_graph(graph: StochasticGraph, target=None) -> dict:
         "edges": [],
     }
     for eidx, dist in enumerate(graph.edge_dists):
+        literal = {"first_bin": dist.min_bin, "mass": dist.mass[dist.min_bin:].tolist()}
+        if dist.truncated_tail:
+            literal["truncated_tail"] = dist.truncated_tail
         entry = {
             "from": graph.node_ids[graph.edge_tails[eidx]],
             "to": graph.node_ids[graph.edge_heads[eidx]],
-            "dist": {"pmf": dist.to_pairs()},
+            "dist": literal,
         }
         if graph._edge_labels[eidx] is not None:
             entry["id"] = graph._edge_labels[eidx]

@@ -33,6 +33,9 @@ from .network import StochasticGraph
 #: Sentinel in the successor table for "no edge offers positive probability".
 NO_EDGE = -1
 
+#: Convolution engines ``compute_policy`` accepts.
+BACKENDS = ("direct", "zdc")
+
 
 @dataclass
 class PolicyTable:
@@ -234,7 +237,7 @@ def compute_policy(
     """
     if T < 0:
         raise ValueError(f"horizon must be nonnegative, got {T}")
-    if backend not in ("direct", "zdc"):
+    if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     d = graph.node_index(dest)
 

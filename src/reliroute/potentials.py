@@ -41,6 +41,9 @@ from .pathsearch import path_distribution, sota_path_report
 #: Serializable stand-in for "never active within the horizon".
 INFINITE_POTENTIAL = np.iinfo(np.int32).max
 
+#: Potential kinds ``compute_arc_potentials`` builds.
+MODES = ("policy", "path")
+
 
 @dataclass
 class RealizabilityFlags:
@@ -299,7 +302,7 @@ def compute_arc_potentials(
         raise ValueError(f"horizon must be nonnegative, got {T}")
     if not 0 <= region < partition.region_count:
         raise ValueError(f"region {region} out of range 0..{partition.region_count - 1}")
-    if mode not in ("policy", "path"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if sources is not None and not isinstance(sources, (list, tuple)):
         sources = [sources]

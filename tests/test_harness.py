@@ -123,6 +123,19 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match=f"pruning '{mode}' needs grid_k"):
             rr.run_benchmark(fixture_graph, instances, config=rr.BenchmarkConfig(pruning=mode))
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (rr.BenchmarkConfig(pruning="bogus", grid_k=2), "pruning 'bogus' is not one of"),
+            (rr.BenchmarkConfig(backend="bogus"), "backend 'bogus' is not one of"),
+        ],
+        ids=["pruning", "backend"],
+    )
+    def test_unknown_config_value_rejected(self, fixture_graph, config, message):
+        instances = rr.generate_instances(fixture_graph, 2, seed=1)
+        with pytest.raises(ValueError, match=message):
+            rr.run_benchmark(fixture_graph, instances, config=config)
+
     def test_csv_and_plot_outputs(self, fixture_graph, tmp_path):
         instances = rr.generate_instances(fixture_graph, 3, seed=2)
         records = rr.run_benchmark(

@@ -49,9 +49,9 @@ class TestModels:
 
     def test_gamma_degenerate_is_point_mass(self):
         d = shifted_gamma_pmf(7, 0.0, 1.0)
-        assert d.to_pairs() == [[7, 1.0]]
+        assert d.min_bin == 7 and d.mass[7:].tolist() == [1.0]
         d = shifted_gamma_pmf(7, 3.0, 0.0)
-        assert d.to_pairs() == [[10, 1.0]]
+        assert d.min_bin == 10 and d.mass[10:].tolist() == [1.0]
 
     def test_gamma_cutoff_quantile_equals_scipy_stats(self, monkeypatch):
         # The support cutoff uses special.gammaincinv in place of
@@ -91,7 +91,13 @@ class TestModels:
 
     def test_literal_forms(self):
         pmf = resolve_distribution_literal({"pmf": [[2, 1.0]]}, 1.0)
-        assert pmf.to_pairs() == [[2, 1.0]]
+        assert pmf.mass.tolist() == [0.0, 0.0, 1.0]
+        dense = resolve_distribution_literal({"first_bin": 2, "mass": [0.5, 0.0, 0.5]}, 1.0)
+        assert dense.mass.tolist() == [0.0, 0.0, 0.5, 0.0, 0.5] and dense.truncated_tail == 0.0
+        cut = resolve_distribution_literal(
+            {"model": "histogram", "first_bin": 1, "mass": [0.7], "truncated_tail": 0.3}, 1.0
+        )
+        assert cut.mass.tolist() == [0.0, 0.7] and cut.truncated_tail == 0.3
         gamma = resolve_distribution_literal(
             {"model": "shifted-gamma", "shift": 4.0, "mean_delay": 2.0, "cov": 0.8}, 1.0
         )
@@ -115,7 +121,8 @@ class TestModels:
 class TestSynthesize:
     def test_zero_variance_point_mass(self):
         g = rr.synthesize_distributions(simple_topology(), {"name": "deterministic"}, seed=0)
-        assert g.edge_dists[0].to_pairs() == [[10, 1.0]]
+        d = g.edge_dists[0]
+        assert d.min_bin == 10 and d.mass[10:].tolist() == [1.0]
 
     def test_gamma_mean_matches_analytic(self):
         g = rr.synthesize_distributions(

@@ -1,10 +1,65 @@
 """Graph model, file ingestion/validation, and grid partitioning."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 import reliroute as rr
 from reliroute.errors import GraphValidationError
+
+from conftest import FIXTURE_PATH
+
+#: SHA-256 of the 32x32 acceptance grid's edge masses (see ``_mass_digest``).
+ACCEPTANCE_MASS_SHA256 = "f8acb69ddcda6081b51aace57eefe727bb2b50a8b0454ac36f9b72deec5e45c3"
+
+GRIDS = {
+    "acceptance-32": lambda: rr.synthesize_distributions(rr.grid_topology(32), seed=20250808),
+    "12-dt0.5": lambda: rr.synthesize_distributions(rr.grid_topology(12, dt=0.5), seed=20250808),
+    "16-seed7": lambda: rr.synthesize_distributions(rr.grid_topology(16), seed=7),
+}
+
+
+@pytest.fixture(scope="module")
+def grids():
+    return {name: build() for name, build in GRIDS.items()}
+
+
+def _mass_digest(graph):
+    # Each edge in index order: its stored length, then its masses, little-endian.
+    sha = hashlib.sha256()
+    for d in graph.edge_dists:
+        sha.update(np.int64(len(d.mass)).astype("<i8").tobytes())
+        sha.update(np.asarray(d.mass, dtype="<f8").tobytes())
+    return sha.hexdigest()
+
+
+def _assert_same_pmfs(a, b):
+    assert a.num_edges == b.num_edges
+    for x, y in zip(a.edge_dists, b.edge_dists):
+        assert x.mass.tobytes() == y.mass.tobytes()
+        assert x.truncated_tail == y.truncated_tail
+
+
+def _pairs_form(doc):
+    """The same document with every dense literal rewritten as ``pmf`` pairs."""
+    edges = []
+    for e in doc["edges"]:
+        first, mass = e["dist"]["first_bin"], e["dist"]["mass"]
+        edges.append(dict(e, dist={"pmf": [[first + j, p] for j, p in enumerate(mass) if p]}))
+    return dict(doc, edges=edges)
+
+
+def _two_node_doc(literal):
+    return {
+        "dt": 1.0,
+        "nodes": [{"id": "a", "x": 0, "y": 0}, {"id": "b", "x": 1, "y": 0}],
+        "edges": [
+            {"from": "a", "to": "b", "dist": {"first_bin": 1, "mass": [1.0]}},
+            {"id": "bad", "from": "a", "to": "b", "dist": literal},
+        ],
+    }
 
 
 class TestLoadGraph:
@@ -116,6 +171,35 @@ class TestLoadGraph:
         with pytest.raises(GraphValidationError, match=message):
             rr.load_graph(doc)
 
+    @pytest.mark.parametrize(
+        "literal",
+        [{"pmf": [[1, float("nan")], [2, 1.0]]}, {"first_bin": 1, "mass": [float("nan"), 1.0]}],
+        ids=["pairs", "dense"],
+    )
+    def test_non_finite_probability_names_edge(self, literal):
+        with pytest.raises(GraphValidationError, match="edge 'bad': probability mass must be finite"):
+            rr.load_graph(_two_node_doc(literal))
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ({"first_bin": -1, "mass": [1.0]}, "'first_bin' must be a nonnegative integer, got -1"),
+            ({"first_bin": 1.5, "mass": [1.0]}, "'first_bin' must be a nonnegative integer, got 1.5"),
+            ({"first_bin": True, "mass": [1.0]}, "'first_bin' must be a nonnegative integer, got True"),
+            ({"mass": [1.0]}, "'first_bin' must be a nonnegative integer, got None"),
+            ({"first_bin": 1, "mass": "x"}, "'mass' must be a nonempty list of probabilities, got 'x'"),
+            ({"first_bin": 1, "mass": {}}, "'mass' must be a nonempty list of probabilities, got {}"),
+            ({"first_bin": 1, "mass": []}, r"'mass' must be a nonempty list of probabilities, got \[\]"),
+            ({"first_bin": 1, "mass": [1.5, -0.5]}, "negative probability"),
+            ({"first_bin": 1, "mass": [1.0], "pmf": [[1, 1.0]]}, "histogram literal requires either a 'mass' list or a 'pmf' list"),
+        ],
+        ids=["negative-first-bin", "fractional-first-bin", "boolean-first-bin", "missing-first-bin",
+             "string-mass", "object-mass", "empty-mass", "negative-entry", "both-forms"],
+    )
+    def test_malformed_dense_literal_names_edge(self, literal, message):
+        with pytest.raises(GraphValidationError, match=f"edge 'bad': {message}"):
+            rr.load_graph(_two_node_doc(literal))
+
     def test_unknown_node_lookup(self, fixture_graph):
         with pytest.raises(ValueError, match="unknown node"):
             fixture_graph.node_index("v9")
@@ -141,6 +225,34 @@ class TestSaveRoundTrip:
         again = rr.load_graph(rr.save_graph(g))
         for a, b in zip(again.edge_dists, g.edge_dists):
             assert np.array_equal(a.mass, b.mass)
+
+    def test_truncated_edge_round_trips(self, tmp_path):
+        cut = rr.DiscreteDistribution([0.0, 0.5, 0.3], truncated_tail=0.2)
+        g = rr.StochasticGraph(1.0, [("a", 0, 0), ("b", 1, 0)], [("a", "b", cut)])
+        target = tmp_path / "cut.json"
+        assert rr.save_graph(g, target)["edges"][0]["dist"]["truncated_tail"] == 0.2
+        _assert_same_pmfs(rr.load_graph(target), g)
+
+    def test_acceptance_grid_masses_pinned(self, grids):
+        assert _mass_digest(grids["acceptance-32"]) == ACCEPTANCE_MASS_SHA256
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_grid_round_trips_through_file(self, grids, name, tmp_path):
+        target = tmp_path / "graph.json"
+        rr.save_graph(grids[name], target)
+        again = rr.load_graph(target)
+        assert again.dt == grids[name].dt
+        _assert_same_pmfs(again, grids[name])
+
+    def test_pairs_form_loads_like_dense_form(self, fixture_graph, grids):
+        fixture_doc = json.loads(FIXTURE_PATH.read_text())
+        assert all("pmf" in e["dist"] for e in fixture_doc["edges"])
+        dense = rr.save_graph(fixture_graph)
+        assert all("mass" in e["dist"] for e in dense["edges"])
+        _assert_same_pmfs(rr.load_graph(dense), rr.load_graph(fixture_doc))
+
+        grid = grids["12-dt0.5"]
+        _assert_same_pmfs(rr.load_graph(_pairs_form(rr.save_graph(grid))), grid)
 
 class TestGridPartition:
     def test_single_region(self, fixture_graph):
