@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from pathlib import Path
 
 import click
 
@@ -25,26 +24,21 @@ from .synth import grid_topology, synthesize_distributions
 
 
 class _Main(click.Group):
-    """Reports a ``ValueError`` from any subcommand (a bad budget, an unknown
-    node, a mismatched archive, ...) as a usage error, not a traceback."""
+    """Reports a ``ValueError`` (a bad budget, an unknown node, a malformed
+    graph, a mismatched archive, ...) or an ``OSError`` (a file that cannot be
+    read or written) from any subcommand as one ``Error:`` line, not a
+    traceback."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 
 @click.group(cls=_Main)
 def main():
     """Reliability routing on stochastic networks."""
-
-
-def _load(graph_path):
-    try:
-        return load_graph(Path(graph_path))
-    except Exception as exc:
-        raise click.ClickException(str(exc)) from exc
 
 
 @main.command()
@@ -74,7 +68,7 @@ def synth(grid_k, dt, spacing, speed, cov, delay_factor, seed, out_path):
               help="Export the table (.json or .npz).")
 def policy(graph_path, dest, budget, out_path):
     """Compute the arrival-probability policy toward a destination."""
-    graph = _load(graph_path)
+    graph = load_graph(graph_path)
     t0 = time.perf_counter()
     table = compute_policy(graph, _coerce_id(graph, dest), budget)
     wall = time.perf_counter() - t0
@@ -115,7 +109,7 @@ def _coerce_id(graph, raw):
               help="Activation-potential archive for pruning.")
 def path_cmd(graph_path, source, dest, budget, k, pot_path):
     """Find the most reliable path(s) within a time budget."""
-    graph = _load(graph_path)
+    graph = load_graph(graph_path)
     source, dest = _coerce_id(graph, source), _coerce_id(graph, dest)
     mask = None
     if pot_path:
@@ -165,11 +159,9 @@ def path_cmd(graph_path, source, dest, budget, k, pot_path):
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def preprocess(graph_path, grid_k, horizon, mode, sources, regions, out_path):
     """Build an activation-potential archive for query pruning."""
-    graph = _load(graph_path)
+    graph = load_graph(graph_path)
     partition = grid_partition(graph, grid_k)
     src = [_coerce_id(graph, s) for s in sources] or None
-    if mode == "path" and not src:
-        raise click.ClickException("path mode requires at least one --source")
     archive = build_archive(
         graph, partition, horizon, mode=mode, sources=src, regions=list(regions) or None
     )
@@ -196,7 +188,7 @@ def preprocess(graph_path, grid_k, horizon, mode, sources, regions, out_path):
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def bench(graph_path, n_instances, seed, grid_k, pruning, repetitions, workers, out_dir):
     """Run the timing study; writes records.csv and plot data."""
-    graph = _load(graph_path)
+    graph = load_graph(graph_path)
     instances = generate_instances(graph, n_instances, seed=seed)
     config = BenchmarkConfig(repetitions=repetitions, pruning=pruning, grid_k=grid_k, workers=workers)
     records = run_benchmark(graph, instances, config=config, out_dir=out_dir)

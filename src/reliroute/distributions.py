@@ -23,8 +23,18 @@ import numpy as np
 #: Slack allowed when checking that probabilities sum to one.
 NORMALIZATION_TOL = 1e-9
 
-#: Tolerance used by exact-equality oracles (e.g. streaming vs direct convolution).
+#: Slack within which two probabilities count as equal: the policy solver's
+#: tie tolerance between edges, and the rounding slack of the mass, percentile
+#: and path-mode potential checks.
 EXACT_TOL = 1e-12
+
+
+def _bin_index(k, name: str = "bin index") -> int:
+    """``k`` as an ``int`` if it is a nonnegative integer (numpy integers
+    included, booleans not); otherwise ``ValueError`` naming ``name``."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {k!r}")
+    return int(k)
 
 
 class DiscreteDistribution:
@@ -105,26 +115,20 @@ class DiscreteDistribution:
         pairs = list(pairs)
         if not pairs:
             raise ValueError("empty PMF")
-        bins = []
-        for entry in pairs:
-            k, p = entry
-            if int(k) != k or k < 0:
-                raise ValueError(f"bin index must be a nonnegative integer, got {k!r}")
-            bins.append(int(k))
+        bins = [_bin_index(k) for k, _ in pairs]
         if len(set(bins)) != len(bins):
             raise ValueError("duplicate bin index in PMF pairs")
         arr = np.zeros(max(bins) + 1, dtype=np.float64)
-        for (k, p), b in zip(pairs, bins):
+        for (_, p), b in zip(pairs, bins):
             arr[b] = float(p)
         return cls(arr, dt=dt)
 
     @classmethod
     def point_mass(cls, at_bin: int, dt: float = 1.0) -> "DiscreteDistribution":
         """A deterministic travel time of exactly ``at_bin`` bins."""
-        if int(at_bin) != at_bin or at_bin < 0:
-            raise ValueError(f"bin index must be a nonnegative integer, got {at_bin!r}")
-        arr = np.zeros(int(at_bin) + 1, dtype=np.float64)
-        arr[int(at_bin)] = 1.0
+        at_bin = _bin_index(at_bin)
+        arr = np.zeros(at_bin + 1, dtype=np.float64)
+        arr[at_bin] = 1.0
         return cls(arr, dt=dt)
 
     # -- basic queries -----------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 
 from .network import StochasticGraph, grid_partition
 from .pathsearch import path_distribution, sota_path_report
-from .policy import BACKENDS, compute_policy
+from .policy import compute_policy
 from .potentials import MODES, compute_arc_potentials, prune
 
 
@@ -141,7 +141,6 @@ def generate_instances(graph: StochasticGraph, n: int, seed: int = 0) -> list[Pr
 
 @dataclass
 class BenchmarkConfig:
-    backend: str = "zdc"
     repetitions: int = 3
     path_repetitions: int | None = None  # defaults to `repetitions`; path queries
     # are orders of magnitude cheaper, so extra repetitions there damp timer
@@ -196,7 +195,7 @@ def _run_instance(args):
     rec = BenchmarkRecord(index=index, source=inst.source, dest=inst.dest, budget=inst.budget)
     try:
         policy_time, pol = _median_time(
-            lambda: compute_policy(graph, inst.dest, inst.budget, backend=config.backend),
+            lambda: compute_policy(graph, inst.dest, inst.budget),
             config.repetitions,
         )
         rec.policy_time = policy_time
@@ -232,9 +231,7 @@ def _run_instance(args):
             mask = prune(graph, table, inst.budget)
             rec.pruned_kept_edges = int(mask.sum())
             rec.pruned_policy_time, ppol = _median_time(
-                lambda: compute_policy(
-                    graph, inst.dest, inst.budget, backend=config.backend, edge_mask=mask
-                ),
+                lambda: compute_policy(graph, inst.dest, inst.budget, edge_mask=mask),
                 config.repetitions,
             )
             rec.pruned_path_time, prep = _median_time(
@@ -261,8 +258,6 @@ def run_benchmark(
     Pruning runs prune by the regions of ``grid_partition(graph, config.grid_k)``.
     """
     config = config or BenchmarkConfig()
-    if config.backend not in BACKENDS:
-        raise ValueError(f"backend {config.backend!r} is not one of {BACKENDS}")
     if config.pruning and config.pruning not in MODES:
         raise ValueError(f"pruning {config.pruning!r} is not one of {MODES}")
     if config.pruning and not config.grid_k:

@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, _bin_index
 
 #: Upper-tail probability at which generated supports are cut off.
 TAIL_EPS = 1e-12
@@ -116,9 +116,7 @@ def gaussian_mixture_pmf(
 
 
 def _dense_histogram(literal: dict, dt: float) -> DiscreteDistribution:
-    first, mass = literal.get("first_bin"), literal.get("mass")
-    if isinstance(first, bool) or not isinstance(first, (int, np.integer)) or first < 0:
-        raise ValueError(f"'first_bin' must be a nonnegative integer, got {first!r}")
+    first, mass = _bin_index(literal.get("first_bin"), "'first_bin'"), literal.get("mass")
     if not isinstance(mass, list) or not mass:
         raise ValueError(f"'mass' must be a nonempty list of probabilities, got {mass!r:.40}")
     arr = np.zeros(first + len(mass))

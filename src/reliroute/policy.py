@@ -10,9 +10,10 @@ For a destination ``d`` and horizon ``T`` the solver fills, for every node
 
 Because every edge's minimum travel time is at least one bin, ``u_i(t)``
 depends only on values at strictly smaller budgets, so the solver sweeps the
-budgets ``t = 1..T`` once: the ``direct`` backend one budget at a time,
-evaluating every sum (the equality oracle for tests), and ``zdc`` in blocks
-of the least minimum travel time, by partitioned FFT convolution.
+budgets ``t = 1..T`` once, in blocks of the least minimum travel time, by
+partitioned FFT convolution.  Edge values within ``EXACT_TOL`` of the best
+count as ties and go to the smallest edge, so FFT rounding can change a
+successor only where two values differ by almost exactly ``EXACT_TOL``.
 
 A single solve is sequential; many solves (e.g. different destinations) can
 run in parallel over the shared immutable graph, and a finished
@@ -33,9 +34,6 @@ from .network import StochasticGraph
 #: Sentinel in the successor table for "no edge offers positive probability".
 NO_EDGE = -1
 
-#: Convolution engines ``compute_policy`` accepts.
-BACKENDS = ("direct", "zdc")
-
 
 @dataclass
 class PolicyTable:
@@ -55,7 +53,8 @@ class PolicyTable:
     node_ids: tuple = field(default_factory=tuple, repr=False)
 
     def check_graph(self, graph: StochasticGraph) -> None:
-        """Raise ``ValueError`` unless the table's rows are ``graph``'s nodes."""
+        """Raise ``ValueError`` unless the table's rows are ``graph``'s nodes
+        and its budgets count bins of ``graph``'s ``dt``."""
         if self.w.shape[0] != graph.num_nodes:
             raise ValueError(
                 f"policy table has {self.w.shape[0]} node rows but the graph has "
@@ -63,6 +62,8 @@ class PolicyTable:
             )
         if self.node_ids and tuple(self.node_ids) != graph.node_ids:
             raise ValueError("policy table's node ids differ from the graph's; it was built for another graph")
+        if self.dt != graph.dt:
+            raise ValueError(f"policy table has dt={self.dt} but the graph has dt={graph.dt}")
 
     def save(self, target) -> None:
         """Write the table, keyed by (destination, horizon, dt).
@@ -116,7 +117,7 @@ class PolicyTable:
 
 
 # ---------------------------------------------------------------------------
-# solver engines
+# solver
 
 
 def _edge_mask(graph: StochasticGraph, edge_mask) -> np.ndarray:
@@ -139,8 +140,8 @@ class _EdgeArrays:
         dists = [graph.edge_dists[e] for e in self.orig]
         self.mins = np.array([dist.min_bin for dist in dists], dtype=np.int64)
         self.D = int(self.mins.min()) if len(dists) else 1
-        self.span = max((dist.support_end for dist in dists), default=1)
-        self.kernels = np.zeros((len(dists), -(-self.span // self.D) * self.D))
+        span = max((dist.support_end for dist in dists), default=1)
+        self.kernels = np.zeros((len(dists), -(-span // self.D) * self.D))
         for row, dist in enumerate(dists):
             self.kernels[row, : dist.support_end] = dist.mass
         # Edges arrive sorted by (tail, head, declaration); group by tail.
@@ -163,15 +164,6 @@ def _write_step(U, W, t0, arrays: _EdgeArrays, vals):
     best = np.minimum(gmax, 1.0)
     U[tails, t0:t1] = np.maximum.accumulate(np.maximum(best, U[tails, t0 - 1 : t0]), axis=1)
     W[tails, t0:t1] = np.where(best > 0.0, arrays.orig[winner], NO_EDGE)
-
-
-def _sweep_direct(T, arrays: _EdgeArrays, U, W):
-    max_tau = arrays.span - 1
-    prev = np.ascontiguousarray(arrays.kernels[:, max_tau:0:-1])  # prev[e, j] = p_e(max_tau - j)
-    for t in range(1, T + 1):
-        lo = max(0, t - max_tau)
-        vals = np.einsum("ej,ej->e", prev[:, max_tau - (t - lo) :], U[arrays.heads, lo:t])
-        _write_step(U, W, t, arrays, vals[:, None])
 
 
 def _sweep_blocks(T, arrays: _EdgeArrays, U, W):
@@ -221,24 +213,18 @@ def compute_policy(
     graph: StochasticGraph,
     dest,
     T: int,
-    backend: str = "zdc",
     edge_mask=None,
 ) -> PolicyTable:
     """Solve the dynamic program toward ``dest`` for budgets ``0..T``.
 
-    ``backend`` selects the convolution engine (``zdc``, the default, by blocks
-    of budgets; ``direct``, every sum explicitly, is the reference).
     ``edge_mask`` restricts the graph to the edges it marks, e.g. the mask that
     :func:`~reliroute.potentials.prune` returns.
 
     ``w[i, t]`` is the smallest edge within ``EXACT_TOL`` of the best edge at
-    budget ``t``, or ``NO_EDGE`` where the best is 0, so both backends yield
-    identical successor tables.
+    budget ``t``, or ``NO_EDGE`` where the best is 0.
     """
     if T < 0:
         raise ValueError(f"horizon must be nonnegative, got {T}")
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
     d = graph.node_index(dest)
 
     # Tables before edge arrays: the other order read ~5 MB more peak RSS over repeated solves.
@@ -247,9 +233,8 @@ def compute_policy(
     U[d, :] = 1.0
     arrays = _EdgeArrays(graph, d, edge_mask)
 
-    sweep = _sweep_direct if backend == "direct" else _sweep_blocks
     if len(arrays.orig):
-        sweep(T, arrays, U, W)
+        _sweep_blocks(T, arrays, U, W)
 
     U.setflags(write=False)
     W.setflags(write=False)

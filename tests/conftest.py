@@ -59,8 +59,8 @@ def random_connected_graph(rng, max_nodes=10, max_extra_edges=20, min_nodes=2,
 def reference_policy(graph, dest, T):
     """Plain-Python evaluation of the dynamic program; the slow oracle.
 
-    Deliberately shares no code with the production engines: explicit loops,
-    explicit sums, first-maximizer ties in canonical edge order.
+    Deliberately shares no code with the solver: explicit loops, explicit
+    sums, first-maximizer ties in canonical edge order.
     """
     d = graph.node_index(dest)
     V = graph.num_nodes
@@ -84,6 +84,49 @@ def reference_policy(graph, dest, T):
             u[i, t] = best
             w[i, t] = best_edge
     return u, w
+
+
+def direct_policy(graph, dest, T, edge_mask=None):
+    """The dynamic program by explicit sums, one budget at a time; the oracle
+    that ``compute_policy`` must match, with its successor rule.
+
+    Shares no code with the solver.  Each ``u_ij(t)`` is one ``einsum`` of the
+    edge's reversed kernel, a contiguous row over bins ``span - 1 .. 1``, with
+    ``u_j`` over the budgets before ``t``.  ``w[i, t]`` is the smallest kept
+    edge within ``EXACT_TOL`` of the best, or ``NO_EDGE`` where the best is 0,
+    and ``u[i, t]`` the running maximum of ``min(best, 1)``.
+    """
+    d = graph.node_index(dest)
+    keep = np.ones(graph.num_edges, dtype=bool) if edge_mask is None else np.asarray(edge_mask, dtype=bool)
+    edges = np.flatnonzero(keep & (graph.edge_tails != d))
+    u = np.zeros((graph.num_nodes, T + 1))
+    w = np.full((graph.num_nodes, T + 1), rr.NO_EDGE, dtype=np.int32)
+    u[d, :] = 1.0
+    if len(edges):
+        heads, tails = graph.edge_heads[edges], graph.edge_tails[edges]
+        span = max(graph.edge_dists[e].support_end for e in edges)
+        rev = np.zeros((len(edges), span - 1))  # rev[k, j] = p(span - 1 - j)
+        for k, e in enumerate(edges):
+            mass = graph.edge_dists[e].mass
+            rev[k, span - len(mass) :] = mass[:0:-1]
+        # slots[n, s] is the row of the s-th kept out-edge of node nodes[n];
+        # -1 pads rows of nodes with fewer edges.
+        nodes = np.unique(tails)
+        slots = np.full((len(nodes), np.bincount(tails).max()), -1)
+        for n, i in enumerate(nodes):
+            rows = np.flatnonzero(tails == i)
+            slots[n, : len(rows)] = rows
+        for t in range(1, T + 1):
+            lo = max(0, t - (span - 1))
+            vals = np.einsum("ej,ej->e", rev[:, span - 1 - (t - lo) :], u[heads, lo:t])
+            # A pad reads 0 and follows every real slot, so it is never the
+            # first slot within EXACT_TOL of a positive best.
+            table = np.where(slots >= 0, vals[slots], 0.0)
+            best = table.max(axis=1)
+            first = np.argmax(table >= best[:, None] - rr.EXACT_TOL, axis=1)
+            u[nodes, t] = np.maximum(np.minimum(best, 1.0), u[nodes, t - 1])
+            w[nodes, t] = np.where(best > 0.0, edges[slots[np.arange(len(nodes)), first]], rr.NO_EDGE)
+    return rr.PolicyTable(dest=dest, horizon=T, dt=graph.dt, u=u, w=w, node_ids=graph.node_ids)
 
 
 def edge_evaluation(graph, u, edge, t):

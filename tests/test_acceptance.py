@@ -15,7 +15,7 @@ import pytest
 
 import reliroute as rr
 
-from conftest import FIXTURE_PATH, edge_by_label, random_connected_graph
+from conftest import FIXTURE_PATH, direct_policy, edge_by_label, random_connected_graph
 
 SEED = 20250808
 
@@ -43,7 +43,7 @@ def scaling_run():
     records = rr.run_benchmark(
         graph,
         instances,
-        config=rr.BenchmarkConfig(backend="zdc", repetitions=1, path_repetitions=3),
+        config=rr.BenchmarkConfig(repetitions=1, path_repetitions=3),
     )
     elapsed = time.perf_counter() - t0
     return graph, instances, records, elapsed
@@ -114,8 +114,8 @@ def test_backend_equivalence():
                 rng, max_nodes=30, max_extra_edges=60, max_delta=6, max_width=9
             )
             T = rng.randint(1, 128)
-            direct = rr.compute_policy(g, d, T, backend="direct")
-            zdc = rr.compute_policy(g, d, T, backend="zdc")
+            direct = direct_policy(g, d, T)
+            zdc = rr.compute_policy(g, d, T)
             worst = max(worst, float(np.abs(direct.u - zdc.u).max()))
         assert worst <= 1e-9
 
@@ -212,7 +212,7 @@ def test_scaling_properties(scaling_run):
             reps = []
             for _ in range(3):
                 t0 = time.perf_counter()
-                rr.compute_policy(graph, mid.dest, horizon, backend="zdc")
+                rr.compute_policy(graph, mid.dest, horizon)
                 reps.append(time.perf_counter() - t0)
             times[horizon] = statistics.median(reps)
         assert times[2 * mid.budget] <= 3.0 * times[mid.budget]

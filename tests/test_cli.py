@@ -181,3 +181,21 @@ def test_value_errors_are_reported_without_traceback(runner, args, message):
     assert result.exit_code == 1
     assert f"Error: {message}" in result.output
     assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["synth", "--grid", "2", "--out", "missing/x.json"], "No such file or directory"),
+        (["policy", "--graph", str(FIXTURE_PATH), "--dest", "v3", "--budget", "4",
+          "--out", "missing/t.npz"], "No such file or directory"),
+        (["policy", "--graph", ".", "--dest", "v3", "--budget", "4"], "Is a directory"),
+    ],
+    ids=["synth-out", "policy-out", "graph-directory"],
+)
+def test_os_errors_are_reported_without_traceback(runner, args, message):
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "Error: " in result.output and message in result.output
+    assert isinstance(result.exception, SystemExit)

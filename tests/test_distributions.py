@@ -55,12 +55,19 @@ class TestConstruction:
     def test_from_pairs_rejects_bad_bins(self):
         with pytest.raises(ValueError):
             DiscreteDistribution.from_pairs([[1, 0.5], [1, 0.5]])
-        with pytest.raises(ValueError):
-            DiscreteDistribution.from_pairs([[-1, 1.0]])
+        # The same bins the dense graph literal's first_bin rejects.
+        for k in (-1, True, 1.5, 2.0):
+            with pytest.raises(ValueError, match=f"bin index must be a nonnegative integer, got {k!r}"):
+                DiscreteDistribution.from_pairs([[k, 1.0]])
+        assert DiscreteDistribution.from_pairs([[np.int64(2), 1.0]]).min_bin == 2
 
     def test_point_mass(self):
         d = DiscreteDistribution.point_mass(5)
         assert d.min_bin == 5 and d.cdf(5) == 1.0 and d.cdf(4) == 0.0
+        assert DiscreteDistribution.point_mass(np.int32(3)).min_bin == 3
+        for k in (-1, True, 1.5, 2.0):
+            with pytest.raises(ValueError, match=f"bin index must be a nonnegative integer, got {k!r}"):
+                DiscreteDistribution.point_mass(k)
 
 
 class TestConvolve:

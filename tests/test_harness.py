@@ -127,9 +127,8 @@ class TestRunBenchmark:
         "config, message",
         [
             (rr.BenchmarkConfig(pruning="bogus", grid_k=2), "pruning 'bogus' is not one of"),
-            (rr.BenchmarkConfig(backend="bogus"), "backend 'bogus' is not one of"),
         ],
-        ids=["pruning", "backend"],
+        ids=["pruning"],
     )
     def test_unknown_config_value_rejected(self, fixture_graph, config, message):
         instances = rr.generate_instances(fixture_graph, 2, seed=1)

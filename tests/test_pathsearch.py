@@ -8,12 +8,12 @@ import pytest
 import reliroute as rr
 from reliroute.errors import SearchBudgetExceeded
 
-from conftest import edge_by_label, random_connected_graph
+from conftest import direct_policy, edge_by_label, random_connected_graph
 
 
 @pytest.fixture(scope="module")
 def fixture_policy(fixture_graph):
-    return rr.compute_policy(fixture_graph, "v3", 4, backend="direct")
+    return direct_policy(fixture_graph, "v3", 4)
 
 
 class TestFixtureSearch:
@@ -155,13 +155,13 @@ class TestSearchProperties:
 
     def test_budget_below_policy_horizon(self):
         # A table solved past the budget answers it like one solved to it
-        # (``direct`` makes the two tables agree exactly up to the budget).
+        # (the direct sums make the two tables agree exactly up to the budget).
         rng = random.Random(31)
         for _ in range(15):
             g, s, d = random_connected_graph(rng, max_nodes=8)
             T = rng.randint(1, 40)
-            long_pol = rr.compute_policy(g, d, T + rng.randint(1, 30), backend="direct")
-            pol = rr.compute_policy(g, d, T, backend="direct")
+            long_pol = direct_policy(g, d, T + rng.randint(1, 30))
+            pol = direct_policy(g, d, T)
             assert rr.sota_path(g, long_pol, s, T, k=3) == rr.sota_path(g, pol, s, T, k=3)
 
     def test_table_from_another_graph_rejected(self):
@@ -169,6 +169,15 @@ class TestSearchProperties:
         pol = rr.compute_policy(g5, "n03_03", 60)
         with pytest.raises(ValueError, match="25 node rows but the graph has 16 nodes"):
             rr.sota_path(g4, pol, "n00_00", 60)
+
+    def test_table_with_another_dt_rejected(self):
+        # Same node ids, but the table's budgets count half-second bins.
+        half, unit = (rr.synthesize_distributions(rr.grid_topology(4, dt=dt), seed=1) for dt in (0.5, 1.0))
+        pol = rr.compute_policy(half, "n03_03", 40)
+        with pytest.raises(ValueError, match="policy table has dt=0.5 but the graph has dt=1.0"):
+            rr.sota_path_report(unit, pol, "n00_00", 40)
+        with pytest.raises(ValueError, match="policy table has dt=0.5 but the graph has dt=1.0"):
+            rr.compute_realizability(unit, pol, "n00_00")
 
     def test_pruned_search_with_mask(self, fixture_graph):
         g = fixture_graph

@@ -1,4 +1,4 @@
-"""Policy solver: DP values, backends, invariants."""
+"""Policy solver: DP values, the direct-sum oracle, invariants."""
 
 import json
 import random
@@ -9,13 +9,13 @@ import pytest
 import reliroute as rr
 from reliroute.policy import NO_EDGE
 
-from conftest import edge_by_label, edge_evaluation, random_connected_graph, reference_policy
+from conftest import direct_policy, edge_by_label, edge_evaluation, random_connected_graph, reference_policy
 
 
 class TestPolicyValues:
     def test_fixture_hand_dp(self, fixture_graph):
         g = fixture_graph
-        pol = rr.compute_policy(g, "v3", 4, backend="direct")
+        pol = direct_policy(g, "v3", 4)
         v1, v2, v3 = (g.node_index(v) for v in ("v1", "v2", "v3"))
         e4 = g.edge_dists[edge_by_label(g, "e4")]
         # Intermediate node: u equals the running CDF of the last edge.
@@ -30,7 +30,7 @@ class TestPolicyValues:
 
     def test_fixture_extended_horizon(self, fixture_graph):
         g = fixture_graph
-        pol = rr.compute_policy(g, "v3", 6, backend="direct")
+        pol = direct_policy(g, "v3", 6)
         v1 = g.node_index("v1")
         assert pol.u[v1, 5] == pytest.approx(0.95, abs=1e-12)
         assert pol.w[v1, 5] == edge_by_label(g, "e1")
@@ -50,7 +50,7 @@ class TestPolicyValues:
             g, _, d = random_connected_graph(rng, max_nodes=9, max_extra_edges=14)
             T = rng.randint(0, 30)
             ref_u, ref_w = reference_policy(g, d, T)
-            tables = [rr.compute_policy(g, d, T, backend=b) for b in ("direct", "zdc")]
+            tables = [direct_policy(g, d, T), rr.compute_policy(g, d, T)]
             assert np.array_equal(tables[0].w, tables[1].w)
             for pol in tables:
                 assert np.abs(pol.u - ref_u).max() <= 1e-12
@@ -63,21 +63,21 @@ class TestPolicyValues:
                             attained = edge_evaluation(g, ref_u, e, t)
                             assert abs(attained - ref_u[i, t]) <= 1e-12
 
-    def test_backends_and_orders_agree(self):
+    def test_solver_matches_direct_sums(self):
         rng = random.Random(4)
         for _ in range(10):
             g, _, d = random_connected_graph(rng, max_nodes=12, max_extra_edges=18)
             T = rng.randint(0, 48)
-            direct = rr.compute_policy(g, d, T, backend="direct")
-            zdc = rr.compute_policy(g, d, T, backend="zdc")
-            assert np.abs(direct.u - zdc.u).max() <= 1e-9
-            assert np.array_equal(direct.w, zdc.w)
+            direct = direct_policy(g, d, T)
+            pol = rr.compute_policy(g, d, T)
+            assert np.abs(direct.u - pol.u).max() <= 1e-9
+            assert np.array_equal(direct.w, pol.w)
 
     def test_monotone_in_budget(self):
         rng = random.Random(13)
         for _ in range(8):
             g, _, d = random_connected_graph(rng, max_nodes=10)
-            pol = rr.compute_policy(g, d, rng.randint(1, 40), backend="zdc")
+            pol = rr.compute_policy(g, d, rng.randint(1, 40))
             assert np.all(np.diff(pol.u, axis=1) >= 0.0)
             assert np.all(pol.u >= 0.0) and np.all(pol.u <= 1.0)
 
@@ -85,7 +85,7 @@ class TestPolicyValues:
         rng = random.Random(77)
         g, _, d = random_connected_graph(rng, max_nodes=10, max_extra_edges=16)
         T = 40
-        pol = rr.compute_policy(g, d, T, backend="zdc")
+        pol = rr.compute_policy(g, d, T)
         di = g.node_index(d)
         for _ in range(1000):
             i = rng.randrange(g.num_nodes)
@@ -117,7 +117,7 @@ class TestPolicyValues:
             [(0, 0.0, 0.0), (1, 1.0, 0.0)],
             [(0, 1, dist, "first"), (0, 1, dist, "second")],
         )
-        runs = [rr.compute_policy(g, 1, 6, backend=b) for b in ("direct", "zdc", "direct")]
+        runs = [rr.compute_policy(g, 1, 6), direct_policy(g, 1, 6), rr.compute_policy(g, 1, 6)]
         for pol in runs:
             assert g.edge_label(int(pol.w[0, 3])) == "first"
             assert np.array_equal(pol.w, runs[0].w)

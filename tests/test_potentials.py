@@ -10,7 +10,7 @@ import pytest
 import reliroute as rr
 from reliroute.potentials import INFINITE_POTENTIAL
 
-from conftest import edge_by_label, random_connected_graph, random_edge_dist
+from conftest import direct_policy, edge_by_label, random_connected_graph, random_edge_dist
 
 
 def marked_labels(graph, flags):
@@ -33,7 +33,7 @@ def with_self_loops_and_parallels(rng, g):
 class TestRealizability:
     def test_fixture_exact_budget(self, fixture_graph):
         g = fixture_graph
-        pol = rr.compute_policy(g, "v3", 4, backend="direct")
+        pol = direct_policy(g, "v3", 4)
         flags = rr.compute_realizability(g, pol, "v1")
         # Departing with exactly 4 bins, the only source decision is w(4).
         assert marked_labels(g, flags) == ["e2", "e4"]
@@ -42,7 +42,7 @@ class TestRealizability:
 
     def test_fixture_any_budget_marks_more(self, fixture_graph):
         g = fixture_graph
-        pol = rr.compute_policy(g, "v3", 4, backend="direct")
+        pol = direct_policy(g, "v3", 4)
         flags = rr.compute_realizability(g, pol, "v1", initial_budgets="any")
         # Departures with any budget <= 4 may also follow the w(3) choice.
         assert marked_labels(g, flags) == ["e2", "e3", "e4"]

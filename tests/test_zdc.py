@@ -1,4 +1,4 @@
-"""The block (``zdc``) policy backend vs. the direct backend and the oracle."""
+"""The block policy solver vs. the direct-sum and reference oracles."""
 
 import random
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import reliroute as rr
 
-from conftest import edge_evaluation, reference_policy
+from conftest import direct_policy, edge_evaluation, reference_policy
 
 
 def single_edge_graph(dist):
@@ -34,16 +34,24 @@ def random_graph(rng, n, make_kernel):
     return rr.StochasticGraph(1.0, nodes, [(a, b, make_kernel()) for a, b in pairs])
 
 
-def assert_backends_agree(g, d, T):
-    ref_u, _ = reference_policy(g, d, T)
-    direct = rr.compute_policy(g, d, T, backend="direct")
-    zdc = rr.compute_policy(g, d, T, backend="zdc")
-    assert np.abs(zdc.u - direct.u).max() <= 1e-12
-    assert np.abs(zdc.u - ref_u).max() <= 1e-12
-    assert np.array_equal(zdc.w, direct.w)
+def masked_subgraph(g, mask):
+    """``g`` with only the edges ``mask`` keeps (edge indices change)."""
+    nodes = [(nid, 0.0, 0.0) for nid in g.node_ids]
+    edges = [(g.node_ids[g.edge_tails[e]], g.node_ids[g.edge_heads[e]], g.edge_dists[e])
+             for e in np.flatnonzero(mask)]
+    return rr.StochasticGraph(g.dt, nodes, edges)
+
+
+def assert_solver_matches_oracles(g, d, T, mask=None):
+    ref_u, _ = reference_policy(g if mask is None else masked_subgraph(g, mask), d, T)
+    direct = direct_policy(g, d, T, edge_mask=mask)
+    pol = rr.compute_policy(g, d, T, edge_mask=mask)
+    assert np.abs(pol.u - direct.u).max() <= 1e-12
+    assert np.abs(pol.u - ref_u).max() <= 1e-12
+    assert np.array_equal(pol.w, direct.w)
     others = np.arange(g.num_nodes) != g.node_index(d)
-    assert np.array_equal(zdc.w[others] == rr.NO_EDGE, zdc.u[others] == 0.0)
-    assert np.all(np.diff(zdc.u, axis=1) >= 0.0)
+    assert np.array_equal(pol.w[others] == rr.NO_EDGE, pol.u[others] == 0.0)
+    assert np.all(np.diff(pol.u, axis=1) >= 0.0)
 
 
 def least_min_bin(g):
@@ -72,7 +80,7 @@ def test_matches_direct_convolution_on_random_pairs():
     for _ in range(6):
         n = rng.randint(2, 6)
         g = random_graph(rng, n, lambda: kernel(rng, (1, 6), (33, 80)))
-        assert_backends_agree(g, n - 1, rng.randint(128, 200))
+        assert_solver_matches_oracles(g, n - 1, rng.randint(128, 200))
 
 
 def test_mixed_minimum_travel_times_and_ragged_horizons():
@@ -85,7 +93,7 @@ def test_mixed_minimum_travel_times_and_ragged_horizons():
         D = least_min_bin(g)
         T = rng.randint(3, 12) * D + rng.randint(1, D - 1)
         assert T % D
-        assert_backends_agree(g, n - 1, T)
+        assert_solver_matches_oracles(g, n - 1, T)
 
 
 @pytest.mark.parametrize("offset", [None, -1, 0])
@@ -96,7 +104,7 @@ def test_horizon_at_most_one_block(offset):
         n = rng.randint(2, 5)
         g = random_graph(rng, n, lambda: kernel(rng, (4, 9), (1, 12)))
         T = 0 if offset is None else least_min_bin(g) + offset
-        assert_backends_agree(g, n - 1, T)
+        assert_solver_matches_oracles(g, n - 1, T)
 
 
 def test_kernels_longer_than_the_horizon():
@@ -104,7 +112,7 @@ def test_kernels_longer_than_the_horizon():
     for _ in range(6):
         n = rng.randint(2, 5)
         g = random_graph(rng, n, lambda: kernel(rng, (1, 8), (60, 100)))
-        assert_backends_agree(g, n - 1, rng.randint(10, 50))
+        assert_solver_matches_oracles(g, n - 1, rng.randint(10, 50))
 
 
 def test_unit_block_with_long_kernels():
@@ -119,7 +127,20 @@ def test_unit_block_with_long_kernels():
         edges.append((n - 2, n - 1, rr.DiscreteDistribution.point_mass(1)))
         g = rr.StochasticGraph(1.0, [(i, float(i), 0.0) for i in range(n)], edges)
         assert least_min_bin(g) == 1
-        assert_backends_agree(g, n - 1, rng.randint(60, 120))
+        assert_solver_matches_oracles(g, n - 1, rng.randint(60, 120))
+
+
+@pytest.mark.parametrize("seed, deltas, widths", [(21, (1, 6), (33, 80)), (22, (2, 12), (1, 20)), (23, (1, 8), (60, 100))])
+def test_masked_solves_match_the_oracles(seed, deltas, widths):
+    # A random mask drops about a third of the edges, the chain's included,
+    # so some nodes lose every route and blocks start at the least kept
+    # minimum travel time.
+    rng = random.Random(seed)
+    for _ in range(5):
+        n = rng.randint(3, 7)
+        g = random_graph(rng, n, lambda: kernel(rng, deltas, widths))
+        mask = np.array([rng.random() < 0.7 for _ in range(g.num_edges)])
+        assert_solver_matches_oracles(g, n - 1, rng.randint(30, 120), mask)
 
 
 def test_probabilities_below_rounding():
@@ -138,7 +159,7 @@ def test_probabilities_below_rounding():
     for _ in range(10):
         n = rng.randint(2, 6)
         g = random_graph(rng, n, tiny_first_bin)
-        assert_backends_agree(g, n - 1, rng.randint(40, 120))
+        assert_solver_matches_oracles(g, n - 1, rng.randint(40, 120))
 
 
 @st.composite
@@ -160,16 +181,17 @@ def small_graphs(draw):
 def test_property_block_engine_matches_direct_and_oracle(graph, T):
     # Minimum travel times of one bin, self-loops and parallel edges all occur.
     g, d = graph
-    assert_backends_agree(g, d, T)
+    assert_solver_matches_oracles(g, d, T)
 
 
 def test_successor_contract_over_a_region():
     # Every destination of one region of a 16x16 grid.  Synthetic kernels fold
     # their tail into the last bin at 1e-12, so gaps below the best edge near
     # u = 1 sit at EXACT_TOL itself, where no threshold rule is immune to
-    # rounding.  Outside a 1e-13 band around it the backends must pick the
-    # same edge, and that edge must be the smallest within EXACT_TOL of the
-    # best.  Where they differ, the smaller pick lies in the band.
+    # rounding.  Outside a 1e-13 band around it the solver and the direct
+    # sums must pick the same edge, and that edge must be the smallest within
+    # EXACT_TOL of the best.  Where they differ, the smaller pick lies in the
+    # band.
     g = rr.synthesize_distributions(rr.grid_topology(16), seed=7)
     T, band = 300, 1e-13
     rng = np.random.default_rng(5)
@@ -182,11 +204,11 @@ def test_successor_contract_over_a_region():
 
     banded = []
     for d in rr.grid_partition(g, 4).regions[5]:
-        direct = rr.compute_policy(g, g.node_ids[d], T, backend="direct")
-        zdc = rr.compute_policy(g, g.node_ids[d], T, backend="zdc")
-        for i, t in zip(*np.nonzero(direct.w != zdc.w)):
+        direct = direct_policy(g, g.node_ids[d], T)
+        pol = rr.compute_policy(g, g.node_ids[d], T)
+        for i, t in zip(*np.nonzero(direct.w != pol.w)):
             vals = dict(zip(g.out_edges[i], values(direct.u, i, t)))
-            gap = max(vals.values()) - vals[min(direct.w[i, t], zdc.w[i, t])]
+            gap = max(vals.values()) - vals[min(direct.w[i, t], pol.w[i, t])]
             assert abs(gap - rr.EXACT_TOL) <= band, (d, i, t, gap)
             banded.append(gap)
         others = np.setdiff1d(np.arange(g.num_nodes), [d])
@@ -197,5 +219,5 @@ def test_successor_contract_over_a_region():
             best = max(vals)
             near = [e for e, v in zip(g.out_edges[i], vals) if v >= best - rr.EXACT_TOL]
             expected = near[0] if best > 0.0 else rr.NO_EDGE
-            assert direct.w[i, t] == zdc.w[i, t] == expected, (d, i, t)
+            assert direct.w[i, t] == pol.w[i, t] == expected, (d, i, t)
     print(f"{len(banded)} successor cells differ, all in the band: {banded}")
