@@ -7,7 +7,13 @@ path(s) with :func:`~reliroute.pathsearch.sota_path`.  Activation-potential
 preprocessing (:mod:`reliroute.potentials`) prunes queries; the benchmark
 harness (:mod:`reliroute.harness`) reproduces the timing studies at desk
 scale.
+
+The package logs through ``logging.getLogger("reliroute")`` and is silent
+unless the application configures logging: each policy solve emits one DEBUG
+record with its block counts and seconds.
 """
+
+import logging
 
 from .distributions import (
     DiscreteDistribution,
@@ -107,3 +113,5 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -15,6 +15,20 @@ partitioned FFT convolution.  Edge values within ``EXACT_TOL`` of the best
 count as ties and go to the smallest edge, so FFT rounding can change a
 successor only where two values differ by almost exactly ``EXACT_TOL``.
 
+The sweep is a wavefront: ``u_ij(t)`` is exactly 0 below ``z_j + delta_ij``,
+where ``z_j`` is node ``j``'s least time to ``d`` in minimum bins, so a tail
+node's edges join the sweep at the first block that can reach that budget.
+Rows are kept in that activation order, so the edges in play are a prefix
+that is sliced, not gathered (within each reach class, see below).  The
+window spectra are taken once per node and copied to every edge's ring row
+each block, active or not, so an edge that joins late finds its head's
+history.  Spectra and ring are stored partition-major and summed over
+partitions in a fixed order.  Edges are convolved in classes of equal reach,
+the last kernel partition that holds mass, and each class skips the
+partitions past its reach: those terms are exact zeros at the start of each
+run of the sum, so the tables are bit-identical to a sweep over every edge
+and partition.
+
 A single solve is sequential; many solves (e.g. different destinations) can
 run in parallel over the shared immutable graph, and a finished
 :class:`PolicyTable` is immutable and shareable.
@@ -23,6 +37,8 @@ run in parallel over the shared immutable graph, and a finished
 from __future__ import annotations
 
 import json
+import logging
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +46,8 @@ import numpy as np
 
 from .distributions import EXACT_TOL
 from .network import StochasticGraph
+
+_log = logging.getLogger(__name__)
 
 #: Sentinel in the successor table for "no edge offers positive probability".
 NO_EDGE = -1
@@ -69,7 +87,7 @@ class PolicyTable:
         """Write the table, keyed by (destination, horizon, dt).
 
         ``.json`` targets get a readable dump; anything else is a compressed
-        ``npz`` with a JSON header.
+        ``npz`` with a JSON header, written under exactly the name given.
         """
         meta = {
             "destination": self.dest,
@@ -82,7 +100,9 @@ class PolicyTable:
             doc = dict(meta, u=self.u.tolist(), w=self.w.tolist())
             target.write_text(json.dumps(doc))
         else:
-            np.savez_compressed(target, meta=json.dumps(meta), u=self.u, w=self.w)
+            # Through a handle: given a name, numpy would append ".npz".
+            with target.open("wb") as handle:
+                np.savez_compressed(handle, meta=json.dumps(meta), u=self.u, w=self.w)
 
     @classmethod
     def load(cls, source) -> "PolicyTable":
@@ -128,85 +148,198 @@ def _edge_mask(graph: StochasticGraph, edge_mask) -> np.ndarray:
     return mask
 
 
+def _activation(num_nodes, d, group_tails, starts, heads, mins) -> np.ndarray:
+    """Each tail group's activation budget: the least ``z[head] + min_bin`` over
+    its edges, where ``z[i]`` is node ``i``'s least time to ``d`` in minimum
+    bins (a huge sentinel where ``d`` is out of reach).  Relaxes every group
+    at once until nothing changes, as many rounds as the longest least-time
+    path has edges."""
+    z = np.full(num_nodes, np.iinfo(np.int64).max // 2)
+    z[d] = 0
+    while True:
+        act = np.minimum(z[group_tails], np.minimum.reduceat(z[heads] + mins, starts))
+        if np.array_equal(act, z[group_tails]):
+            return act
+        z[group_tails] = act
+
+
 class _EdgeArrays:
-    """Dense per-edge arrays for the active (unmasked) edge set, excluding
-    edges out of the destination (the policy never leaves it).  ``kernels``
-    holds one PMF per row, zero-padded to a multiple of the block length ``D``."""
+    """Dense per-edge arrays for the kept (unmasked) edges out of nodes other
+    than the destination (the policy never leaves it), in two row orders.
 
-    def __init__(self, graph: StochasticGraph, d: int, edge_mask):
-        self.orig = np.nonzero(_edge_mask(graph, edge_mask) & (graph.edge_tails != d))[0]
-        tails = graph.edge_tails[self.orig]
-        self.heads = graph.edge_heads[self.orig]
-        dists = [graph.edge_dists[e] for e in self.orig]
-        self.mins = np.array([dist.min_bin for dist in dists], dtype=np.int64)
-        self.D = int(self.mins.min()) if len(dists) else 1
-        span = max((dist.support_end for dist in dists), default=1)
-        self.kernels = np.zeros((len(dists), -(-span // self.D) * self.D))
-        for row, dist in enumerate(dists):
-            self.kernels[row, : dist.support_end] = dist.mass
+    Reduction order, used by the per-row arrays: edge ``e`` evaluates to
+    exactly 0 below budget ``z[head] + min_bin`` (see :func:`_activation`),
+    and a tail group becomes active at the least of these over its edges.
+    Groups are sorted by that budget, stably, and each keeps its edges in
+    graph order, so the smallest edge is still the group's first row; groups
+    that never activate by ``T`` are dropped.  The edges active by any budget
+    are then a prefix of the rows.
+
+    Convolution order, used by ``spectra``: the rows again, stably sorted by
+    reach, the last kernel partition of ``D`` bins that holds mass (at most
+    ``R``).  Each reach class is a run of rows whose active members are a
+    prefix of the run.  ``conv`` maps a convolution row to its reduction row
+    and ``conv_row`` back.
+
+    ``D`` and the ``R`` partitions are set by every kept edge, dropped ones
+    included, so the block layout does not depend on which groups are dropped.
+    ``spectra`` holds the transforms of each row's kernel partitions 1..R,
+    partition-major, and ``first_mass`` each row's mass at ``min_bin``, which
+    may lie beyond the last partition."""
+
+    def __init__(self, graph: StochasticGraph, d: int, T: int, edge_mask):
+        kept = np.nonzero(_edge_mask(graph, edge_mask) & (graph.edge_tails != d))[0]
+        self.num_kept = len(kept)
+        dists = [graph.edge_dists[e] for e in kept]
+        tails, heads = graph.edge_tails[kept], graph.edge_heads[kept]
+        mins = np.array([dist.min_bin for dist in dists], dtype=np.int64)
+        ends = np.array([dist.support_end for dist in dists], dtype=np.int64)
+        self.D = int(mins.min()) if len(kept) else 1
+        # Partition 0 is empty, and partitions from T // D + 1 on never meet an
+        # input window, so R partitions remain.
+        self.R = min(-(-int(ends.max(initial=1)) // self.D), T // self.D + 1) - 1
         # Edges arrive sorted by (tail, head, declaration); group by tail.
-        new_group = np.diff(tails, prepend=-1) != 0
-        self.group_starts = np.flatnonzero(new_group)
-        self.group_tails = tails[self.group_starts]
-        self.group_of_edge = np.cumsum(new_group) - 1
+        starts = np.flatnonzero(np.diff(tails, prepend=-1) != 0)
+        activation = _activation(graph.num_nodes, d, tails[starts], starts, heads, mins)
+        order = np.argsort(activation, kind="stable")
+        order = order[activation[order] <= T]
+        sizes = np.diff(np.append(starts, len(kept)))[order]
+        self.group_ends = np.cumsum(sizes)
+        self.group_starts = self.group_ends - sizes
+        rows = np.arange(sizes.sum()) + np.repeat(starts[order] - self.group_starts, sizes)
+        self.orig, self.heads, self.mins = kept[rows], heads[rows], mins[rows]
+        self.group_tails = tails[starts[order]]
+        self.group_of_edge = np.repeat(np.arange(len(order)), sizes)
+        self.activation = activation[order]
+        self.rank = (len(rows) - np.arange(len(rows)))[:, None]
+
+        reach = np.minimum((ends[rows] - 1) // self.D, self.R)
+        self.conv = np.argsort(reach, kind="stable")
+        self.conv_row = np.empty_like(self.conv)
+        self.conv_row[self.conv] = np.arange(len(rows))
+        self.class_starts = np.flatnonzero(np.diff(reach[self.conv], prepend=-1) != 0)
+        self.class_reach = reach[self.conv][self.class_starts]
+        # kernels[k, c] is partition k, bins [kD, kD + D), of convolution row c.
+        kernels = np.zeros((self.R + 1, len(rows), self.D))
+        self.first_mass = np.empty(len(rows))
+        for c, r in enumerate(self.conv):
+            mass = dists[rows[r]].mass
+            self.first_mass[r] = mass[self.mins[r]]
+            full, rest = divmod(min(len(mass), (self.R + 1) * self.D), self.D)
+            kernels[:full, c] = mass[: full * self.D].reshape(full, self.D)
+            if rest:
+                kernels[full, c, :rest] = mass[full * self.D : full * self.D + rest]
+        # spectra[i] is partition R - i of every kernel.  The kernels are freed
+        # here, before the sweep allocates its ring.
+        self.spectra = np.fft.rfft(kernels[:0:-1], 2 * self.D, axis=2)
 
 
-def _write_step(U, W, t0, arrays: _EdgeArrays, vals):
-    """Reduce edge evaluations ``vals[e, k]`` at budgets ``t0 + k`` into u and w.
+def _write_step(U, W, t0, arrays: _EdgeArrays, groups, vals):
+    """Reduce the first ``groups`` tail groups' edge evaluations ``vals[e, k]``
+    at budgets ``t0 + k`` into u and w.
 
     Values within ``EXACT_TOL`` count as equal, so that convolution rounding
     never decides the successor; ``u`` is the exact running maximum.
     """
-    gmax = np.maximum.reduceat(vals, arrays.group_starts, axis=0)
-    candidates = np.where(vals >= gmax[arrays.group_of_edge] - EXACT_TOL, np.arange(len(vals))[:, None], len(vals))
-    winner = np.minimum.reduceat(candidates, arrays.group_starts, axis=0)
-    tails, t1 = arrays.group_tails, t0 + vals.shape[1]
+    n, k, starts = len(vals), vals.shape[1], arrays.group_starts[:groups]
+    gmax = np.maximum.reduceat(vals, starts, axis=0)
+    near = vals >= (gmax - EXACT_TOL).take(arrays.group_of_edge[:n], axis=0)
+    # The first near row of a group has the largest rank, len(rows) - row.
+    winner = len(arrays.rank) - np.maximum.reduceat(near * arrays.rank[:n], starts, axis=0)
+    tails, t1 = arrays.group_tails[:groups], t0 + k
     best = np.minimum(gmax, 1.0)
     U[tails, t0:t1] = np.maximum.accumulate(np.maximum(best, U[tails, t0 - 1 : t0]), axis=1)
     W[tails, t0:t1] = np.where(best > 0.0, arrays.orig[winner], NO_EDGE)
 
 
-def _sweep_blocks(T, arrays: _EdgeArrays, U, W):
-    """Sweep the budgets in blocks of ``D``, the least minimum travel time.
+def _sweep_blocks(T, arrays: _EdgeArrays, U, W) -> int:
+    """Sweep the budgets in blocks of ``D``, the least minimum travel time, and
+    return the number of edge-blocks convolved.
 
     No kernel has mass below ``D`` bins, so block ``b``, budgets
     ``[bD, bD + D)``, reads only earlier blocks and is computed at once by
     uniformly partitioned overlap-save convolution: partition ``k`` of each
     kernel, bins ``[kD, kD + D)``, meets the window of blocks ``b - k - 1``
     and ``b - k``.
+
+    Only the tail groups active by the block's last budget take part (see
+    :class:`_EdgeArrays`), and a block with none is skipped.  Each window is
+    transformed once per node and copied to every edge's ring row, active or
+    not, so an edge that joins late finds its head's earlier windows.
+
+    Spectra and ring are partition-major, so the sum over partitions reads
+    contiguous ``[edge, frequency]`` slabs.  The sum keeps one order, ring
+    slots ``[0, s)`` and then ``[s, R)``, each from zero, because any other
+    order rounds differently and can move a successor.  Within that order a
+    reach class skips the partitions past its reach: they hold no mass and
+    come first in both runs, so the terms skipped are exact zeros.
     """
-    D, heads, mins = arrays.D, arrays.heads, arrays.mins
-    if T < D:
-        return  # nothing arrives within the horizon
-    first_mass = arrays.kernels[np.arange(len(heads)), mins]
-    # Partition 0 is empty, and partitions from T // D + 1 on never meet an
-    # input window, so R partitions remain.
-    R = min(arrays.kernels.shape[1] // D, T // D + 1) - 1
-    # spectra[e, :, i] is partition R - i of edge e (partition axis last).
-    parts = arrays.kernels[:, : (R + 1) * D].reshape(len(heads), R + 1, D)[:, :0:-1]
-    spectra = np.ascontiguousarray(np.fft.rfft(parts, 2 * D, axis=2).transpose(0, 2, 1))
-    # ring[:, :, j % R] is the spectrum of block j's window.  At block b,
-    # slots [0, s) hold blocks b - s .. b - 1 and, from block R on, slots
-    # [s, R) hold blocks b - R .. b - s - 1.
+    D, R, heads, spectra = arrays.D, arrays.R, arrays.heads, arrays.spectra
+    rows, blocks = len(heads), T // D + 1
+    # ring[j % R] is the spectrum of block j's window.  At block b, slots
+    # [0, s) hold blocks b - s .. b - 1 and, from block R on, slots [s, R)
+    # hold blocks b - R .. b - s - 1.  Slot i meets partition s - i in the
+    # first run and R + s - i in the second.
     ring = np.zeros_like(spectra)
-    window = np.zeros((len(heads), 2 * D))
-    for b in range(T // D + 1):
+    conv_heads = heads[arrays.conv]
+    window = np.zeros((len(U), 2 * D))
+    # Buffers at full size, sliced to each block's active prefix.
+    window_spectrum = np.empty((len(U), D + 1), dtype=spectra.dtype)
+    acc = np.empty(spectra.shape[1:], dtype=spectra.dtype)
+    second_run = np.empty_like(acc)
+    summed = np.empty_like(acc)
+    out = np.empty((rows, 2 * D))
+    low = np.empty((rows, D))
+    zero = np.empty((rows, D), dtype=bool)
+    # cell[e, j] is the flat index of U[head, bD + j - min_bin] at block b;
+    # U[head, 0] is row_start.
+    row_start = (heads * U.shape[1])[:, None]
+    cell = row_start - arrays.mins[:, None] + np.arange(D)
+    first = arrays.first_mass[:, None]
+    below_min = int(arrays.mins.max())
+    groups = np.searchsorted(arrays.activation, np.arange(blocks) * D + D - 1, side="right")
+    active = np.append(0, arrays.group_ends)[groups]
+    bounds = np.append(arrays.class_starts, rows)
+    # members[c, b]: the active rows of reach class c at block b.
+    members = np.array([np.searchsorted(arrays.conv[lo:hi], active) for lo, hi in zip(bounds[:-1], bounds[1:])])
+    for b in range(blocks):
         if b:
             window[:, :D] = window[:, D:]
-            window[:, D:] = U[heads, (b - 1) * D : b * D]
-            ring[:, :, (b - 1) % R] = np.fft.rfft(window, axis=1)
+            window[:, D:] = U[:, (b - 1) * D : b * D]
+            np.fft.rfft(window, axis=1, out=window_spectrum)
+            np.take(window_spectrum, conv_heads, axis=0, out=ring[(b - 1) % R])
+            cell += D
+        n = active[b]
+        if not n:
+            continue
         s = b % R
-        acc = np.einsum("efk,efk->ef", ring[:, :, :s], spectra[:, :, R - s :])
-        if b >= R:
-            acc += np.einsum("efk,efk->ef", ring[:, :, s:], spectra[:, :, : R - s])
-        out = np.fft.irfft(acc, 2 * D, axis=1)[:, D:]
+        for lo, reach, count in zip(arrays.class_starts, arrays.class_reach, members[:, b]):
+            if not count:
+                continue
+            part = slice(lo, lo + count)
+            i = max(s - reach, 0)
+            np.einsum("kef,kef->ef", ring[i:s, part], spectra[R - s + i :, part], out=acc[part])
+            if b >= R and reach > s:
+                i = max(s, R + s - reach)
+                np.einsum("kef,kef->ef", ring[i:, part], spectra[i - s : R - s, part], out=second_run[part])
+                acc[part] += second_run[part]
+        np.take(acc, arrays.conv_row[:n], axis=0, out=summed[:n])
+        vals = np.fft.irfft(summed[:n], 2 * D, axis=1, out=out[:n])[:, D:]
         # U's rows never decrease, so the first support bin's term is a lower
         # bound that is zero exactly when the sum is, whatever FFT rounding.
-        lag = np.arange(b * D, b * D + D) - mins[:, None]
-        low = np.where(lag >= 0, first_mass[:, None] * U[heads[:, None], np.maximum(lag, 0)], 0.0)
-        out = np.where(low > 0.0, np.maximum(out, low), 0.0)
+        # Below an edge's min_bin it reads U[head, 0] and is zeroed.
+        early = b * D < below_min
+        index = np.maximum(cell[:n], row_start[:n]) if early else cell[:n]
+        U.take(index, out=low[:n])
+        np.multiply(low[:n], first[:n], out=low[:n])
+        np.maximum(vals, low[:n], out=vals)
+        np.less_equal(low[:n], 0.0, out=zero[:n])
+        if early:
+            zero[:n] |= index != cell[:n]
+        np.copyto(vals, 0.0, where=zero[:n])
         t0 = max(b * D, 1)
-        _write_step(U, W, t0, arrays, out[:, t0 - b * D : min(D, T + 1 - b * D)])
+        _write_step(U, W, t0, arrays, groups[b], vals[:, t0 - b * D : min(D, T + 1 - b * D)])
+    return int(active.sum())
 
 
 def compute_policy(
@@ -226,15 +359,20 @@ def compute_policy(
     if T < 0:
         raise ValueError(f"horizon must be nonnegative, got {T}")
     d = graph.node_index(dest)
+    start = time.perf_counter()
 
     # Tables before edge arrays: the other order read ~5 MB more peak RSS over repeated solves.
     U = np.zeros((graph.num_nodes, T + 1))
     W = np.full((graph.num_nodes, T + 1), NO_EDGE, dtype=np.int32)
     U[d, :] = 1.0
-    arrays = _EdgeArrays(graph, d, edge_mask)
+    arrays = _EdgeArrays(graph, d, T, edge_mask)
 
-    if len(arrays.orig):
-        _sweep_blocks(T, arrays, U, W)
+    active = _sweep_blocks(T, arrays, U, W) if len(arrays.orig) else 0
+    blocks = T // arrays.D + 1
+    _log.debug(
+        "policy toward %r, T=%d: %d blocks of D=%d, R=%d partitions, %d of %d edge-blocks active, %.4f s",
+        dest, T, blocks, arrays.D, arrays.R, active, blocks * arrays.num_kept, time.perf_counter() - start,
+    )
 
     U.setflags(write=False)
     W.setflags(write=False)

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import reliroute as rr
 from reliroute.cli import main
 
 from conftest import FIXTURE_PATH
@@ -44,6 +45,18 @@ def test_policy_summary_on_fixture(runner, tmp_path):
     assert out["u_at_budget"]["v1"] == pytest.approx(0.65)
     assert out["u_at_budget"]["v3"] == 1.0
     assert out_file.exists()
+
+
+def test_policy_out_writes_the_name_given(runner, tmp_path):
+    out_file = tmp_path / "table.bin"
+    result = runner.invoke(
+        main,
+        ["policy", "--graph", str(FIXTURE_PATH), "--dest", "v3", "--budget", "4",
+         "--out", str(out_file)],
+    )
+    assert result.exit_code == 0, result.output
+    assert list(tmp_path.iterdir()) == [out_file]
+    assert rr.PolicyTable.load(out_file).horizon == 4
 
 
 def test_full_pipeline_on_synthetic_grid(runner, tmp_path):

@@ -1,7 +1,12 @@
 """Policy solver: DP values, the direct-sum oracle, invariants."""
 
 import json
+import logging
+import os
 import random
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ import pytest
 import reliroute as rr
 from reliroute.policy import NO_EDGE
 
-from conftest import direct_policy, edge_by_label, edge_evaluation, random_connected_graph, reference_policy
+from conftest import FIXTURE_PATH, direct_policy, edge_by_label, edge_evaluation, random_connected_graph, reference_policy
 
 
 class TestPolicyValues:
@@ -137,16 +142,19 @@ class TestPolicyValues:
 
 
 class TestPolicyTableIO:
-    @pytest.mark.parametrize("suffix", [".npz", ".json"])
+    @pytest.mark.parametrize("suffix", [".npz", ".bin", ".json"])
     def test_round_trip(self, fixture_graph, tmp_path, suffix):
+        # Any name that is not .json holds a compressed npz, under exactly
+        # that name.
         pol = rr.compute_policy(fixture_graph, "v3", 5)
         target = tmp_path / f"table{suffix}"
         pol.save(target)
+        assert list(tmp_path.iterdir()) == [target]
         again = rr.PolicyTable.load(target)
         assert again.dest == "v3"
         assert again.horizon == 5 and again.dt == 1.0
-        assert np.array_equal(again.u, pol.u)
-        assert np.array_equal(again.w, pol.w)
+        assert again.u.dtype == pol.u.dtype and again.u.tobytes() == pol.u.tobytes()
+        assert again.w.dtype == pol.w.dtype and again.w.tobytes() == pol.w.tobytes()
         assert tuple(again.node_ids) == fixture_graph.node_ids
 
     def test_load_ignores_update_order_field(self, fixture_graph, tmp_path):
@@ -193,3 +201,41 @@ class TestPolicyTableIO:
         target.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
             rr.PolicyTable.load(target)
+
+
+class TestSolveLogging:
+    def test_silent_without_logging_configuration(self):
+        # Records at any level stop at the package's NullHandler, so logging's
+        # last-resort handler never writes them to stderr.
+        code = (
+            "import logging, reliroute as rr\n"
+            f"g = rr.load_graph({str(FIXTURE_PATH)!r})\n"
+            "rr.compute_policy(g, 'v3', 4)\n"
+            "logging.getLogger('reliroute.policy').warning('not shown')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == done.stderr == ""
+
+    def test_one_debug_record_per_solve(self, caplog):
+        # One edge of minimum 2 bins: D = 2, blocks 0..2, and the edge can be
+        # nonzero from budget 2, so it takes part in blocks 1 and 2 only.
+        g = rr.StochasticGraph(1.0, [("s", 0, 0), ("d", 1, 0)], [("s", "d", rr.DiscreteDistribution.point_mass(2))])
+        with caplog.at_level(logging.DEBUG, logger="reliroute"):
+            rr.compute_policy(g, "d", 5)
+        [record] = [r for r in caplog.records if r.name.startswith("reliroute")]
+        assert record.levelno == logging.DEBUG
+        assert re.fullmatch(
+            r"policy toward 'd', T=5: 3 blocks of D=2, R=1 partitions, 2 of 3 edge-blocks active, \d+\.\d{4} s",
+            record.getMessage(),
+        )
+
+    def test_tables_identical_with_debug_on(self, caplog):
+        g = rr.synthesize_distributions(rr.grid_topology(6), seed=3)
+        quiet = rr.compute_policy(g, "n05_05", 120)
+        with caplog.at_level(logging.DEBUG, logger="reliroute"):
+            loud = rr.compute_policy(g, "n05_05", 120)
+        assert len(caplog.records) == 1
+        assert loud.u.tobytes() == quiet.u.tobytes()
+        assert loud.w.tobytes() == quiet.w.tobytes()

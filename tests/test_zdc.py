@@ -143,6 +143,60 @@ def test_masked_solves_match_the_oracles(seed, deltas, widths):
         assert_solver_matches_oracles(g, n - 1, rng.randint(30, 120), mask)
 
 
+def wavefront_graph():
+    """Tail groups that become active early, late and never.
+
+    ``m -> d`` sets D = 2 and makes ``m`` positive from budget 2.  ``a``'s
+    only edge, to ``m``, has its first mass 15 blocks above D, so ``a``
+    joins the sweep at budget 32 and needs ``m``'s windows from block 1 on.
+    ``b``'s edges, in edge order, are ``b -> d`` (nonzero from 9) and a
+    parallel pair ``b -> m`` nonzero from 22 and from 4: by activation the
+    last comes first, but once all three are near 1 the tie goes to
+    ``b -> d``, the smallest.  ``f`` joins at budget 72, and ``g`` never,
+    because ``h`` has no way out.
+    """
+
+    def spread(first, last):
+        mass = np.zeros(last + 1)
+        mass[first:] = np.linspace(1.0, 2.0, last + 1 - first)
+        return rr.DiscreteDistribution(mass / mass.sum())
+
+    nodes = [(v, 0.0, 0.0) for v in "abdfghm"]
+    edges = [
+        ("m", "d", spread(2, 5)),
+        ("b", "d", spread(9, 14)),
+        ("a", "m", spread(30, 36)),
+        ("b", "m", spread(20, 22)),
+        ("b", "m", spread(2, 3)),
+        ("f", "a", spread(40, 41)),
+        ("g", "h", spread(2, 2)),
+    ]
+    return rr.StochasticGraph(1.0, nodes, edges)
+
+
+@pytest.mark.parametrize("T", [1, 25, 60, 90])
+@pytest.mark.parametrize("drop", [None, ("b", "m", 2), ("m", "d", 2)], ids=["all", "no-early-b", "no-m-d"])
+def test_wavefront_edge_cases(T, drop):
+    # T = 1 is below D; at 25 ``a`` has not joined, at 60 ``f`` has not, and
+    # at 90 every group but ``g`` has.  Dropping ``b``'s only early edge makes
+    # the group join at 9; dropping ``m -> d`` cuts ``a`` and ``b -> m`` off.
+    g = wavefront_graph()
+    mask = None
+    if drop is not None:
+        mask = np.array([
+            (g.node_ids[g.edge_tails[e]], g.node_ids[g.edge_heads[e]], g.edge_dists[e].min_bin) != drop
+            for e in range(g.num_edges)
+        ])
+        assert mask.sum() == g.num_edges - 1
+    assert_solver_matches_oracles(g, "d", T, mask)
+    if T >= 60 and drop is None:
+        pol = rr.compute_policy(g, "d", T)
+        b, first_b_edge = g.node_index("b"), g.out_edges[g.node_index("b")][0]
+        assert np.all(pol.w[b, 14:] == first_b_edge)  # the tie among b's edges
+        assert pol.u[g.node_index("a"), 32] > 0.0 == pol.u[g.node_index("a"), 31]
+        assert not pol.u[g.node_index("g")].any()
+
+
 def test_probabilities_below_rounding():
     # A first bin of mass 1e-20, followed by a gap, gives probabilities far
     # below FFT rounding of the larger terms in the same block; they must
