@@ -42,8 +42,6 @@ from .network import (
 from .pathsearch import (
     FoundPath,
     SearchReport,
-    brute_force_best_path,
-    brute_force_paths,
     path_distribution,
     path_reliability,
     sota_path,
@@ -57,10 +55,8 @@ from .potentials import (
     build_archive,
     compute_arc_potentials,
     compute_realizability,
-    forward_reachability_oracle,
     load_archive,
     prune,
-    rollout_policy,
     save_archive,
 )
 from .synth import grid_topology, synthesize_distributions
@@ -85,14 +81,11 @@ __all__ = [
     "SearchBudgetExceeded",
     "SearchReport",
     "StochasticGraph",
-    "brute_force_best_path",
-    "brute_force_paths",
     "build_archive",
     "compute_arc_potentials",
     "compute_policy",
     "compute_realizability",
     "convolve",
-    "forward_reachability_oracle",
     "generate_instances",
     "grid_partition",
     "grid_topology",
@@ -102,7 +95,6 @@ __all__ = [
     "path_distribution",
     "path_reliability",
     "prune",
-    "rollout_policy",
     "run_benchmark",
     "save_archive",
     "save_graph",

@@ -37,6 +37,14 @@ def _bin_index(k, name: str = "bin index") -> int:
     return int(k)
 
 
+def _budget(T, name: str) -> int:
+    """``T`` as an ``int`` if it is an integer (numpy integers included, booleans
+    not); otherwise ``ValueError`` naming ``name``.  Callers check the range."""
+    if isinstance(T, bool) or not isinstance(T, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {T!r}")
+    return int(T)
+
+
 class DiscreteDistribution:
     """An immutable PMF on integer time bins.
 

@@ -10,8 +10,8 @@ time itself reachable, so an edge's minimum travel time lands exactly at
 Residual mass past the cutoff quantile is folded into the last bin so every
 generated PMF sums to one exactly.
 
-CDFs and quantiles come from :mod:`scipy.special` alone; importing
-:mod:`scipy.stats` would cost more than the rest of the package.
+CDFs and quantiles come from :mod:`scipy.special` alone, imported on first use:
+importing it, let alone :mod:`scipy.stats`, costs more than the rest of the package.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .distributions import DiscreteDistribution, _bin_index
 
@@ -64,6 +63,8 @@ def shifted_gamma_pmf(
         # A deterministic delay still shifts the point mass.
         return DiscreteDistribution.point_mass(min_bin + int(round(mean_delay / dt)), dt=dt)
 
+    from scipy import special
+
     shape = 1.0 / (cov * cov)
     scale = mean_delay * cov * cov
     # Equals scipy.stats.gamma.ppf(1 - TAIL_EPS, shape, scale=scale) exactly.
@@ -99,6 +100,8 @@ def gaussian_mixture_pmf(
         floor_bin + 1,
         int(math.ceil(max(float(c["mean"]) + 9.0 * float(c["std"]) for c in components) / dt)),
     )
+    from scipy import special
+
     edges = (np.arange(floor_bin, last + 1) + 0.5) * dt
     cdf = np.zeros(len(edges))
     for c, w in zip(components, weights):

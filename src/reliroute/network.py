@@ -145,12 +145,6 @@ class StochasticGraph:
             return str(label)
         return f"{self.node_ids[self.edge_tails[eidx]]}->{self.node_ids[self.edge_heads[eidx]]}#{eidx}"
 
-    def edge_index_by_label(self, label) -> int:
-        for eidx, lab in enumerate(self._edge_labels):
-            if lab == label:
-                return eidx
-        raise ValueError(f"no edge labelled {label!r}")
-
     def find_edges(self, tail_id, head_id) -> list[int]:
         t, h = self.node_index(tail_id), self.node_index(head_id)
         return [int(e) for e in self.out_edges[t] if self.edge_heads[e] == h]

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, convolve
+from .distributions import DiscreteDistribution, _budget, convolve
 from .errors import SearchBudgetExceeded
 from .network import StochasticGraph
 from .policy import PolicyTable, _edge_mask
@@ -109,7 +109,7 @@ def sota_path_report(
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     policy.check_graph(graph)
-    T = policy.horizon if T is None else int(T)
+    T = policy.horizon if T is None else _budget(T, "budget")
     if T < 0 or T > policy.horizon:
         raise ValueError(f"budget {T} outside the policy horizon 0..{policy.horizon}")
     cap = policy.horizon + 1
@@ -235,6 +235,7 @@ def path_reliability(graph: StochasticGraph, path, T: int, edges=None) -> float:
     ``path`` is a node sequence; when consecutive nodes are joined by parallel
     edges the edge sequence must be passed explicitly via ``edges``.
     """
+    T = _budget(T, "budget")
     if T < 0:
         raise ValueError(f"budget must be nonnegative, got {T}")
     if edges is None:
@@ -248,70 +249,3 @@ def path_reliability(graph: StochasticGraph, path, T: int, edges=None) -> float:
                 raise ValueError(f"edges {a} and {b} are not consecutive")
     return path_distribution(graph, edges, cap=T + 1).cdf(T)
 
-
-def brute_force_paths(
-    graph: StochasticGraph, source, dest, T: int, max_nodes: int = 12
-) -> list[FoundPath]:
-    """Every loop-free path with its reliability, most reliable first.
-
-    Exhaustive enumeration is exponential, so this refuses graphs larger than
-    ``max_nodes``; it exists as the independent oracle for the guided search.
-    Ties are ordered by shorter path, then lexicographic node sequence.
-    """
-    if graph.num_nodes > max_nodes:
-        raise ValueError(
-            f"graph has {graph.num_nodes} nodes; brute force is limited to {max_nodes}"
-        )
-    s, d = graph.node_index(source), graph.node_index(dest)
-    results: list[FoundPath] = []
-    nodes_path = [s]
-    edges_path: list[int] = []
-    on_path = {s}
-
-    def visit():
-        last = nodes_path[-1]
-        if last == d and edges_path:
-            dist = path_distribution(graph, edges_path, cap=T + 1)
-            rel = dist.cdf(T)
-            results.append(
-                FoundPath(
-                    nodes=tuple(graph.node_ids[i] for i in nodes_path),
-                    edges=tuple(edges_path),
-                    reliability=rel,
-                    key_at_pop=rel,
-                )
-            )
-            return
-        for e in graph.out_edges[last]:
-            j = int(graph.edge_heads[e])
-            if j in on_path:
-                continue
-            nodes_path.append(j)
-            edges_path.append(int(e))
-            on_path.add(j)
-            visit()
-            on_path.discard(j)
-            edges_path.pop()
-            nodes_path.pop()
-
-    if s == d:
-        results.append(FoundPath(nodes=(graph.node_ids[s],), edges=(), reliability=1.0, key_at_pop=1.0))
-    else:
-        visit()
-    results.sort(key=lambda p: (-p.reliability, len(p.edges), p.nodes))
-    return results
-
-
-def brute_force_best_path(
-    graph: StochasticGraph, source, dest, T: int, max_nodes: int = 12
-) -> FoundPath | None:
-    """The most reliable loop-free path by exhaustive enumeration.
-
-    Returns ``None`` when no path exists.  Ties resolve to the
-    lexicographically smallest node sequence.
-    """
-    ranked = brute_force_paths(graph, source, dest, T, max_nodes=max_nodes)
-    if not ranked:
-        return None
-    best = min(ranked, key=lambda p: (-p.reliability, p.nodes))
-    return best

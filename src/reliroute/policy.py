@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import EXACT_TOL
+from .distributions import EXACT_TOL, _budget
 from .network import StochasticGraph
 
 _log = logging.getLogger(__name__)
@@ -356,6 +356,7 @@ def compute_policy(
     ``w[i, t]`` is the smallest edge within ``EXACT_TOL`` of the best edge at
     budget ``t``, or ``NO_EDGE`` where the best is 0.
     """
+    T = _budget(T, "horizon")
     if T < 0:
         raise ValueError(f"horizon must be nonnegative, got {T}")
     d = graph.node_index(dest)

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import EXACT_TOL
+from .distributions import EXACT_TOL, _budget
 from .network import RegionPartition, StochasticGraph
 from .policy import NO_EDGE, PolicyTable, compute_policy
 from .pathsearch import path_distribution, sota_path_report
@@ -50,16 +50,20 @@ class RealizabilityFlags:
     """Which (node, remaining-budget) states the optimal policy can reach.
 
     ``reached[i, t]`` is True when node ``i`` can be occupied with ``t`` bins
-    left; ``edge_marked[e]`` when edge ``e`` is traversed from some reachable
-    state; ``edge_first_budget[e]`` is the smallest such budget (at the tail).
+    left; ``edge_first_budget[e]`` is the least budget (at the tail) at which
+    edge ``e`` is traversed from a reachable state, else ``INFINITE_POTENTIAL``.
     """
 
     source: object
     horizon: int
     initial_budgets: str
     reached: np.ndarray
-    edge_marked: np.ndarray
     edge_first_budget: np.ndarray
+
+    @property
+    def edge_marked(self) -> np.ndarray:
+        """Edges traversed from some reachable state."""
+        return self.edge_first_budget != INFINITE_POTENTIAL
 
 
 def compute_realizability(
@@ -85,7 +89,7 @@ def compute_realizability(
     if initial_budgets not in ("exact", "any"):
         raise ValueError(f"unknown initial-budget mode {initial_budgets!r}")
     policy.check_graph(graph)
-    T = policy.horizon if T is None else int(T)
+    T = policy.horizon if T is None else _budget(T, "horizon")
     if T < 0:
         raise ValueError(f"horizon must be nonnegative, got {T}")
     if T > policy.horizon:
@@ -100,7 +104,6 @@ def compute_realizability(
         else:
             reached[si, :] = True
 
-    edge_marked = np.zeros(graph.num_edges, dtype=bool)
     edge_first = np.full(graph.num_edges, INFINITE_POTENTIAL, dtype=np.int64)
     # supports[e] lists the bins with mass on edge e, padded by repeating its
     # first bin (a repeated landing state is harmless).
@@ -116,7 +119,6 @@ def compute_realizability(
         if nodes.size == 0:
             continue
         edges = W[nodes, t]
-        edge_marked[edges] = True
         edge_first[edges] = t
         landing = t - supports[edges]
         ok = landing >= 0
@@ -128,66 +130,9 @@ def compute_realizability(
         horizon=T,
         initial_budgets=initial_budgets,
         reached=reached,
-        edge_marked=edge_marked,
         edge_first_budget=edge_first,
     )
 
-
-def forward_reachability_oracle(
-    graph: StochasticGraph, policy: PolicyTable, source, T: int, initial_budgets: str = "exact"
-) -> RealizabilityFlags:
-    """Independent forward BFS over (node, budget) states; the test oracle."""
-    reached = np.zeros((graph.num_nodes, T + 1), dtype=bool)
-    edge_marked = np.zeros(graph.num_edges, dtype=bool)
-    edge_first = np.full(graph.num_edges, INFINITE_POTENTIAL, dtype=np.int64)
-    sources = source if isinstance(source, (list, tuple)) else [source]
-    stack = []
-    for s in sources:
-        si = graph.node_index(s)
-        budgets = [T] if initial_budgets == "exact" else list(range(T + 1))
-        for t in budgets:
-            if not reached[si, t]:
-                reached[si, t] = True
-                stack.append((si, t))
-    while stack:
-        i, t = stack.pop()
-        e = int(policy.w[i, t])
-        if e == NO_EDGE:
-            continue
-        edge_marked[e] = True
-        edge_first[e] = min(edge_first[e], t)
-        j = int(graph.edge_heads[e])
-        for tau in np.nonzero(graph.edge_dists[e].mass)[0]:
-            t2 = t - int(tau)
-            if t2 >= 0 and not reached[j, t2]:
-                reached[j, t2] = True
-                stack.append((j, t2))
-    return RealizabilityFlags(source, T, initial_budgets, reached, edge_marked, edge_first)
-
-
-def rollout_policy(graph: StochasticGraph, policy: PolicyTable, source, T: int, rng):
-    """Simulate one trip following the policy from ``(source, T)``.
-
-    Returns ``(edges traversed, arrived on time)``.  The traveller commits to
-    the policy's edge before its travel time realizes; a trip that overruns
-    the budget stops at the next node.
-    """
-    i = graph.node_index(source)
-    d = graph.node_index(policy.dest)
-    t = T
-    edges = []
-    while i != d:
-        if t < 0:
-            return edges, False
-        e = int(policy.w[i, t])
-        if e == NO_EDGE:
-            return edges, False
-        edges.append(e)
-        mass = graph.edge_dists[e].mass
-        tau = int(rng.choices(range(len(mass)), weights=mass)[0])
-        t -= tau
-        i = int(graph.edge_heads[e])
-    return edges, t >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +157,7 @@ class PotentialTable:
 
     def edge_mask(self, budget: int) -> np.ndarray:
         """Edges that may participate in any optimal solution at ``<= budget``."""
+        budget = _budget(budget, "budget")
         if budget < 0:
             raise ValueError(f"budget must be nonnegative, got {budget}")
         if budget > self.horizon:
@@ -297,7 +243,9 @@ def compute_arc_potentials(
     the edge lies on an optimal fixed path, sweeping every budget and
     re-running the search only when the incumbent's certificate fails; it
     prunes far harder but is only valid for path queries from those sources.
+    An empty ``sources`` list raises ``ValueError`` in either mode.
     """
+    T = _budget(T, "horizon")
     if T < 0:
         raise ValueError(f"horizon must be nonnegative, got {T}")
     if not 0 <= region < partition.region_count:
@@ -306,8 +254,8 @@ def compute_arc_potentials(
         raise ValueError(f"unknown mode {mode!r}")
     if sources is not None and not isinstance(sources, (list, tuple)):
         sources = [sources]
-    if mode == "path" and not sources:
-        raise ValueError("path-mode potentials require one or more source nodes")
+    if (mode == "path" or sources is not None) and not sources:
+        raise ValueError(f"{mode}-mode potentials need one or more source nodes, got {sources!r}")
 
     region_nodes = partition.regions[region]
     phi = np.full(graph.num_edges, INFINITE_POTENTIAL, dtype=np.int64)

@@ -20,7 +20,10 @@ def fixture_graph():
 
 
 def edge_by_label(graph, label):
-    return graph.edge_index_by_label(label)
+    for e in range(graph.num_edges):
+        if graph.edge_label(e) == label:
+            return e
+    raise ValueError(f"no edge labelled {label!r}")
 
 
 def random_edge_dist(rng, max_delta=5, max_width=6, dt=1.0):
@@ -136,3 +139,120 @@ def edge_evaluation(graph, u, edge, t):
     return float(
         sum(mass[tau] * u[j, t - tau] for tau in range(1, min(t, len(mass) - 1) + 1))
     )
+
+
+def brute_force_paths(graph, source, dest, T, max_nodes=12):
+    """Every loop-free path with its reliability, most reliable first.
+
+    Exhaustive enumeration is exponential, so this refuses graphs larger than
+    ``max_nodes``; it exists as the independent oracle for the guided search.
+    Ties are ordered by shorter path, then lexicographic node sequence.
+    """
+    if graph.num_nodes > max_nodes:
+        raise ValueError(
+            f"graph has {graph.num_nodes} nodes; brute force is limited to {max_nodes}"
+        )
+    s, d = graph.node_index(source), graph.node_index(dest)
+    results = []
+    nodes_path = [s]
+    edges_path = []
+    on_path = {s}
+
+    def visit():
+        last = nodes_path[-1]
+        if last == d and edges_path:
+            dist = rr.path_distribution(graph, edges_path, cap=T + 1)
+            rel = dist.cdf(T)
+            results.append(
+                rr.FoundPath(
+                    nodes=tuple(graph.node_ids[i] for i in nodes_path),
+                    edges=tuple(edges_path),
+                    reliability=rel,
+                    key_at_pop=rel,
+                )
+            )
+            return
+        for e in graph.out_edges[last]:
+            j = int(graph.edge_heads[e])
+            if j in on_path:
+                continue
+            nodes_path.append(j)
+            edges_path.append(int(e))
+            on_path.add(j)
+            visit()
+            on_path.discard(j)
+            edges_path.pop()
+            nodes_path.pop()
+
+    if s == d:
+        results.append(rr.FoundPath(nodes=(graph.node_ids[s],), edges=(), reliability=1.0, key_at_pop=1.0))
+    else:
+        visit()
+    results.sort(key=lambda p: (-p.reliability, len(p.edges), p.nodes))
+    return results
+
+
+def brute_force_best_path(graph, source, dest, T, max_nodes=12):
+    """The most reliable loop-free path by exhaustive enumeration.
+
+    Returns ``None`` when no path exists.  Ties resolve to the
+    lexicographically smallest node sequence.
+    """
+    ranked = brute_force_paths(graph, source, dest, T, max_nodes=max_nodes)
+    if not ranked:
+        return None
+    return min(ranked, key=lambda p: (-p.reliability, p.nodes))
+
+
+def forward_reachability_oracle(graph, policy, source, T, initial_budgets="exact"):
+    """Independent forward BFS over (node, budget) states; the oracle that
+    ``compute_realizability`` must match."""
+    reached = np.zeros((graph.num_nodes, T + 1), dtype=bool)
+    edge_first = np.full(graph.num_edges, rr.INFINITE_POTENTIAL, dtype=np.int64)
+    sources = source if isinstance(source, (list, tuple)) else [source]
+    stack = []
+    for s in sources:
+        si = graph.node_index(s)
+        budgets = [T] if initial_budgets == "exact" else list(range(T + 1))
+        for t in budgets:
+            if not reached[si, t]:
+                reached[si, t] = True
+                stack.append((si, t))
+    while stack:
+        i, t = stack.pop()
+        e = int(policy.w[i, t])
+        if e == rr.NO_EDGE:
+            continue
+        edge_first[e] = min(edge_first[e], t)
+        j = int(graph.edge_heads[e])
+        for tau in np.nonzero(graph.edge_dists[e].mass)[0]:
+            t2 = t - int(tau)
+            if t2 >= 0 and not reached[j, t2]:
+                reached[j, t2] = True
+                stack.append((j, t2))
+    return rr.RealizabilityFlags(source, T, initial_budgets, reached, edge_first)
+
+
+def rollout_policy(graph, policy, source, T, rng):
+    """Simulate one trip following the policy from ``(source, T)``.
+
+    Returns ``(edges traversed, arrived on time)``.  The traveller commits to
+    the policy's edge before its travel time realizes; a trip that overruns
+    the budget stops at the next node.
+    """
+    i = graph.node_index(source)
+    d = graph.node_index(policy.dest)
+    t = T
+    edges = []
+    while i != d:
+        if t < 0:
+            return edges, False
+        e = int(policy.w[i, t])
+        if e == rr.NO_EDGE:
+            return edges, False
+        edges.append(e)
+        mass = graph.edge_dists[e].mass
+        tau = int(rng.choices(range(len(mass)), weights=mass)[0])
+        t -= tau
+        i = int(graph.edge_heads[e])
+    return edges, t >= 0

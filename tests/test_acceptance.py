@@ -15,7 +15,15 @@ import pytest
 
 import reliroute as rr
 
-from conftest import FIXTURE_PATH, direct_policy, edge_by_label, random_connected_graph
+from conftest import (
+    FIXTURE_PATH,
+    brute_force_best_path,
+    direct_policy,
+    edge_by_label,
+    forward_reachability_oracle,
+    random_connected_graph,
+    rollout_policy,
+)
 
 SEED = 20250808
 
@@ -36,7 +44,7 @@ def criterion(name):
 
 @pytest.fixture(scope="module")
 def scaling_run():
-    """100 instances on a 32x32 grid, timed with the zdc backend."""
+    """100 instances on a 32x32 grid, timed with the block solver."""
     graph = rr.synthesize_distributions(rr.grid_topology(32), seed=SEED)
     instances = rr.generate_instances(graph, 100, seed=SEED)
     t0 = time.perf_counter()
@@ -92,7 +100,7 @@ def test_oracle_equivalence():
             T = rng.randint(1, 64)
             pol = rr.compute_policy(g, d, T)
             found = rr.sota_path(g, pol, s, T)
-            oracle = rr.brute_force_best_path(g, s, d, T, max_nodes=10)
+            oracle = brute_force_best_path(g, s, d, T, max_nodes=10)
             if not found:
                 assert oracle is None or oracle.reliability <= 1e-15
             else:
@@ -106,7 +114,7 @@ def test_oracle_equivalence():
 
 
 def test_backend_equivalence():
-    with criterion("direct vs zdc backend equivalence (50 graphs)"):
+    with criterion("block solver vs direct_policy equivalence (50 graphs)"):
         rng = random.Random(SEED + 1)
         worst = 0.0
         for _ in range(50):
@@ -115,8 +123,8 @@ def test_backend_equivalence():
             )
             T = rng.randint(1, 128)
             direct = direct_policy(g, d, T)
-            zdc = rr.compute_policy(g, d, T)
-            worst = max(worst, float(np.abs(direct.u - zdc.u).max()))
+            solved = rr.compute_policy(g, d, T)
+            worst = max(worst, float(np.abs(direct.u - solved.u).max()))
         assert worst <= 1e-9
 
 
@@ -180,11 +188,11 @@ def test_realizability_exactness():
             T = rng.randint(1, 48)
             pol = rr.compute_policy(g, d, T)
             flags = rr.compute_realizability(g, pol, s)
-            oracle = rr.forward_reachability_oracle(g, pol, s, T)
+            oracle = forward_reachability_oracle(g, pol, s, T)
             assert np.array_equal(flags.reached, oracle.reached)
             assert np.array_equal(flags.edge_marked, oracle.edge_marked)
             for _ in range(100):
-                edges, _ = rr.rollout_policy(g, pol, s, T, rng)
+                edges, _ = rollout_policy(g, pol, s, T, rng)
                 assert all(flags.edge_marked[e] for e in edges)
                 rollouts_done += 1
         assert rollouts_done == 10_000
@@ -205,7 +213,7 @@ def test_scaling_properties(scaling_run):
         summary = rr.summarize(records)
         assert summary["length_fit"]["r_squared"] >= 0.5
 
-        # (c) doubling the horizon at most triples zdc policy time
+        # (c) doubling the horizon at most triples the block solver's policy time
         mid = sorted(instances, key=lambda i: i.budget)[50]
         times = {}
         for horizon in (mid.budget, 2 * mid.budget):

@@ -169,10 +169,19 @@ class TestSynthesize:
         assert g.num_nodes == 9 and g.num_edges == 24
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats takes longer to import than the rest of the package.
+def _assert_import_leaves_out(module):
     src = str(Path(rr.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import reliroute, sys; assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'"
+    code = f"import reliroute, sys; assert {module!r} not in sys.modules, '{module} was imported'"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes longer to import than the rest of the package.
+    _assert_import_leaves_out("scipy.stats")
+
+
+def test_import_does_not_load_scipy_special():
+    # scipy.special is imported on the first synthesis, not with the package.
+    _assert_import_leaves_out("scipy.special")

@@ -8,7 +8,7 @@ import pytest
 import reliroute as rr
 from reliroute.errors import SearchBudgetExceeded
 
-from conftest import direct_policy, edge_by_label, random_connected_graph
+from conftest import brute_force_best_path, brute_force_paths, direct_policy, edge_by_label, random_connected_graph
 
 
 @pytest.fixture(scope="module")
@@ -84,18 +84,18 @@ class TestPathReliability:
 
 class TestBruteForce:
     def test_fixture_best(self, fixture_graph):
-        best = rr.brute_force_best_path(fixture_graph, "v1", "v3", 4)
+        best = brute_force_best_path(fixture_graph, "v1", "v3", 4)
         assert [fixture_graph.edge_label(e) for e in best.edges] == ["e2", "e4"]
         assert best.reliability == pytest.approx(0.65, abs=1e-12)
 
     def test_disconnected_pair(self, fixture_graph):
-        assert rr.brute_force_best_path(fixture_graph, "v3", "v1", 4) is None
+        assert brute_force_best_path(fixture_graph, "v3", "v1", 4) is None
 
     def test_size_guard(self):
         rng = random.Random(0)
         g, s, d = random_connected_graph(rng, max_nodes=14, min_nodes=13)
         with pytest.raises(ValueError, match="brute force"):
-            rr.brute_force_best_path(g, s, d, 10, max_nodes=12)
+            brute_force_best_path(g, s, d, 10, max_nodes=12)
 
     def test_matches_guided_search_on_randoms(self):
         rng = random.Random(2718)
@@ -104,7 +104,7 @@ class TestBruteForce:
             T = rng.randint(1, 40)
             pol = rr.compute_policy(g, d, T)
             found = rr.sota_path(g, pol, s, T)
-            oracle = rr.brute_force_best_path(g, s, d, T, max_nodes=8)
+            oracle = brute_force_best_path(g, s, d, T, max_nodes=8)
             if not found:
                 assert oracle is None or oracle.reliability <= 1e-15
                 continue
@@ -114,7 +114,7 @@ class TestBruteForce:
                 assert other == pytest.approx(oracle.reliability, abs=1e-9)
 
     def test_k_ranking_matches_enumeration(self, fixture_graph, fixture_policy):
-        ranked = rr.brute_force_paths(fixture_graph, "v1", "v3", 4)
+        ranked = brute_force_paths(fixture_graph, "v1", "v3", 4)
         searched = rr.sota_path(fixture_graph, fixture_policy, "v1", 4, k=3)
         assert [p.reliability for p in ranked] == pytest.approx(
             [p.reliability for p in searched], abs=1e-12

@@ -14,7 +14,15 @@ import pytest
 import reliroute as rr
 from reliroute.policy import NO_EDGE
 
-from conftest import FIXTURE_PATH, direct_policy, edge_by_label, edge_evaluation, random_connected_graph, reference_policy
+from conftest import (
+    FIXTURE_PATH,
+    brute_force_paths,
+    direct_policy,
+    edge_by_label,
+    edge_evaluation,
+    random_connected_graph,
+    reference_policy,
+)
 
 
 class TestPolicyValues:
@@ -111,7 +119,7 @@ class TestPolicyValues:
             T = rng.randint(1, 25)
             pol = rr.compute_policy(g, d, T)
             bound = pol.u[g.node_index(s), T]
-            for path in rr.brute_force_paths(g, s, d, T, max_nodes=7):
+            for path in brute_force_paths(g, s, d, T, max_nodes=7):
                 assert path.reliability <= bound + 1e-9
 
     def test_tie_break_smallest_and_stable(self):
@@ -239,3 +247,45 @@ class TestSolveLogging:
         assert len(caplog.records) == 1
         assert loud.u.tobytes() == quiet.u.tobytes()
         assert loud.w.tobytes() == quiet.w.tobytes()
+
+
+
+@pytest.fixture(scope="module")
+def budget_calls(fixture_graph):
+    """Each public entry point that takes a budget or horizon, as ``T -> call``."""
+    g = fixture_graph
+    pol = rr.compute_policy(g, "v3", 4)
+    partition = rr.grid_partition(g, 3)
+    region = partition.region_of_index(g.node_index("v3"))
+    table = rr.compute_arc_potentials(g, partition, region, 4)
+    edges = [edge_by_label(g, "e2"), edge_by_label(g, "e4")]
+    return {
+        "compute_policy": lambda T: rr.compute_policy(g, "v3", T),
+        "sota_path_report": lambda T: rr.sota_path_report(g, pol, "v1", T=T),
+        "path_reliability": lambda T: rr.path_reliability(g, None, T, edges=edges),
+        "compute_realizability": lambda T: rr.compute_realizability(g, pol, "v1", T),
+        "compute_arc_potentials": lambda T: rr.compute_arc_potentials(g, partition, region, T),
+        "PotentialTable.edge_mask": lambda T: table.edge_mask(T),
+    }
+
+
+BUDGET_ENTRY_POINTS = [
+    "compute_policy",
+    "sota_path_report",
+    "path_reliability",
+    "compute_realizability",
+    "compute_arc_potentials",
+    "PotentialTable.edge_mask",
+]
+
+
+class TestBudgetCheck:
+    @pytest.mark.parametrize("entry", BUDGET_ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [3.7, 3.0, True, "3"], ids=repr)
+    def test_non_integer_budget_rejected(self, budget_calls, entry, value):
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {value!r}")):
+            budget_calls[entry](value)
+
+    @pytest.mark.parametrize("entry", BUDGET_ENTRY_POINTS)
+    def test_numpy_integer_budget_accepted(self, budget_calls, entry):
+        budget_calls[entry](np.int64(3))

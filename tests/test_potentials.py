@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ import pytest
 import reliroute as rr
 from reliroute.potentials import INFINITE_POTENTIAL
 
-from conftest import direct_policy, edge_by_label, random_connected_graph, random_edge_dist
+from conftest import (
+    direct_policy,
+    edge_by_label,
+    forward_reachability_oracle,
+    random_connected_graph,
+    random_edge_dist,
+    rollout_policy,
+)
 
 
 def marked_labels(graph, flags):
@@ -82,7 +90,7 @@ class TestRealizability:
             pol = rr.compute_policy(g, d, T)
             for mode in ("exact", "any"):
                 flags = rr.compute_realizability(g, pol, s, initial_budgets=mode)
-                oracle = rr.forward_reachability_oracle(g, pol, s, T, initial_budgets=mode)
+                oracle = forward_reachability_oracle(g, pol, s, T, initial_budgets=mode)
                 assert np.array_equal(flags.reached, oracle.reached)
                 assert np.array_equal(flags.edge_marked, oracle.edge_marked)
                 assert np.array_equal(flags.edge_first_budget, oracle.edge_first_budget)
@@ -106,7 +114,7 @@ class TestRealizability:
         flags = rr.compute_realizability(g, pol, "v1")
         rng = random.Random(7)
         for _ in range(500):
-            edges, _ = rr.rollout_policy(g, pol, "v1", 4, rng)
+            edges, _ = rollout_policy(g, pol, "v1", 4, rng)
             assert all(flags.edge_marked[e] for e in edges)
 
 
@@ -176,7 +184,7 @@ class TestArcPotentials:
                     for d in partition.regions[region]:
                         pol = rr.compute_policy(g, g.node_ids[d], T)
                         if sources is not None:
-                            reached = rr.forward_reachability_oracle(
+                            reached = forward_reachability_oracle(
                                 g, pol, sources, T, initial_budgets="any"
                             ).reached
                         for i in range(g.num_nodes):
@@ -191,6 +199,13 @@ class TestArcPotentials:
         partition, region = fixture_region
         with pytest.raises(ValueError, match="source"):
             rr.compute_arc_potentials(fixture_graph, partition, region, 4, mode="path")
+
+    @pytest.mark.parametrize("mode", ["policy", "path"])
+    def test_empty_source_list_rejected(self, fixture_graph, fixture_region, mode):
+        # An empty list would leave every phi infinite, so prune would drop every edge.
+        partition, region = fixture_region
+        with pytest.raises(ValueError, match=re.escape(f"{mode}-mode potentials need one or more source nodes, got []")):
+            rr.compute_arc_potentials(fixture_graph, partition, region, 4, mode=mode, sources=[])
 
     def test_path_mode_fixture(self, fixture_graph, fixture_region):
         partition, region = fixture_region
