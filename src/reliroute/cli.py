@@ -184,13 +184,12 @@ def preprocess(graph_path, grid_k, horizon, mode, sources, regions, out_path):
 @click.option("--preprocess", "pruning", type=click.Choice(["policy", "path"]), default=None,
               help="Also run each instance with this pruning mode.")
 @click.option("--repetitions", type=int, default=3, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
-def bench(graph_path, n_instances, seed, grid_k, pruning, repetitions, workers, out_dir):
+def bench(graph_path, n_instances, seed, grid_k, pruning, repetitions, out_dir):
     """Run the timing study; writes records.csv and plot data."""
     graph = load_graph(graph_path)
     instances = generate_instances(graph, n_instances, seed=seed)
-    config = BenchmarkConfig(repetitions=repetitions, pruning=pruning, grid_k=grid_k, workers=workers)
+    config = BenchmarkConfig(repetitions=repetitions, pruning=pruning, grid_k=grid_k)
     records = run_benchmark(graph, instances, config=config, out_dir=out_dir)
     click.echo(json.dumps(summarize(records), indent=1))
 

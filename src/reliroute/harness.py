@@ -12,18 +12,20 @@ a monotonic clock with a configurable median-of-N repetition; records land in
 ``records.csv`` plus plot-ready series (budget vs time, path length vs time)
 and a gnuplot script, keeping the output data-only.
 
-Instances run in a small process pool when ``workers > 1``; each worker owns
-its solver state and records are merged by instance index.
+Instances run in order, in one process.  A pruning run builds one potential
+table per (destination region, sources) key, at the largest budget among the
+instances that use it, and prunes each of those instances at its own budget;
+the sources are ``(source,)`` in path mode and ``None`` in policy mode.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import heapq
 import random
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -147,7 +149,6 @@ class BenchmarkConfig:
     # noise almost for free
     pruning: str | None = None  # None | "policy" | "path"
     grid_k: int | None = None
-    workers: int = 1
 
 
 @dataclass
@@ -190,8 +191,7 @@ def _median_time(fn, repetitions: int):
     return statistics.median(times), result
 
 
-def _run_instance(args):
-    graph, partition, inst, config, index = args
+def _run_instance(graph, index, inst, config, table_for):
     rec = BenchmarkRecord(index=index, source=inst.source, dest=inst.dest, budget=inst.budget)
     try:
         policy_time, pol = _median_time(
@@ -223,12 +223,7 @@ def _run_instance(args):
 
         if config.pruning:
             rec.pruning = config.pruning
-            d_region = partition.region_of_index(graph.node_index(inst.dest))
-            sources = [inst.source] if config.pruning == "path" else None
-            table = compute_arc_potentials(
-                graph, partition, d_region, inst.budget, mode=config.pruning, sources=sources
-            )
-            mask = prune(graph, table, inst.budget)
+            mask = prune(graph, table_for(inst), inst.budget)
             rec.pruned_kept_edges = int(mask.sum())
             rec.pruned_policy_time, ppol = _median_time(
                 lambda: compute_policy(graph, inst.dest, inst.budget, edge_mask=mask),
@@ -247,13 +242,37 @@ def _run_instance(args):
     return rec
 
 
+def _table_cache(graph: StochasticGraph, instances: list[ProblemInstance], config: BenchmarkConfig):
+    """Return ``table_for(inst)``, the potential table that prunes ``inst``;
+    each is built on first use and shared by the instances with its key."""
+    partition = grid_partition(graph, config.grid_k)
+
+    def key(inst):
+        region = partition.region_of_index(graph.node_index(inst.dest))
+        return region, ((inst.source,) if config.pruning == "path" else None)
+
+    horizons = {}
+    for inst in instances:
+        try:
+            k = key(inst)
+            horizons[k] = max(horizons.get(k, inst.budget), inst.budget)
+        except (ValueError, TypeError):
+            pass  # a bad instance records its own error when it runs
+
+    @functools.cache
+    def build(k):
+        return compute_arc_potentials(graph, partition, k[0], horizons[k], mode=config.pruning, sources=k[1])
+
+    return lambda inst: build(key(inst))
+
+
 def run_benchmark(
     graph: StochasticGraph,
     instances: list[ProblemInstance],
     config: BenchmarkConfig | None = None,
     out_dir=None,
 ) -> list[BenchmarkRecord]:
-    """Execute all instances and optionally emit CSV/plot data to ``out_dir``.
+    """Execute all instances in order and optionally emit CSV/plot data to ``out_dir``.
 
     Pruning runs prune by the regions of ``grid_partition(graph, config.grid_k)``.
     """
@@ -262,14 +281,8 @@ def run_benchmark(
         raise ValueError(f"pruning {config.pruning!r} is not one of {MODES}")
     if config.pruning and not config.grid_k:
         raise ValueError(f"pruning {config.pruning!r} needs grid_k, the region grid to prune by (bench --grid)")
-    partition = grid_partition(graph, config.grid_k) if config.pruning else None
-    jobs = [(graph, partition, inst, config, i) for i, inst in enumerate(instances)]
-    if config.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            records = list(pool.map(_run_instance, jobs))
-    else:
-        records = [_run_instance(job) for job in jobs]
-    records.sort(key=lambda r: r.index)
+    table_for = _table_cache(graph, instances, config) if config.pruning else None
+    records = [_run_instance(graph, i, inst, config, table_for) for i, inst in enumerate(instances)]
     if out_dir is not None:
         write_benchmark_outputs(records, out_dir)
     return records

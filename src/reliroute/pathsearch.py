@@ -22,7 +22,6 @@ number of searches may run in parallel.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,9 +60,6 @@ class SearchReport:
     queue_peak: int = 0
     max_child_key_excess: float = float("-inf")
     final_queue_max_key: float | None = None
-    wall_time: float = 0.0
-    source: object = None
-    budget: int = 0
     policy_bound: float = 0.0
     frontier: list = field(default_factory=list, repr=False)
 
@@ -118,14 +114,12 @@ def sota_path_report(
     mask = _edge_mask(graph, edge_mask)
     U = policy.u
 
-    start = time.perf_counter()
     bound = float(U[s, T])
-    report = SearchReport(paths=[], status="found", source=source, budget=T, policy_bound=bound)
+    report = SearchReport(paths=[], status="found", policy_bound=bound)
     if bound <= 0.0:
         report.status = (
             "no_feasible_path" if _directed_reachable(graph, s, d) else "unreachable"
         )
-        report.wall_time = time.perf_counter() - start
         return report
 
     # Heap entries: (-key, len(edges), node tuple, edge tuple, q mass array).
@@ -185,7 +179,6 @@ def sota_path_report(
         report.status = "no_feasible_path"
     if keep_frontier:
         report.frontier += [(entry[4], entry[2][-1]) for entry in heap]
-    report.wall_time = time.perf_counter() - start
     return report
 
 

@@ -28,7 +28,7 @@ built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +79,7 @@ def compute_realizability(
     departure state ``(source, T)``, the right notion for a single query,
     while ``"any"`` seeds every budget ``0..T`` at the source, covering
     departures with any budget up to ``T`` (what a reusable pruning table
-    needs).  ``source`` may be one node id or a list of them.
+    needs).  ``source`` may be one node id or a nonempty list of them.
 
     The pass visits budgets ``t = T..0``, one vectorized step per budget
     over every node reached at ``t`` with a successor.  Every travel time is
@@ -96,6 +96,8 @@ def compute_realizability(
         raise ValueError(f"horizon {T} exceeds the policy horizon {policy.horizon}")
 
     sources = source if isinstance(source, (list, tuple)) else [source]
+    if not sources:
+        raise ValueError(f"realizability needs one or more source nodes, got {source!r}")
     reached = np.zeros((graph.num_nodes, T + 1), dtype=bool)
     for s in sources:
         si = graph.node_index(s)
@@ -147,13 +149,11 @@ class PotentialTable:
     (``INFINITE_POTENTIAL`` when it never does within the horizon).
     """
 
-    region: int
     horizon: int
     dt: float
     mode: str
     phi: np.ndarray
     sources: tuple | None = None
-    region_nodes: tuple = field(default_factory=tuple, repr=False)
 
     def edge_mask(self, budget: int) -> np.ndarray:
         """Edges that may participate in any optimal solution at ``<= budget``."""
@@ -257,9 +257,8 @@ def compute_arc_potentials(
     if (mode == "path" or sources is not None) and not sources:
         raise ValueError(f"{mode}-mode potentials need one or more source nodes, got {sources!r}")
 
-    region_nodes = partition.regions[region]
     phi = np.full(graph.num_edges, INFINITE_POTENTIAL, dtype=np.int64)
-    for d_idx in region_nodes:
+    for d_idx in partition.regions[region]:
         pol = compute_policy(graph, graph.node_ids[d_idx], T)
         if mode == "path":
             for s in sources:
@@ -275,13 +274,11 @@ def compute_arc_potentials(
             np.minimum(phi, flags.edge_first_budget, out=phi)
 
     return PotentialTable(
-        region=region,
         horizon=T,
         dt=graph.dt,
         mode=mode,
         phi=phi,
         sources=tuple(sources) if sources is not None else None,
-        region_nodes=tuple(int(i) for i in region_nodes),
     )
 
 
@@ -315,7 +312,6 @@ def save_archive(archive: dict, target) -> None:
         tables[str(r)] = {
             "phi": [None if p >= INFINITE_POTENTIAL else int(p) for p in tab.phi],
             "sources": list(tab.sources) if tab.sources is not None else None,
-            "region_nodes": list(tab.region_nodes),
         }
     doc = {
         "format": "reliroute-potentials",
@@ -333,10 +329,9 @@ def save_archive(archive: dict, target) -> None:
 def load_archive(source) -> dict:
     """Read an archive written by :func:`save_archive`.
 
-    Older documents also carry activation intervals (an interval count, and
-    per table the intervals and a bound on later activity); pruning never
-    read them, so they are ignored.  A missing field raises ``ValueError``
-    naming it.
+    Fields of older documents that nothing reads (activation intervals, and
+    each table's region nodes, which the partition gives) are ignored.  A
+    missing field raises ``ValueError`` naming it.
     """
     doc = json.loads(Path(source).read_text())
     if doc.get("format") != "reliroute-potentials" or doc.get("version") != 1:
@@ -350,13 +345,11 @@ def load_archive(source) -> dict:
             where = f"potentials archive table {r}"
             phi = np.array([INFINITE_POTENTIAL if p is None else p for p in tab["phi"]], dtype=np.int64)
             tables[int(r)] = PotentialTable(
-                region=int(r),
                 horizon=horizon,
                 dt=dt,
                 mode=mode,
                 phi=phi,
                 sources=tuple(tab["sources"]) if tab["sources"] is not None else None,
-                region_nodes=tuple(tab["region_nodes"]),
             )
     except KeyError as exc:
         raise ValueError(f"{where} is missing a field: {exc}") from None

@@ -1,6 +1,7 @@
 """Instance generation, LET baselines, and the benchmark runner."""
 
 import csv
+import dataclasses
 import math
 
 import pytest
@@ -105,6 +106,14 @@ class TestRunBenchmark:
         records = rr.run_benchmark(fixture_graph, [bad], config=rr.BenchmarkConfig(repetitions=1))
         assert records[0].status == "error"
         assert "unknown node" in records[0].error
+        # With pruning on, the bad instance fails alone; a good one sharing
+        # the run still gets its table.
+        good = dataclasses.replace(bad, dest="v3")
+        for mode in ("policy", "path"):
+            config = rr.BenchmarkConfig(repetitions=1, pruning=mode, grid_k=3)
+            bad_rec, good_rec = rr.run_benchmark(fixture_graph, [bad, good], config=config)
+            assert bad_rec.status == "error" and "unknown node" in bad_rec.error
+            assert good_rec.status == "found" and good_rec.pruned_reliability == good_rec.reliability
 
     def test_pruned_runs_match_unpruned(self):
         g = rr.synthesize_distributions(rr.grid_topology(4), seed=21)
@@ -116,6 +125,51 @@ class TestRunBenchmark:
                 assert not math.isnan(rec.pruned_reliability)
                 assert rec.pruned_reliability == pytest.approx(rec.reliability, abs=1e-12)
                 assert 0 < rec.pruned_kept_edges <= g.num_edges
+
+    @pytest.mark.parametrize("mode", ["policy", "path"])
+    def test_pruned_runs_build_each_table_once(self, monkeypatch, mode):
+        g = rr.synthesize_distributions(rr.grid_topology(4), seed=21)
+        partition = rr.grid_partition(g, 2)
+        trips = [
+            ("n00_00", "n03_03", 70), ("n01_01", "n02_02", 60), ("n00_00", "n02_03", 95),
+            ("n00_03", "n03_02", 45), ("n00_03", "n03_03", 80), ("n03_03", "n00_00", 90),
+        ]
+        instances = [
+            rr.ProblemInstance(source=s, dest=d, budget=b, seed=0,
+                               let_nodes=(), let_edges=(), p5=0, p95=0)
+            for s, d, b in trips
+        ]
+
+        def key(inst):
+            region = partition.region_of_index(g.node_index(inst.dest))
+            return region, ((inst.source,) if mode == "path" else None)
+
+        horizons = {}
+        for inst in instances:
+            horizons[key(inst)] = max(horizons.get(key(inst), 0), inst.budget)
+        assert len(horizons) == (4 if mode == "path" else 2)
+
+        builds = []
+        build = rr.harness.compute_arc_potentials
+
+        def counting(graph, part, region, T, mode, sources):
+            builds.append(((region, sources), T))
+            return build(graph, part, region, T, mode=mode, sources=sources)
+
+        monkeypatch.setattr(rr.harness, "compute_arc_potentials", counting)
+        config = rr.BenchmarkConfig(repetitions=1, pruning=mode, grid_k=2)
+        records = rr.run_benchmark(g, instances, config=config)
+        assert sorted(builds, key=repr) == sorted(horizons.items(), key=repr)
+
+        for inst, rec in zip(instances, records):
+            assert rec.status == "found", rec.error
+            region, sources = key(inst)
+            table = rr.compute_arc_potentials(g, partition, region, inst.budget, mode=mode, sources=sources)
+            mask = rr.prune(g, table, inst.budget)
+            pol = rr.compute_policy(g, inst.dest, inst.budget, edge_mask=mask)
+            best = rr.sota_path(g, pol, inst.source, inst.budget, edge_mask=mask)
+            assert rec.pruned_kept_edges == int(mask.sum())
+            assert rec.pruned_reliability == best[0].reliability
 
     @pytest.mark.parametrize("mode", ["policy", "path"])
     def test_pruning_without_grid_rejected(self, fixture_graph, mode):
@@ -151,19 +205,6 @@ class TestRunBenchmark:
         assert header == ["budget", "policy_time", "path_time"]
         assert (tmp_path / "plots" / "length_vs_time.csv").exists()
         assert (tmp_path / "plots" / "plots.gp").exists()
-
-    def test_worker_pool_matches_serial_results(self, fixture_graph):
-        instances = rr.generate_instances(fixture_graph, 4, seed=3)
-        serial = rr.run_benchmark(
-            fixture_graph, instances, config=rr.BenchmarkConfig(repetitions=1, workers=1)
-        )
-        pooled = rr.run_benchmark(
-            fixture_graph, instances, config=rr.BenchmarkConfig(repetitions=1, workers=2)
-        )
-        for a, b in zip(serial, pooled):
-            assert a.index == b.index
-            assert a.reliability == b.reliability
-            assert a.path_edges == b.path_edges
 
     def test_summary_fields(self, fixture_graph):
         instances = rr.generate_instances(fixture_graph, 5, seed=4)

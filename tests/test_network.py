@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -232,6 +233,17 @@ class TestSaveRoundTrip:
         target = tmp_path / "cut.json"
         assert rr.save_graph(g, target)["edges"][0]["dist"]["truncated_tail"] == 0.2
         _assert_same_pmfs(rr.load_graph(target), g)
+
+    def test_graph_pickles(self):
+        # Graphs can be shared with other processes: distributions pickle by
+        # value and come back immutable.
+        cut = rr.DiscreteDistribution([0.0, 0.5, 0.3], truncated_tail=0.2)
+        g = rr.StochasticGraph(1.0, [("a", 0, 0), ("b", 1, 0)], [("a", "b", cut, "ab")])
+        again = pickle.loads(pickle.dumps(g))
+        assert again.node_ids == g.node_ids and again.edge_label(0) == "ab"
+        _assert_same_pmfs(again, g)
+        with pytest.raises(ValueError):
+            again.edge_dists[0].mass[1] = 0.9
 
     def test_acceptance_grid_masses_pinned(self, grids):
         assert _mass_digest(grids["acceptance-32"]) == ACCEPTANCE_MASS_SHA256

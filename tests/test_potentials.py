@@ -206,6 +206,10 @@ class TestArcPotentials:
         partition, region = fixture_region
         with pytest.raises(ValueError, match=re.escape(f"{mode}-mode potentials need one or more source nodes, got []")):
             rr.compute_arc_potentials(fixture_graph, partition, region, 4, mode=mode, sources=[])
+        # Realizability from no source would report nothing reached.
+        pol = rr.compute_policy(fixture_graph, "v3", 4)
+        with pytest.raises(ValueError, match=re.escape("realizability needs one or more source nodes, got []")):
+            rr.compute_realizability(fixture_graph, pol, [])
 
     def test_path_mode_fixture(self, fixture_graph, fixture_region):
         partition, region = fixture_region
@@ -341,10 +345,13 @@ class TestArchiveIO:
         archive = rr.build_archive(fixture_graph, partition, 6)
         target = tmp_path / "potentials.json"
         rr.save_archive(archive, target)
-        # Older writers also stored activation intervals; they are ignored.
+        # Older writers also stored activation intervals and each table's
+        # region nodes; they are ignored.
         doc = json.loads(target.read_text())
+        assert all("region_nodes" not in tab for tab in doc["tables"].values())
         doc["k_intervals"] = 2
-        for tab in doc["tables"].values():
+        for r, tab in doc["tables"].items():
+            tab["region_nodes"] = [int(i) for i in partition.regions[int(r)]]
             tab["intervals"] = [[[p, 6]] if p is not None else [] for p in tab["phi"]]
             tab["next_lb"] = [7] * len(tab["phi"])
         target.write_text(json.dumps(doc))
