@@ -159,6 +159,31 @@ class StochasticGraph:
         means.setflags(write=False)
         return means
 
+    @cached_property
+    def edge_support(self) -> np.ndarray:
+        """Per-edge support as runs of consecutive nonzero bins, computed on
+        first use.
+
+        ``edge_support[e, k]`` is the first and last bin (inclusive) of run
+        ``k`` of edge ``e``, as int32; an edge with fewer runs than the most
+        repeats its first run.  ``edge_support[e, 0, 0]`` is the edge's
+        ``min_bin`` and the largest last bin is ``support_end - 1``.
+        """
+        runs = []
+        for d in self.edge_dists:
+            # Most pmfs are nonzero from min_bin to their last bin: one run.
+            if np.count_nonzero(d.mass) == len(d.mass) - d.min_bin:
+                runs.append([(d.min_bin, len(d.mass) - 1)])
+            else:
+                nz = np.flatnonzero(d.mass)
+                cut = np.flatnonzero(np.diff(nz) > 1)
+                runs.append(list(zip(nz[np.r_[0, cut + 1]], nz[np.r_[cut, -1]])))
+        width = max((len(r) for r in runs), default=1)
+        padded = [r + r[:1] * (width - len(r)) for r in runs]
+        table = np.array(padded, dtype=np.int32).reshape(len(runs), width, 2)
+        table.setflags(write=False)
+        return table
+
 
 # -- file ingestion ---------------------------------------------------------
 

@@ -185,15 +185,20 @@ class _EdgeArrays:
     included, so the block layout does not depend on which groups are dropped.
     ``spectra`` holds the transforms of each row's kernel partitions 1..R,
     partition-major, and ``first_mass`` each row's mass at ``min_bin``, which
-    may lie beyond the last partition."""
+    may lie beyond the last partition.
 
-    def __init__(self, graph: StochasticGraph, d: int, T: int, edge_mask):
+    Without ``shared`` the spectra are built for these rows alone.  Solves
+    toward several destinations pass one ``shared`` dict, which keeps the
+    :func:`_transform` of every edge of the graph per ``(D, R)``, and gather
+    their rows from it: the same numbers, transformed once."""
+
+    def __init__(self, graph: StochasticGraph, d: int, T: int, edge_mask, shared: dict | None = None):
         kept = np.nonzero(_edge_mask(graph, edge_mask) & (graph.edge_tails != d))[0]
         self.num_kept = len(kept)
-        dists = [graph.edge_dists[e] for e in kept]
+        runs = graph.edge_support[kept]
         tails, heads = graph.edge_tails[kept], graph.edge_heads[kept]
-        mins = np.array([dist.min_bin for dist in dists], dtype=np.int64)
-        ends = np.array([dist.support_end for dist in dists], dtype=np.int64)
+        mins = runs[:, 0, 0].astype(np.int64)
+        ends = runs[:, :, 1].max(axis=1, initial=0).astype(np.int64) + 1
         self.D = int(mins.min()) if len(kept) else 1
         # Partition 0 is empty, and partitions from T // D + 1 on never meet an
         # input window, so R partitions remain.
@@ -219,19 +224,40 @@ class _EdgeArrays:
         self.conv_row[self.conv] = np.arange(len(rows))
         self.class_starts = np.flatnonzero(np.diff(reach[self.conv], prepend=-1) != 0)
         self.class_reach = reach[self.conv][self.class_starts]
-        # kernels[k, c] is partition k, bins [kD, kD + D), of convolution row c.
-        kernels = np.zeros((self.R + 1, len(rows), self.D))
+        edges = self.orig[self.conv]
+        if shared is None:
+            self.spectra, first = _transform(graph, edges, self.D, self.R)
+        else:
+            if (self.D, self.R) not in shared:
+                shared[self.D, self.R] = _transform(graph, np.arange(graph.num_edges), self.D, self.R)
+            spectra, first = shared[self.D, self.R]
+            self.spectra, first = spectra.take(edges, axis=1), first[edges]
         self.first_mass = np.empty(len(rows))
-        for c, r in enumerate(self.conv):
-            mass = dists[rows[r]].mass
-            self.first_mass[r] = mass[self.mins[r]]
-            full, rest = divmod(min(len(mass), (self.R + 1) * self.D), self.D)
-            kernels[:full, c] = mass[: full * self.D].reshape(full, self.D)
-            if rest:
-                kernels[full, c, :rest] = mass[full * self.D : full * self.D + rest]
-        # spectra[i] is partition R - i of every kernel.  The kernels are freed
-        # here, before the sweep allocates its ring.
-        self.spectra = np.fft.rfft(kernels[:0:-1], 2 * self.D, axis=2)
+        self.first_mass[self.conv] = first
+
+
+def _transform(graph: StochasticGraph, edges, D: int, R: int):
+    """The kernel partitions 1..R of ``D`` bins of each of ``edges``,
+    transformed, and each edge's mass at its ``min_bin``.
+
+    ``spectra[i, c]`` is the ``rfft`` over ``2 D`` bins of partition
+    ``R - i``, bins ``[(R - i) D, (R - i) D + D)``, of ``edges[c]``.  Each
+    row is transformed on its own, so a row's spectrum does not depend on
+    which other edges are transformed with it.
+    """
+    # kernels[k, c] is partition k of edges[c].  They are freed on return,
+    # before the sweep allocates its ring.
+    kernels = np.zeros((R + 1, len(edges), D))
+    first = np.empty(len(edges))
+    for c, e in enumerate(edges):
+        dist = graph.edge_dists[e]
+        mass = dist.mass
+        first[c] = mass[dist.min_bin]
+        full, rest = divmod(min(len(mass), (R + 1) * D), D)
+        kernels[:full, c] = mass[: full * D].reshape(full, D)
+        if rest:
+            kernels[full, c, :rest] = mass[full * D : full * D + rest]
+    return np.fft.rfft(kernels[:0:-1], 2 * D, axis=2), first
 
 
 def _write_step(U, W, t0, arrays: _EdgeArrays, groups, vals):
@@ -356,6 +382,13 @@ def compute_policy(
     ``w[i, t]`` is the smallest edge within ``EXACT_TOL`` of the best edge at
     budget ``t``, or ``NO_EDGE`` where the best is 0.
     """
+    return _solve(graph, dest, T, edge_mask)
+
+
+def _solve(graph: StochasticGraph, dest, T: int, edge_mask=None, shared: dict | None = None) -> PolicyTable:
+    """:func:`compute_policy`; solves toward several destinations of one
+    graph share kernel transforms through one ``shared`` dict (see
+    :class:`_EdgeArrays`), with tables bit-identical to solving alone."""
     T = _budget(T, "horizon")
     if T < 0:
         raise ValueError(f"horizon must be nonnegative, got {T}")
@@ -366,7 +399,7 @@ def compute_policy(
     U = np.zeros((graph.num_nodes, T + 1))
     W = np.full((graph.num_nodes, T + 1), NO_EDGE, dtype=np.int32)
     U[d, :] = 1.0
-    arrays = _EdgeArrays(graph, d, T, edge_mask)
+    arrays = _EdgeArrays(graph, d, T, edge_mask, shared)
 
     active = _sweep_blocks(T, arrays, U, W) if len(arrays.orig) else 0
     blocks = T // arrays.D + 1

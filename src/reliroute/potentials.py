@@ -18,16 +18,21 @@ modes:
 
 *Realizability* answers which ``(node, remaining budget)`` states a traveller
 following the optimal policy can actually occupy: flags propagate from the
-source through the chosen successors in descending budget order, so every
-flag is final before it propagates.
+source through the chosen successors in blocks of descending budgets, each
+as wide as the least minimum travel time, so every landing falls below its
+block and every flag is final before it propagates.
 
-Per-destination computations are independent; tables are immutable once
-built.
+A table solves one policy per region destination.  The solves are
+independent but share their kernel transforms, one per block layout, which
+a region's destinations almost always have in common.  Tables are immutable
+once built.
 """
 
 from __future__ import annotations
 
 import json
+import logging
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,8 +40,12 @@ import numpy as np
 
 from .distributions import EXACT_TOL, _budget
 from .network import RegionPartition, StochasticGraph
-from .policy import NO_EDGE, PolicyTable, compute_policy
+# compute_policy is not called here, but perfbench's traced run wraps it where
+# this module would look it up.
+from .policy import NO_EDGE, PolicyTable, _solve, compute_policy  # noqa: F401
 from .pathsearch import path_distribution, sota_path_report
+
+_log = logging.getLogger(__name__)
 
 #: Serializable stand-in for "never active within the horizon".
 INFINITE_POTENTIAL = np.iinfo(np.int32).max
@@ -54,9 +63,6 @@ class RealizabilityFlags:
     edge ``e`` is traversed from a reachable state, else ``INFINITE_POTENTIAL``.
     """
 
-    source: object
-    horizon: int
-    initial_budgets: str
     reached: np.ndarray
     edge_first_budget: np.ndarray
 
@@ -81,10 +87,14 @@ def compute_realizability(
     departures with any budget up to ``T`` (what a reusable pruning table
     needs).  ``source`` may be one node id or a nonempty list of them.
 
-    The pass visits budgets ``t = T..0``, one vectorized step per budget
-    over every node reached at ``t`` with a successor.  Every travel time is
-    at least one bin, self-loops included, so each step lands only on
-    strictly smaller budgets and every flag is final before it propagates.
+    The pass visits the budgets from ``T`` down in blocks of ``D``, the least
+    minimum travel time of the graph's edges (the last block may be shorter).
+    Every landing from a block falls strictly below it, so the flags of a
+    block are final when it is reached, and one vectorized step propagates
+    every reached state of the block that has a successor.  An edge's
+    support is a few runs of consecutive bins (:attr:`StochasticGraph.edge_support`),
+    so each run lands on one interval of its head's budgets, marked by a
+    difference array.
     """
     if initial_budgets not in ("exact", "any"):
         raise ValueError(f"unknown initial-budget mode {initial_budgets!r}")
@@ -98,6 +108,7 @@ def compute_realizability(
     sources = source if isinstance(source, (list, tuple)) else [source]
     if not sources:
         raise ValueError(f"realizability needs one or more source nodes, got {source!r}")
+    start = time.perf_counter()
     reached = np.zeros((graph.num_nodes, T + 1), dtype=bool)
     for s in sources:
         si = graph.node_index(s)
@@ -107,34 +118,40 @@ def compute_realizability(
             reached[si, :] = True
 
     edge_first = np.full(graph.num_edges, INFINITE_POTENTIAL, dtype=np.int64)
-    # supports[e] lists the bins with mass on edge e, padded by repeating its
-    # first bin (a repeated landing state is harmless).
-    taus = [np.nonzero(d.mass)[0] for d in graph.edge_dists]
-    supports = np.zeros((graph.num_edges, max((len(x) for x in taus), default=0)), dtype=np.int64)
-    for e, x in enumerate(taus):
-        supports[e] = x[0]
-        supports[e, : len(x)] = x
-    W = policy.w
-
-    for t in range(T, -1, -1):
-        nodes = np.nonzero(reached[:, t] & (W[:, t] != NO_EDGE))[0]
+    runs = graph.edge_support
+    D = int(runs[:, 0, 0].min(initial=T + 1))
+    W = policy.w[:, : T + 1]
+    blocks = 0
+    for hi in range(T, -1, -D):
+        lo = max(hi - D + 1, 0)
+        nodes, k = np.nonzero(reached[:, lo : hi + 1] & (W[:, lo : hi + 1] != NO_EDGE))
         if nodes.size == 0:
             continue
+        blocks += 1
+        t = lo + k
         edges = W[nodes, t]
-        edge_first[edges] = t
-        landing = t - supports[edges]
-        ok = landing >= 0
-        heads = np.broadcast_to(graph.edge_heads[edges][:, None], landing.shape)
-        reached[heads[ok], landing[ok]] = True
+        # Blocks come in descending order, so the least budget of the block
+        # that takes an edge is its least overall.
+        np.minimum.at(edge_first, edges, t)
+        # Run [a, b] lands on budgets [t - b, t - a], all below lo.
+        top = t[:, None] - runs[edges, :, 0]
+        ok = top >= 0
+        heads = np.broadcast_to(graph.edge_heads[edges][:, None], top.shape)[ok]
+        bottom = np.maximum(t[:, None] - runs[edges, :, 1], 0)[ok]
+        # marks[r, c] counts intervals of head rows[r] opening at budget
+        # base + c, less those closing just below it.
+        rows, row = np.unique(heads, return_inverse=True)
+        base = int(bottom.min(initial=lo))
+        marks = np.zeros((len(rows), lo + 1 - base), dtype=np.int32)
+        np.add.at(marks, (row, bottom - base), 1)
+        np.add.at(marks, (row, top[ok] + 1 - base), -1)
+        reached[rows, base:lo] |= np.cumsum(marks[:, :-1], axis=1) > 0
 
-    return RealizabilityFlags(
-        source=source,
-        horizon=T,
-        initial_budgets=initial_budgets,
-        reached=reached,
-        edge_first_budget=edge_first,
+    _log.debug(
+        "realizability from %r, T=%d: %d of %d blocks of D=%d propagated, %d states reached, %.4f s",
+        source, T, blocks, -(-(T + 1) // D), D, np.count_nonzero(reached), time.perf_counter() - start,
     )
-
+    return RealizabilityFlags(reached=reached, edge_first_budget=edge_first)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +274,12 @@ def compute_arc_potentials(
     if (mode == "path" or sources is not None) and not sources:
         raise ValueError(f"{mode}-mode potentials need one or more source nodes, got {sources!r}")
 
+    start = time.perf_counter()
     phi = np.full(graph.num_edges, INFINITE_POTENTIAL, dtype=np.int64)
+    # Kernel transforms per (D, R), shared by the region's solves.
+    kernels = {}
     for d_idx in partition.regions[region]:
-        pol = compute_policy(graph, graph.node_ids[d_idx], T)
+        pol = _solve(graph, graph.node_ids[d_idx], T, shared=kernels)
         if mode == "path":
             for s in sources:
                 if graph.node_index(s) != d_idx:
@@ -273,6 +293,10 @@ def compute_arc_potentials(
             flags = compute_realizability(graph, pol, list(sources), T, initial_budgets="any")
             np.minimum(phi, flags.edge_first_budget, out=phi)
 
+    _log.debug(
+        "%s-mode potentials toward region %d, T=%d, sources %r: %d destinations, %d kernel builds, %.4f s",
+        mode, region, T, sources, len(partition.regions[region]), len(kernels), time.perf_counter() - start,
+    )
     return PotentialTable(
         horizon=T,
         dt=graph.dt,

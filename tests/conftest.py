@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import reliroute as rr
+from reliroute.potentials import _lower_along_optimal_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_PATH = REPO_ROOT / "fixtures" / "appendix_a.json"
@@ -230,7 +231,36 @@ def forward_reachability_oracle(graph, policy, source, T, initial_budgets="exact
             if t2 >= 0 and not reached[j, t2]:
                 reached[j, t2] = True
                 stack.append((j, t2))
-    return rr.RealizabilityFlags(source, T, initial_budgets, reached, edge_first)
+    return rr.RealizabilityFlags(reached, edge_first)
+
+
+def per_destination_potentials(graph, partition, region, T, mode="policy", sources=None):
+    """Activation potentials from one ``compute_policy`` per region
+    destination, each building its own kernels; the oracle for
+    ``compute_arc_potentials``, whose solves share them.
+
+    Policy mode takes, by explicit loops, the least budget at which each edge
+    is some destination's successor at a node (reached from ``sources`` by
+    ``forward_reachability_oracle``, when given).  Path mode lowers ``phi``
+    along optimal paths from each source, as the library does, on these
+    tables.
+    """
+    phi = np.full(graph.num_edges, rr.INFINITE_POTENTIAL, dtype=np.int64)
+    for d in partition.regions[region]:
+        pol = rr.compute_policy(graph, graph.node_ids[d], T)
+        if mode == "path":
+            for s in sources:
+                if graph.node_index(s) != d:
+                    _lower_along_optimal_paths(phi, graph, pol, s, T)
+            continue
+        if sources is not None:
+            reached = forward_reachability_oracle(graph, pol, list(sources), T, initial_budgets="any").reached
+        for i in range(graph.num_nodes):
+            for t in range(T + 1):
+                e = int(pol.w[i, t])
+                if e != rr.NO_EDGE and (sources is None or reached[i, t]):
+                    phi[e] = min(phi[e], t)
+    return phi
 
 
 def rollout_policy(graph, policy, source, T, rng):

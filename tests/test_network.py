@@ -10,7 +10,7 @@ import pytest
 import reliroute as rr
 from reliroute.errors import GraphValidationError
 
-from conftest import FIXTURE_PATH
+from conftest import FIXTURE_PATH, edge_by_label
 
 #: SHA-256 of the 32x32 acceptance grid's edge masses (see ``_mass_digest``).
 ACCEPTANCE_MASS_SHA256 = "f8acb69ddcda6081b51aace57eefe727bb2b50a8b0454ac36f9b72deec5e45c3"
@@ -265,6 +265,31 @@ class TestSaveRoundTrip:
 
         grid = grids["12-dt0.5"]
         _assert_same_pmfs(rr.load_graph(_pairs_form(rr.save_graph(grid))), grid)
+
+def test_edge_support_runs_cover_exactly_the_nonzero_bins(fixture_graph):
+    rng = np.random.default_rng(11)
+    edges = []
+    for _ in range(60):
+        mass = rng.random(int(rng.integers(2, 30)))
+        if rng.random() < 0.5:
+            mass *= rng.random(len(mass)) < 0.6  # gaps
+        mass[0] = 0.0
+        mass[-1] += 0.1
+        edges.append((0, 1, rr.DiscreteDistribution(mass / mass.sum())))
+    g = rr.StochasticGraph(1.0, [(0, 0.0, 0.0), (1, 1.0, 0.0)], edges)
+    # The fixture's e3 has mass at bins 1 and 4 only.
+    for graph in (g, fixture_graph):
+        support = graph.edge_support
+        assert support.dtype == np.int32
+        for e, dist in enumerate(graph.edge_dists):
+            covered = set()
+            for first, last in support[e]:
+                covered |= set(range(first, last + 1))
+            assert covered == set(np.flatnonzero(dist.mass))
+            assert support[e, 0, 0] == dist.min_bin
+            assert support[e, :, 1].max() + 1 == dist.support_end
+    assert fixture_graph.edge_support[edge_by_label(fixture_graph, "e3")].tolist() == [[1, 1], [4, 4]]
+
 
 class TestGridPartition:
     def test_single_region(self, fixture_graph):

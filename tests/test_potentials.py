@@ -2,8 +2,12 @@
 
 import dataclasses
 import json
+import logging
+import os
 import random
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,9 +16,11 @@ import reliroute as rr
 from reliroute.potentials import INFINITE_POTENTIAL
 
 from conftest import (
+    FIXTURE_PATH,
     direct_policy,
     edge_by_label,
     forward_reachability_oracle,
+    per_destination_potentials,
     random_connected_graph,
     random_edge_dist,
     rollout_policy,
@@ -36,6 +42,30 @@ def with_self_loops_and_parallels(rng, g):
         edges.append((tail, head, random_edge_dist(rng)))
     nodes = [(nid, *g.coords[i]) for i, nid in enumerate(g.node_ids)]
     return rr.StochasticGraph(1.0, nodes, edges)
+
+
+def wide_block_graph(rng, least):
+    """Random multigraph whose least ``min_bin`` is ``least``, so that
+    realizability propagates blocks of ``least`` budgets.  Edge minimums run
+    from ``least`` to ``least + 4``, tails up to 30 bins, and a third of the
+    supports have gaps.  A chain joins 0 to n - 1, and there are self-loops
+    and parallel edges.  Returns ``(graph, dest)``."""
+
+    def dist(first):
+        mass = np.zeros(first + rng.randint(1, 30))
+        mass[first:] = [rng.random() + 0.01 for _ in range(len(mass) - first)]
+        if rng.random() < 0.3 and len(mass) - first > 2:
+            mass[rng.sample(range(first + 1, len(mass) - 1), rng.randint(1, len(mass) - first - 2))] = 0.0
+        return rr.DiscreteDistribution(mass / mass.sum())
+
+    n = rng.randint(2, 9)
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 14))]
+    pairs += rng.sample(pairs, min(len(pairs), 3)) + [(rng.randrange(n),) * 2]
+    edges = [(a, b, dist(rng.randint(least, least + 4))) for a, b in pairs]
+    a, b = pairs[rng.randrange(len(pairs))]
+    edges.append((a, b, dist(least)))
+    return rr.StochasticGraph(1.0, [(i, float(i), 0.0) for i in range(n)], edges), n - 1
 
 
 class TestRealizability:
@@ -94,6 +124,24 @@ class TestRealizability:
                 assert np.array_equal(flags.reached, oracle.reached)
                 assert np.array_equal(flags.edge_marked, oracle.edge_marked)
                 assert np.array_equal(flags.edge_first_budget, oracle.edge_first_budget)
+
+    def test_matches_forward_oracle_in_wide_blocks(self):
+        # Blocks of D = 3..6 budgets: T = 0, T < D, whole blocks only, a
+        # ragged last block, and a random horizon, in both modes, from one
+        # source or several.
+        rng = random.Random(2468)
+        for _ in range(40):
+            least = rng.randint(3, 6)
+            g, d = wide_block_graph(rng, least)
+            assert g.edge_support[:, 0, 0].min() == least
+            for T in (0, least - 1, 4 * least - 1, 3 * least + 1, rng.randint(least, 90)):
+                pol = rr.compute_policy(g, d, T)
+                sources = rng.choice(g.node_ids) if rng.random() < 0.5 else rng.sample(g.node_ids, rng.randint(1, min(3, g.num_nodes)))
+                for mode in ("exact", "any"):
+                    flags = rr.compute_realizability(g, pol, sources, initial_budgets=mode)
+                    oracle = forward_reachability_oracle(g, pol, sources, T, initial_budgets=mode)
+                    assert np.array_equal(flags.reached, oracle.reached), (least, T, mode)
+                    assert np.array_equal(flags.edge_first_budget, oracle.edge_first_budget), (least, T, mode)
 
     def test_table_from_another_graph_rejected(self, fixture_graph):
         g, _, d = random_connected_graph(random.Random(5), min_nodes=5, max_nodes=5)
@@ -180,20 +228,45 @@ class TestArcPotentials:
             partition = rr.grid_partition(g, 2)
             for region in range(partition.region_count):
                 for sources in (None, [s], rng.sample(g.node_ids, 2)):
-                    expect = [INFINITE_POTENTIAL] * g.num_edges
-                    for d in partition.regions[region]:
-                        pol = rr.compute_policy(g, g.node_ids[d], T)
-                        if sources is not None:
-                            reached = forward_reachability_oracle(
-                                g, pol, sources, T, initial_budgets="any"
-                            ).reached
-                        for i in range(g.num_nodes):
-                            for t in range(T + 1):
-                                e = int(pol.w[i, t])
-                                if e != rr.NO_EDGE and (sources is None or reached[i, t]):
-                                    expect[e] = min(expect[e], t)
+                    expect = per_destination_potentials(g, partition, region, T, sources=sources)
                     table = rr.compute_arc_potentials(g, partition, region, T, sources=sources)
-                    assert table.phi.tolist() == expect
+                    assert table.phi.tolist() == expect.tolist()
+
+    @pytest.mark.parametrize("kind", ["policy", "conditioned", "path"])
+    def test_one_kernel_build_per_block_layout(self, monkeypatch, kind):
+        # x's only out-edge is the graph's unique least min_bin (2), so toward
+        # x the blocks are 4 bins and toward y 2: two builds for the region
+        # {x, y}.  All four destinations of a grid region share one.
+        def dist(*bins):
+            mass = np.zeros(max(bins) + 1)
+            mass[list(bins)] = 1.0
+            return rr.DiscreteDistribution(mass / mass.sum())
+
+        g = rr.StochasticGraph(
+            1.0,
+            [(n, float(i), 0.0) for i, n in enumerate("abcxy")],
+            [("x", "a", dist(2, 3)), ("a", "x", dist(*range(4, 10))), ("a", "y", dist(*range(5, 13))),
+             ("b", "a", dist(4, 5, 6)), ("b", "a", dist(*range(6, 16))), ("b", "y", dist(*range(7, 21))),
+             ("c", "b", dist(*range(4, 9))), ("y", "c", dist(4, 5)), ("a", "a", dist(4, 5)),
+             ("c", "x", dist(4, 9)), ("y", "b", dist(*range(5, 40)))],
+        )
+        grid = rr.synthesize_distributions(rr.grid_topology(4), seed=5)
+        cases = [
+            (g, rr.RegionPartition([0, 0, 0, 1, 1]), 1, 40, 2, ["c", "b"]),
+            (grid, rr.grid_partition(grid, 2), 3, 150, 1, ["n00_00"]),
+        ]
+        builds = []
+        transform = rr.policy._transform
+        monkeypatch.setattr(rr.policy, "_transform", lambda *args: builds.append(args[2:]) or transform(*args))
+        for graph, partition, region, T, expect_builds, sources in cases:
+            mode = "path" if kind == "path" else "policy"
+            src = None if kind == "policy" else sources
+            builds.clear()
+            table = rr.compute_arc_potentials(graph, partition, region, T, mode=mode, sources=src)
+            assert len(builds) == len(set(builds)) == expect_builds
+            expect = per_destination_potentials(graph, partition, region, T, mode=mode, sources=src)
+            assert table.phi.tolist() == expect.tolist()
+            assert (table.phi < INFINITE_POTENTIAL).any()
 
     def test_path_mode_requires_sources(self, fixture_graph, fixture_region):
         partition, region = fixture_region
@@ -243,6 +316,68 @@ class TestArcPotentials:
         mask = rr.prune(g, table, 8)
         pol = rr.compute_policy(g, "d", 8, edge_mask=mask)
         assert rr.sota_path(g, pol, "s", 8, edge_mask=mask)[0].reliability == 1.0
+
+
+class TestPotentialsLogging:
+    @staticmethod
+    def two_node_graph():
+        # One edge of minimum 2 bins: blocks of D=2.
+        return rr.StochasticGraph(1.0, [("s", 0, 0), ("d", 1, 0)], [("s", "d", rr.DiscreteDistribution.point_mass(2))])
+
+    def test_silent_without_logging_configuration(self):
+        code = (
+            "import reliroute as rr\n"
+            f"g = rr.load_graph({str(FIXTURE_PATH)!r})\n"
+            "rr.compute_arc_potentials(g, rr.grid_partition(g, 3), 2, 6, sources=['v1'])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == done.stderr == ""
+
+    def test_one_debug_record_per_pass(self, caplog):
+        # Budgets 5..0 make blocks [4, 5], [2, 3] and [0, 1]; only the first
+        # holds a state with a successor, (s, 5), which lands on (d, 3).
+        g = self.two_node_graph()
+        pol = rr.compute_policy(g, "d", 5)
+        with caplog.at_level(logging.DEBUG, logger="reliroute"):
+            rr.compute_realizability(g, pol, "s")
+        [record] = [r for r in caplog.records if r.name.startswith("reliroute")]
+        assert record.levelno == logging.DEBUG
+        assert re.fullmatch(
+            r"realizability from 's', T=5: 1 of 3 blocks of D=2 propagated, 2 states reached, \d+\.\d{4} s",
+            record.getMessage(),
+        )
+
+    def test_one_debug_record_per_build(self, caplog):
+        g = self.two_node_graph()
+        partition = rr.RegionPartition([1, 0])
+        with caplog.at_level(logging.DEBUG, logger="reliroute"):
+            rr.compute_arc_potentials(g, partition, 1, 5, sources=["s"])
+        records = [r for r in caplog.records if r.name == "reliroute.potentials"]
+        assert [r.getMessage().split(":")[0] for r in records] == [
+            "realizability from ['s'], T=5",
+            "policy-mode potentials toward region 1, T=5, sources ['s']",
+        ]
+        assert re.fullmatch(r".*: 1 destinations, 1 kernel builds, \d+\.\d{4} s", records[1].getMessage())
+        assert len([r for r in caplog.records if r.name == "reliroute.policy"]) == 1
+
+    def test_results_identical_with_debug_on(self, caplog):
+        g = rr.synthesize_distributions(rr.grid_topology(4), seed=3)
+        partition = rr.grid_partition(g, 2)
+        pol = rr.compute_policy(g, "n03_03", 90)
+
+        def build():
+            flags = rr.compute_realizability(g, pol, ["n00_00", "n01_02"], initial_budgets="any")
+            tables = [rr.compute_arc_potentials(g, partition, 3, 90, mode=mode, sources=src)
+                      for mode, src in (("policy", None), ("policy", ["n00_00"]), ("path", ["n00_00"]))]
+            return [flags.reached.tobytes(), flags.edge_first_budget.tobytes()] + [t.phi.tobytes() for t in tables]
+
+        quiet = build()
+        with caplog.at_level(logging.DEBUG, logger="reliroute"):
+            loud = build()
+        assert len([r for r in caplog.records if r.name == "reliroute.potentials"]) == 1 + 4 + 3
+        assert loud == quiet
 
 
 def grid_instance(rng, k=5, T_cap=140):
