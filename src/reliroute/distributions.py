@@ -16,6 +16,7 @@ Instances are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,15 +70,17 @@ class DiscreteDistribution:
             raise ValueError("mass must be a 1-D array of probabilities per bin")
         if not (dt > 0.0):
             raise ValueError(f"dt must be positive, got {dt}")
-        if not (np.isfinite(truncated_tail) and truncated_tail >= -EXACT_TOL):
+        if not (math.isfinite(truncated_tail) and truncated_tail >= -EXACT_TOL):
             raise ValueError(f"truncated_tail must be finite and nonnegative, got {truncated_tail}")
-        if not np.isfinite(arr).all():
+        # min and max propagate NaN, so together they see every non-finite value.
+        lowest, highest = float(arr.min(initial=0.0)), float(arr.max(initial=0.0))
+        if not (math.isfinite(lowest) and math.isfinite(highest)):
             raise ValueError("probability mass must be finite; NaN or infinity in mass array")
-        lowest = arr.min(initial=0.0)
         if lowest < -EXACT_TOL:
             raise ValueError(f"negative probability {lowest} in mass array")
-        np.clip(arr, 0.0, None, out=arr)
-        nonzero = np.nonzero(arr)[0]
+        if lowest < 0.0:
+            np.clip(arr, 0.0, None, out=arr)
+        nonzero = arr.nonzero()[0]
         arr = arr[: int(nonzero[-1]) + 1] if nonzero.size else arr[:0]
 
         tail = max(float(truncated_tail), 0.0)

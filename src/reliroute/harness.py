@@ -53,29 +53,30 @@ def let_path(graph: StochasticGraph, source, dest) -> LetPath | None:
     toward the smaller predecessor node, keeping reruns identical.
     """
     s, d = graph.node_index(source), graph.node_index(dest)
-    means = graph.edge_means.tolist()
-    dist_to = {s: 0.0}
-    parent: dict[int, tuple[int, int]] = {}
+    heads, means = graph._heads, graph.edge_means.tolist()
+    dist_to = [None] * graph.num_nodes
+    parent = [None] * graph.num_nodes  # (node, edge) each node was reached by
+    done = [False] * graph.num_nodes
+    dist_to[s] = 0.0
     heap = [(0.0, s)]
-    done = set()
     while heap:
         cost, i = heapq.heappop(heap)
-        if i in done:
+        if done[i]:
             continue
-        done.add(i)
+        done[i] = True
         if i == d:
             break
         for e in graph.out_edges[i]:
-            j = int(graph.edge_heads[e])
+            j = heads[e]
             cand = cost + means[e]
-            best = dist_to.get(j)
+            best = dist_to[j]
             if best is None or cand < best:
                 dist_to[j] = cand
-                parent[j] = (i, int(e))
+                parent[j] = (i, e)
                 heapq.heappush(heap, (cand, j))
-            elif cand == best and j not in done and parent.get(j, (i + 1,))[0] > i:
-                parent[j] = (i, int(e))
-    if d not in done:
+            elif cand == best and not done[j] and parent[j][0] > i:  # only s, done first, has none
+                parent[j] = (i, e)
+    if not done[d]:
         return None
     nodes, edges = [d], []
     while nodes[-1] != s:

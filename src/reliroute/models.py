@@ -44,40 +44,79 @@ def _fold_residual(pmf: np.ndarray) -> np.ndarray:
     return pmf
 
 
-def shifted_gamma_pmf(
-    min_bin: int, mean_delay: float, cov: float, dt: float = 1.0
-) -> DiscreteDistribution:
-    """Gamma-distributed delay on top of a deterministic minimum travel time.
-
-    ``mean_delay`` is the expected extra time in seconds beyond the minimum;
-    ``cov`` is its coefficient of variation.  ``cov == 0`` or a zero delay
-    degenerates to a point mass at ``min_bin``.
-    """
+def _check_gamma_args(min_bin: int, mean_delay: float, cov: float) -> None:
     if min_bin < 1:
         raise ValueError("edge distributions must have their minimum travel time at bin 1 or later")
     if mean_delay < 0:
         raise ValueError(f"mean delay must be nonnegative, got {mean_delay}")
     if cov < 0:
         raise ValueError(f"coefficient of variation must be nonnegative, got {cov}")
-    if mean_delay == 0.0 or cov == 0.0:
-        # A deterministic delay still shifts the point mass.
-        return DiscreteDistribution.point_mass(min_bin + int(round(mean_delay / dt)), dt=dt)
+
+
+def shifted_gamma_pmfs(
+    min_bins, mean_delays, cov: float, dt: float = 1.0
+) -> list[DiscreteDistribution]:
+    """Gamma-distributed delays on top of deterministic minimum travel times,
+    one PMF per ``(min_bins[i], mean_delays[i])`` pair, all with the
+    coefficient of variation ``cov``.
+
+    ``mean_delays[i]`` is the expected extra time in seconds beyond
+    ``min_bins[i]``.  A zero delay, or ``cov == 0``, degenerates to a point
+    mass shifted by the rounded delay.  The gamma shape depends on ``cov``
+    alone, so the cutoff quantile takes one ``gammaincinv`` call and every
+    edge's bin midpoints one ``gammainc`` call over their concatenation.
+    """
+    min_bins, mean_delays = list(min_bins), [float(m) for m in mean_delays]
+    if len(min_bins) != len(mean_delays):
+        raise ValueError(f"got {len(min_bins)} minimum bins but {len(mean_delays)} mean delays")
+    out, gamma = [], []
+    for i, (min_bin, mean_delay) in enumerate(zip(min_bins, mean_delays)):
+        _check_gamma_args(min_bin, mean_delay, cov)
+        if mean_delay == 0.0 or cov == 0.0:
+            # A deterministic delay still shifts the point mass.
+            out.append(DiscreteDistribution.point_mass(min_bin + int(round(mean_delay / dt)), dt=dt))
+        else:
+            out.append(None)
+            gamma.append(i)
+    if not gamma:
+        return out
 
     from scipy import special
 
     shape = 1.0 / (cov * cov)
-    scale = mean_delay * cov * cov
+    scale = np.array([mean_delays[i] for i in gamma]) * cov * cov
     # Equals scipy.stats.gamma.ppf(1 - TAIL_EPS, shape, scale=scale) exactly.
-    last = int(math.ceil(special.gammaincinv(shape, 1.0 - TAIL_EPS) * scale / dt)) + 1
-    edges = (np.arange(last + 1) + 0.5) * dt
-    cdf = special.gammainc(shape, edges / scale)
-    pmf = np.empty(last + 1)
-    pmf[0] = cdf[0]
+    quantile = special.gammaincinv(shape, 1.0 - TAIL_EPS)
+    lasts = [int(math.ceil(x)) + 1 for x in (quantile * scale / dt).tolist()]
+    # Edge k owns bins starts[k] .. starts[k + 1] - 1 of the concatenation,
+    # its delays 0 .. lasts[k].
+    sizes = np.array(lasts) + 1
+    starts = np.zeros(len(gamma) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    delay = np.arange(starts[-1]) - np.repeat(starts[:-1], sizes)
+    cdf = special.gammainc(shape, (delay + 0.5) * dt / np.repeat(scale, sizes))
+    pmf = np.empty_like(cdf)
     pmf[1:] = np.diff(cdf)
-    _fold_residual(pmf)
-    full = np.zeros(min_bin + last + 1)
-    full[min_bin:] = pmf
-    return DiscreteDistribution(full, dt=dt)
+    pmf[starts[:-1]] = cdf[starts[:-1]]
+    bounds = starts.tolist()
+    for k, i in enumerate(gamma):
+        full = np.zeros(min_bins[i] + lasts[k] + 1)
+        full[min_bins[i]:] = _fold_residual(pmf[bounds[k]:bounds[k + 1]])
+        out[i] = DiscreteDistribution(full, dt=dt)
+    return out
+
+
+def shifted_gamma_pmf(
+    min_bin: int, mean_delay: float, cov: float, dt: float = 1.0
+) -> DiscreteDistribution:
+    """Gamma-distributed delay on top of a deterministic minimum travel time:
+    the one-edge call of :func:`shifted_gamma_pmfs`.
+
+    ``mean_delay`` is the expected extra time in seconds beyond the minimum;
+    ``cov`` is its coefficient of variation.  ``cov == 0`` or a zero delay
+    degenerates to a point mass at ``min_bin`` shifted by the rounded delay.
+    """
+    return shifted_gamma_pmfs([min_bin], [mean_delay], cov, dt=dt)[0]
 
 
 def gaussian_mixture_pmf(

@@ -88,37 +88,42 @@ class StochasticGraph:
         coords.setflags(write=False)
         self.coords = coords
 
-        raw = []
+        raw, index = [], self._index
         for pos, e in enumerate(edges):
             tail_id, head_id, dist = e[0], e[1], e[2]
             label = e[3] if len(e) > 3 else None
+            if tail_id not in index or head_id not in index:
+                problem = "endpoint is not a declared node"
+            elif not isinstance(dist, DiscreteDistribution):
+                problem = "distribution missing or of wrong type"
+            elif dist.dt != self.dt:
+                problem = f"distribution dt {dist.dt} differs from graph dt {self.dt}"
+            elif dist.min_bin is None or dist.min_bin < 1:
+                problem = (
+                    "probability mass at bin 0; the time step must not exceed the edge's "
+                    "minimum travel time (its lowest positive bin must be >= 1)"
+                )
+            else:
+                raw.append((index[tail_id], index[head_id], pos, dist, label))
+                continue
             where = f"{_edge_ident(label, pos)} ({tail_id!r}->{head_id!r})"
-            if tail_id not in self._index or head_id not in self._index:
-                raise GraphValidationError(f"{where}: endpoint is not a declared node")
-            if not isinstance(dist, DiscreteDistribution):
-                raise GraphValidationError(f"{where}: distribution missing or of wrong type")
-            if dist.dt != self.dt:
-                raise GraphValidationError(
-                    f"{where}: distribution dt {dist.dt} differs from graph dt {self.dt}"
-                )
-            if dist.min_bin is None or dist.min_bin < 1:
-                raise GraphValidationError(
-                    f"{where}: probability mass at bin 0; the time step must not exceed "
-                    "the edge's minimum travel time (its lowest positive bin must be >= 1)"
-                )
-            raw.append((self._index[tail_id], self._index[head_id], pos, dist, label))
-        raw.sort(key=lambda r: (r[0], r[1], r[2]))
+            raise GraphValidationError(f"{where}: {problem}")
+        # Positions are distinct, so the sort never compares distributions.
+        raw.sort()
 
+        # The Python-level graph loops (Dijkstra, the path search) read heads
+        # as Python ints; numpy scalars cost more per access.
+        self._heads = tuple(r[1] for r in raw)
         self.edge_tails = np.array([r[0] for r in raw], dtype=np.int64)
-        self.edge_heads = np.array([r[1] for r in raw], dtype=np.int64)
+        self.edge_heads = np.array(self._heads, dtype=np.int64)
         self.edge_tails.setflags(write=False)
         self.edge_heads.setflags(write=False)
         self.edge_dists = tuple(r[3] for r in raw)
         self._edge_labels = tuple(r[4] for r in raw)
 
         # Edges are sorted by tail, so each node's out-edges are one run.
-        bounds = np.searchsorted(self.edge_tails, np.arange(self.num_nodes + 1))
-        self.out_edges = tuple(np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
+        bounds = np.searchsorted(self.edge_tails, np.arange(self.num_nodes + 1)).tolist()
+        self.out_edges = tuple(range(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
 
     # -- lookups -----------------------------------------------------------
 
@@ -147,7 +152,7 @@ class StochasticGraph:
 
     def find_edges(self, tail_id, head_id) -> list[int]:
         t, h = self.node_index(tail_id), self.node_index(head_id)
-        return [int(e) for e in self.out_edges[t] if self.edge_heads[e] == h]
+        return [e for e in self.out_edges[t] if self._heads[e] == h]
 
     @cached_property
     def edge_means(self) -> np.ndarray:

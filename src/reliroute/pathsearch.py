@@ -65,6 +65,7 @@ class SearchReport:
 
 
 def _directed_reachable(graph: StochasticGraph, s: int, d: int) -> bool:
+    heads = graph._heads
     seen = {s}
     stack = [s]
     while stack:
@@ -72,7 +73,7 @@ def _directed_reachable(graph: StochasticGraph, s: int, d: int) -> bool:
         if i == d:
             return True
         for e in graph.out_edges[i]:
-            j = int(graph.edge_heads[e])
+            j = heads[e]
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
@@ -111,7 +112,7 @@ def sota_path_report(
     cap = policy.horizon + 1
     s = graph.node_index(source)
     d = graph.node_index(policy.dest)
-    mask = _edge_mask(graph, edge_mask)
+    keep, heads = _edge_mask(graph, edge_mask).tolist(), graph._heads
     U = policy.u
 
     bound = float(U[s, T])
@@ -152,9 +153,9 @@ def sota_path_report(
             continue
 
         for e in graph.out_edges[last]:
-            if not mask[e]:
+            if not keep[e]:
                 continue
-            j = int(graph.edge_heads[e])
+            j = heads[e]
             if j in nodes:
                 continue  # loop-free paths only
             em = graph.edge_dists[e].mass
@@ -167,7 +168,7 @@ def sota_path_report(
                 if keep_frontier:  # hopeless at T, but maybe not at a larger budget
                     report.frontier.append((child_q, j))
                 continue
-            heapq.heappush(heap, (-child_key, len(edges) + 1, nodes + (j,), edges + (int(e),), child_q))
+            heapq.heappush(heap, (-child_key, len(edges) + 1, nodes + (j,), edges + (e,), child_q))
             report.pushed += 1
         if len(heap) > queue_limit:
             raise SearchBudgetExceeded(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .errors import GraphValidationError
-from .models import free_flow_bins, shifted_gamma_pmf
+from .models import _check_gamma_args, free_flow_bins, shifted_gamma_pmfs
 from .network import StochasticGraph, _edge_ident
 
 #: Default generator: gamma-distributed delay on top of the free-flow time.
@@ -67,7 +67,8 @@ def synthesize_distributions(topology: dict, model: dict | None = None, seed: in
     dt = float(topology.get("dt", 1.0))
     rng = random.Random(seed)
 
-    edges = []
+    cov = 0.0  # the deterministic model: every edge a point mass
+    ends, min_bins, mean_delays = [], [], []
     for pos, e in enumerate(topology["edges"]):
         label = e.get("id")
         ident = _edge_ident(label, pos)
@@ -84,16 +85,21 @@ def synthesize_distributions(topology: dict, model: dict | None = None, seed: in
             raise GraphValidationError(f"{ident}: {exc}") from exc
 
         if name == "deterministic":
-            dist = shifted_gamma_pmf(min_bin, 0.0, 0.0, dt=dt)
+            mean_delay = 0.0
         elif name == "shifted-gamma":
             mean_delay = model.get("mean_delay")
             if mean_delay is None:
                 mean_delay = float(model.get("delay_factor", 0.5)) * free_flow
             if model.get("randomize", True):
                 mean_delay *= rng.uniform(0.5, 1.5)
-            dist = shifted_gamma_pmf(min_bin, float(mean_delay), float(model.get("cov", 1.0)), dt=dt)
+            mean_delay, cov = float(mean_delay), float(model.get("cov", 1.0))
+            _check_gamma_args(min_bin, mean_delay, cov)
         else:
             raise ValueError(f"unknown generator {name!r}")
-        edges.append((e["from"], e["to"], dist, label))
+        ends.append((e["from"], e["to"], label))
+        min_bins.append(min_bin)
+        mean_delays.append(mean_delay)
 
+    dists = shifted_gamma_pmfs(min_bins, mean_delays, cov, dt=dt)
+    edges = [(tail, head, dist, label) for (tail, head, label), dist in zip(ends, dists)]
     return StochasticGraph(dt, topology["nodes"], edges)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import reliroute as rr
+from reliroute.models import TAIL_EPS
 from reliroute.potentials import _lower_along_optimal_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -58,6 +60,38 @@ def random_connected_graph(rng, max_nodes=10, max_extra_edges=20, min_nodes=2,
         for a, b in pairs
     ]
     return rr.StochasticGraph(1.0, nodes, edges), 0, n - 1
+
+
+def shifted_gamma_oracle(min_bin, mean_delay, cov, dt=1.0):
+    """One edge's gamma-delay PMF, discretized on its own; the reference for
+    ``rr.models.shifted_gamma_pmfs``, which must match it bit for bit.
+
+    Shares no code with the batch: one ``gammaincinv`` and one ``gammainc``
+    call per edge, over that edge's bin midpoints only.
+    """
+    if min_bin < 1:
+        raise ValueError("edge distributions must have their minimum travel time at bin 1 or later")
+    if mean_delay < 0:
+        raise ValueError(f"mean delay must be nonnegative, got {mean_delay}")
+    if cov < 0:
+        raise ValueError(f"coefficient of variation must be nonnegative, got {cov}")
+    if mean_delay == 0.0 or cov == 0.0:
+        return rr.DiscreteDistribution.point_mass(min_bin + int(round(mean_delay / dt)), dt=dt)
+
+    from scipy import special
+
+    shape = 1.0 / (cov * cov)
+    scale = mean_delay * cov * cov
+    last = int(math.ceil(special.gammaincinv(shape, 1.0 - TAIL_EPS) * scale / dt)) + 1
+    edges = (np.arange(last + 1) + 0.5) * dt
+    cdf = special.gammainc(shape, edges / scale)
+    pmf = np.empty(last + 1)
+    pmf[0] = cdf[0]
+    pmf[1:] = np.diff(cdf)
+    pmf[-1] += 1.0 - pmf.sum()
+    full = np.zeros(min_bin + last + 1)
+    full[min_bin:] = pmf
+    return rr.DiscreteDistribution(full, dt=dt)
 
 
 def reference_policy(graph, dest, T):

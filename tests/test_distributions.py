@@ -40,6 +40,32 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite"):
             DiscreteDistribution(mass, truncated_tail=tail)
 
+    @pytest.mark.parametrize(
+        "mass",
+        [[np.nan, -0.5, 1.0], [-0.5, np.nan, 1.0], [np.inf], [-np.inf], [1.0, -np.inf]],
+        ids=["nan-then-negative", "negative-then-nan", "inf-alone", "minus-inf-alone", "minus-inf-after-mass"],
+    )
+    def test_finiteness_is_checked_before_sign(self, mass):
+        with pytest.raises(ValueError, match="probability mass must be finite"):
+            DiscreteDistribution(mass)
+
+    def test_overflowing_sum_fails_normalization(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="probability mass sums to inf"):
+            DiscreteDistribution([1e308, 1e308])
+
+    def test_tiny_negative_is_clipped_to_zero(self):
+        d = DiscreteDistribution([-1e-13, 0.25, 0.75])
+        assert d.mass.tolist() == [0.0, 0.25, 0.75] and not np.signbit(d.mass[0])
+        assert d.min_bin == 1
+
+    def test_trailing_zeros_trimmed_leading_kept(self):
+        d = DiscreteDistribution([0.0, 0.0, 1.0, 0.0, 0.0])
+        assert d.mass.tolist() == [0.0, 0.0, 1.0] and d.min_bin == 2
+
+    def test_all_mass_in_tail_accepted(self):
+        d = DiscreteDistribution([0.0, 0.0], truncated_tail=1.0)
+        assert len(d.mass) == 0 and d.min_bin is None and d.truncated_tail == 1.0
+
     def test_truncated_tail_counts_toward_total(self):
         d = DiscreteDistribution([0.0, 0.7], truncated_tail=0.3)
         assert d.total_mass == pytest.approx(0.7)

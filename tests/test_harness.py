@@ -36,8 +36,36 @@ class TestLetPath:
     def test_truncated_edge_fails_only_when_means_are_needed(self):
         cut = rr.DiscreteDistribution([0.0, 0.7], truncated_tail=0.3)
         g = rr.StochasticGraph(1.0, [("a", 0, 0), ("b", 1, 0)], [("a", "b", cut)])
+        # Building the graph, solving and searching need no means.
+        table = rr.compute_policy(g, "b", 3)
+        assert [p.edges for p in rr.sota_path(g, table, "a", T=3)] == [(0,)]
+        assert rr.path_reliability(g, ["a", "b"], 3) == pytest.approx(0.7)
         with pytest.raises(ValueError, match="truncated"):
             rr.let_path(g, "a", "b")
+        with pytest.raises(ValueError, match="truncated"):
+            rr.generate_instances(g, 1, seed=0)
+
+    def test_exact_ties_go_to_the_smaller_predecessor(self):
+        # s -> a -> d and s -> b -> d both take 3 s on average, but b is
+        # settled first (1 s against 2 s).  The tie goes to the smaller
+        # predecessor a; between a's two parallel edges of equal mean, to the
+        # smaller edge index.
+        def at(k):
+            return rr.DiscreteDistribution.point_mass(k)
+
+        two_bins = rr.DiscreteDistribution([0.0, 0.5, 0.0, 0.5])  # mean 2 s
+        nodes = [(n, i, 0) for i, n in enumerate("abds")]
+        edges = [("s", "b", at(1), "sb"), ("b", "d", at(2), "bd"), ("s", "a", two_bins, "sa"),
+                 ("a", "d", at(1), "ad1"), ("a", "d", at(1), "ad2")]
+        g = rr.StochasticGraph(1.0, nodes, edges)
+        lp = rr.let_path(g, "s", "d")
+        assert lp.nodes == ("s", "a", "d")
+        assert [g.edge_label(e) for e in lp.edges] == ["sa", "ad1"]
+        assert lp.expected_seconds == 3.0
+        # Without the tie, the cheaper route wins whichever node is smaller.
+        edges[1] = ("b", "d", rr.DiscreteDistribution([0.0, 0.5, 0.5]), "bd")  # mean 1.5 s
+        lp = rr.let_path(rr.StochasticGraph(1.0, nodes, edges), "s", "d")
+        assert lp.nodes == ("s", "b", "d") and lp.expected_seconds == 2.5
 
 
 class TestGenerateInstances:

@@ -1,6 +1,7 @@
 """Parametric travel-time models and synthetic network generation."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,10 @@ from reliroute.models import (
     gaussian_mixture_pmf,
     resolve_distribution_literal,
     shifted_gamma_pmf,
+    shifted_gamma_pmfs,
 )
+
+from conftest import shifted_gamma_oracle
 
 
 def simple_topology(length=100.0, speed=10.0, dt=1.0):
@@ -61,11 +65,11 @@ class TestModels:
         stats = pytest.importorskip("scipy.stats")
         calls = []
 
-        def recording(min_bin, mean_delay, cov, dt=1.0):
-            calls.append((mean_delay, cov))
-            return shifted_gamma_pmf(min_bin, mean_delay, cov, dt=dt)
+        def recording(min_bins, mean_delays, cov, dt=1.0):
+            calls.extend((mean_delay, cov) for mean_delay in mean_delays)
+            return shifted_gamma_pmfs(min_bins, mean_delays, cov, dt=dt)
 
-        monkeypatch.setattr(synth, "shifted_gamma_pmf", recording)
+        monkeypatch.setattr(synth, "shifted_gamma_pmfs", recording)
         rr.synthesize_distributions(rr.grid_topology(32), seed=20250808)
         assert len(calls) == 3968
         mean_delay, cov = np.array(calls).T
@@ -74,6 +78,34 @@ class TestModels:
         scale = np.concatenate([rng.uniform(0.01, 500.0, 20000), mean_delay * cov * cov])
         ours = special.gammaincinv(shape, 1.0 - TAIL_EPS) * scale
         assert np.array_equal(ours, stats.gamma.ppf(1.0 - TAIL_EPS, shape, scale=scale))
+
+    @pytest.mark.parametrize("cov", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("dt", [1.0, 0.25, 0.3])
+    def test_batch_gives_each_edge_its_own_pmf(self, cov, dt):
+        # Point masses (zero delay, or cov 0) and gamma delays of several
+        # lengths in one shuffled batch: each edge gets the PMF the per-edge
+        # oracle and the one-edge call give it, bit for bit.
+        rng = random.Random(5)
+        pairs = [(rng.randint(1, 30), rng.choice([0.0, 0.0, rng.uniform(0.01, 60.0)])) for _ in range(60)]
+        pairs += [(1, 1e-9), (3, 0.0), (2, 500.0)]
+        rng.shuffle(pairs)
+        min_bins, mean_delays = zip(*pairs)
+        batch = shifted_gamma_pmfs(min_bins, mean_delays, cov, dt=dt)
+        assert len(batch) == len(pairs)
+        for (min_bin, mean_delay), got in zip(pairs, batch):
+            assert_same_pmf(got, shifted_gamma_oracle(min_bin, mean_delay, cov, dt=dt))
+            assert_same_pmf(got, shifted_gamma_pmf(min_bin, mean_delay, cov, dt=dt))
+
+    def test_batch_validates_in_order(self):
+        assert shifted_gamma_pmfs([], [], 1.0) == []
+        with pytest.raises(ValueError, match="mean delay must be nonnegative, got -1.0"):
+            shifted_gamma_pmfs([4, 0, 4], [-1.0, 2.0, 1.0], 1.0)
+        with pytest.raises(ValueError, match="at bin 1 or later"):
+            shifted_gamma_pmfs([4, 0], [1.0, -2.0], 1.0)
+        with pytest.raises(ValueError, match="coefficient of variation"):
+            shifted_gamma_pmfs([4], [1.0], -0.5)
+        with pytest.raises(ValueError, match="got 2 minimum bins but 1 mean delays"):
+            shifted_gamma_pmfs([4, 5], [1.0], 1.0)
 
     def test_gaussian_mixture_respects_floor(self):
         d = gaussian_mixture_pmf(
@@ -118,7 +150,74 @@ class TestModels:
             resolve_distribution_literal({"model": "weibull"}, 1.0)
 
 
+def assert_same_pmf(got, want):
+    # Bit for bit: equal floats are not enough where a sign of zero differs.
+    assert got.dt == want.dt and got.min_bin == want.min_bin
+    assert got.mass.tobytes() == want.mass.tobytes()
+    assert got.truncated_tail == want.truncated_tail
+
+
+def oracle_dists(topology, model, seed):
+    """Each edge's PMF by the per-edge oracle, keyed by its end nodes, from
+    the mean delays ``synthesize_distributions`` documents and its seeded
+    draws in edge order."""
+    rng = random.Random(seed)
+    dt = float(topology.get("dt", 1.0))
+    out = {}
+    for e in topology["edges"]:
+        free_flow = e["length"] / e["speed_limit"]
+        min_bin = free_flow_bins(free_flow, dt)
+        if model["name"] == "deterministic":
+            out[e["from"], e["to"]] = shifted_gamma_oracle(min_bin, 0.0, 0.0, dt=dt)
+            continue
+        mean_delay = model.get("mean_delay")
+        if mean_delay is None:
+            mean_delay = model.get("delay_factor", 0.5) * free_flow
+        if model.get("randomize", True):
+            mean_delay *= rng.uniform(0.5, 1.5)
+        out[e["from"], e["to"]] = shifted_gamma_oracle(min_bin, float(mean_delay), model.get("cov", 1.0), dt=dt)
+    return out
+
+
 class TestSynthesize:
+    @pytest.mark.parametrize(
+        "k, dt, model",
+        [
+            (32, 1.0, None),
+            (12, 0.5, None),
+            (16, 0.25, None),
+            (8, 1.0, {"name": "shifted-gamma", "cov": 0.5}),
+            (8, 0.5, {"name": "shifted-gamma", "cov": 2.0}),
+            (8, 1.0, {"name": "shifted-gamma", "randomize": False}),
+            (8, 1.0, {"name": "shifted-gamma", "mean_delay": 7.5, "cov": 0.8}),
+            (8, 1.0, {"name": "deterministic"}),
+        ],
+        ids=["grid32", "grid12-dt0.5", "grid16-dt0.25", "cov0.5", "cov2", "fixed-factor",
+             "fixed-mean-delay", "deterministic"],
+    )
+    def test_matches_per_edge_oracle(self, k, dt, model):
+        topology = rr.grid_topology(k, dt=dt)
+        g = rr.synthesize_distributions(topology, model, seed=20250808)
+        want = oracle_dists(topology, dict(synth.DEFAULT_MODEL if model is None else model), 20250808)
+        assert g.num_edges == len(want)
+        for e, dist in enumerate(g.edge_dists):
+            assert_same_pmf(dist, want[g.node_ids[g.edge_tails[e]], g.node_ids[g.edge_heads[e]]])
+
+    def test_edges_are_checked_in_order(self):
+        # A bad model value is reported at the first edge, before a bad
+        # length further on, as each edge is checked in turn.
+        topology = simple_topology()
+        topology["edges"].append(dict(topology["edges"][0], length=-1.0))
+        with pytest.raises(ValueError, match="mean delay must be nonnegative"):
+            rr.synthesize_distributions(topology, {"name": "shifted-gamma", "delay_factor": -1.0}, seed=0)
+        with pytest.raises(ValueError, match="coefficient of variation"):
+            rr.synthesize_distributions(topology, {"name": "shifted-gamma", "cov": -1.0}, seed=0)
+        with pytest.raises(ValueError, match="unknown generator 'weibull'"):
+            rr.synthesize_distributions(topology, {"name": "weibull"}, seed=0)
+        with pytest.raises(GraphValidationError, match="length"):
+            rr.synthesize_distributions(topology, {"name": "deterministic"}, seed=0)
+
+
     def test_zero_variance_point_mass(self):
         g = rr.synthesize_distributions(simple_topology(), {"name": "deterministic"}, seed=0)
         d = g.edge_dists[0]
