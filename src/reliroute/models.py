@@ -16,6 +16,7 @@ importing it, let alone :mod:`scipy.stats`, costs more than the rest of the pack
 
 from __future__ import annotations
 
+import base64
 import math
 
 import numpy as np
@@ -157,9 +158,24 @@ def gaussian_mixture_pmf(
     return DiscreteDistribution(full, dt=dt)
 
 
+def _decode_mass_f64(text) -> np.ndarray:
+    # Little-endian float64 bytes in base64: one decode, one view, no per-bin loop.
+    try:
+        raw = base64.b64decode(text, validate=True) if isinstance(text, str) else b""
+    except ValueError as exc:
+        raise ValueError(f"'mass_f64' is not valid base64: {exc}") from None
+    if not raw or len(raw) % 8:
+        raise ValueError(f"'mass_f64' must be base64 of one or more float64 values, got {text!r:.40}")
+    return np.frombuffer(raw, "<f8")
+
+
 def _dense_histogram(literal: dict, dt: float) -> DiscreteDistribution:
     first, mass = _bin_index(literal.get("first_bin"), "'first_bin'"), literal.get("mass")
-    if not isinstance(mass, list) or not mass:
+    if "mass_f64" in literal:
+        if "mass" in literal:
+            raise ValueError("dense literal carries both 'mass' and 'mass_f64'; give one")
+        mass = _decode_mass_f64(literal["mass_f64"])
+    elif not isinstance(mass, list) or not mass:
         raise ValueError(f"'mass' must be a nonempty list of probabilities, got {mass!r:.40}")
     arr = np.zeros(first + len(mass))
     arr[first:] = np.asarray(mass, dtype=np.float64)
@@ -171,8 +187,8 @@ def resolve_distribution_literal(literal: dict, dt: float) -> DiscreteDistributi
 
     Accepted forms::
 
-        {"first_bin": k, "mass": [p_k, p_k+1, ...]}      # optionally with
-                                                         # "truncated_tail", "dt"
+        {"first_bin": k, "mass_f64": "<base64>"}         # optionally with
+        {"first_bin": k, "mass": [p_k, p_k+1, ...]}      # "truncated_tail", "dt"
         {"pmf": [[bin, prob], ...]}                      # optionally with "dt"
         {"model": "histogram", ...}                      # either form above
         {"model": "shifted-gamma", "shift": s, "mean_delay": s, "cov": c}
@@ -180,10 +196,14 @@ def resolve_distribution_literal(literal: dict, dt: float) -> DiscreteDistributi
          "components": [{"weight": w, "mean": s, "std": s}, ...],
          "min_seconds": s}
 
-    A literal with a ``"mass"`` key is the dense form that
-    :func:`~reliroute.network.save_graph` writes: ``mass[j]`` is the
-    probability of bin ``first_bin + j`` and ``truncated_tail`` (default 0)
-    the mass past the last bin.  It is read without a per-bin loop.
+    A literal with a ``"mass_f64"`` or a ``"mass"`` key is a dense form:
+    ``mass[j]`` is the probability of bin ``first_bin + j`` and
+    ``truncated_tail`` (default 0) the mass past the last bin.
+    :func:`~reliroute.network.save_graph` writes ``mass_f64``, the masses as
+    little-endian float64 bytes in base64, which decodes with one
+    ``np.frombuffer``; the ``mass`` list, for hand-written documents, still
+    loads.  Neither is read with a per-bin loop, and both go through the same
+    :class:`DiscreteDistribution` checks.
     """
     if not isinstance(literal, dict):
         raise ValueError(f"distribution literal must be an object, got {type(literal).__name__}")
@@ -191,7 +211,7 @@ def resolve_distribution_literal(literal: dict, dt: float) -> DiscreteDistributi
         raise ValueError(
             f"distribution dt {literal['dt']} does not match the graph time step {dt}"
         )
-    dense, pairs = "mass" in literal, "pmf" in literal
+    dense, pairs = "mass" in literal or "mass_f64" in literal, "pmf" in literal
     model = literal.get("model", "histogram" if dense or pairs else None)
     if model == "histogram":
         if dense == pairs:

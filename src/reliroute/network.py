@@ -18,6 +18,7 @@ Graphs are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import base64
 import json
 from functools import cached_property
 from pathlib import Path
@@ -204,9 +205,9 @@ def load_graph(source) -> StochasticGraph:
          "edges": [{"from": ..., "to": ..., "dist": <literal>, "id": optional}, ...]}
 
     ``<literal>`` is any form :func:`~reliroute.models.resolve_distribution_literal`
-    accepts: the dense ``{"first_bin": k, "mass": [...]}`` that
-    :func:`save_graph` writes, ``{"pmf": [[bin, prob], ...]}`` pairs, or a
-    parametric model.
+    accepts: the ``{"first_bin": k, "mass_f64": "<base64>"}`` that
+    :func:`save_graph` writes, the dense list ``{"first_bin": k, "mass":
+    [...]}``, ``{"pmf": [[bin, prob], ...]}`` pairs, or a parametric model.
 
     Validation failures name the first offending field, node or edge: the
     loader checks the top-level fields and resolves each edge's distribution
@@ -256,12 +257,12 @@ def load_graph(source) -> StochasticGraph:
 def save_graph(graph: StochasticGraph, target=None) -> dict:
     """Serialize a graph to the document schema used by :func:`load_graph`.
 
-    Each edge's PMF is written as the dense literal ``{"first_bin": k,
-    "mass": [p_k, p_k+1, ...]}`` from its first nonzero bin, plus
-    ``"truncated_tail"`` when that is nonzero.  PMF values and tails
-    round-trip bit-identically (floats are emitted with full precision).
-    Returns the document; also writes it as compact JSON to the path
-    ``target`` when one is given.
+    Each edge's PMF is written as ``{"first_bin": k, "mass_f64": "<base64>"}``:
+    its masses from the first nonzero bin on, as little-endian float64 bytes
+    in base64, plus ``"truncated_tail"`` when that is nonzero.  PMF values
+    and tails round-trip bit-identically, and the rest of the document (dt,
+    nodes, labels) stays readable JSON.  Returns the document; also writes it
+    as compact JSON to the path ``target`` when one is given.
     """
     doc = {
         "dt": graph.dt,
@@ -272,7 +273,8 @@ def save_graph(graph: StochasticGraph, target=None) -> dict:
         "edges": [],
     }
     for eidx, dist in enumerate(graph.edge_dists):
-        literal = {"first_bin": dist.min_bin, "mass": dist.mass[dist.min_bin:].tolist()}
+        raw = dist.mass[dist.min_bin:].astype("<f8", copy=False).tobytes()
+        literal = {"first_bin": dist.min_bin, "mass_f64": base64.b64encode(raw).decode("ascii")}
         if dist.truncated_tail:
             literal["truncated_tail"] = dist.truncated_tail
         entry = {

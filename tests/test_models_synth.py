@@ -126,6 +126,10 @@ class TestModels:
         assert pmf.mass.tolist() == [0.0, 0.0, 1.0]
         dense = resolve_distribution_literal({"first_bin": 2, "mass": [0.5, 0.0, 0.5]}, 1.0)
         assert dense.mass.tolist() == [0.0, 0.0, 0.5, 0.0, 0.5] and dense.truncated_tail == 0.0
+        packed = resolve_distribution_literal(
+            {"first_bin": 2, "mass_f64": "AAAAAAAA4D8AAAAAAAAAAAAAAAAAAOA/"}, 1.0
+        )
+        assert packed.mass.tobytes() == dense.mass.tobytes() and packed.truncated_tail == 0.0
         cut = resolve_distribution_literal(
             {"model": "histogram", "first_bin": 1, "mass": [0.7], "truncated_tail": 0.3}, 1.0
         )

@@ -1,5 +1,6 @@
 """Graph model, file ingestion/validation, and grid partitioning."""
 
+import base64
 import hashlib
 import json
 import pickle
@@ -43,11 +44,31 @@ def _assert_same_pmfs(a, b):
         assert x.truncated_tail == y.truncated_tail
 
 
+def _f64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _literal_mass(dist):
+    """A dense literal's masses as a list, from either dense form."""
+    if "mass_f64" in dist:
+        return np.frombuffer(base64.b64decode(dist["mass_f64"]), "<f8").tolist()
+    return dist["mass"]
+
+
+def _dense_list_form(doc):
+    """The same document with every dense literal's masses as a ``mass`` list."""
+    edges = []
+    for e in doc["edges"]:
+        dist = {k: v for k, v in e["dist"].items() if k != "mass_f64"}
+        edges.append(dict(e, dist=dict(dist, mass=_literal_mass(e["dist"]))))
+    return dict(doc, edges=edges)
+
+
 def _pairs_form(doc):
     """The same document with every dense literal rewritten as ``pmf`` pairs."""
     edges = []
     for e in doc["edges"]:
-        first, mass = e["dist"]["first_bin"], e["dist"]["mass"]
+        first, mass = e["dist"]["first_bin"], _literal_mass(e["dist"])
         edges.append(dict(e, dist={"pmf": [[first + j, p] for j, p in enumerate(mass) if p]}))
     return dict(doc, edges=edges)
 
@@ -193,9 +214,19 @@ class TestLoadGraph:
             ({"first_bin": 1, "mass": []}, r"'mass' must be a nonempty list of probabilities, got \[\]"),
             ({"first_bin": 1, "mass": [1.5, -0.5]}, "negative probability"),
             ({"first_bin": 1, "mass": [1.0], "pmf": [[1, 1.0]]}, "histogram literal requires either a 'mass' list or a 'pmf' list"),
+            ({"first_bin": 1, "mass_f64": "AAAA*AAAAPA/"}, "'mass_f64' is not valid base64"),
+            ({"first_bin": 1, "mass_f64": "AAAAAAAA8D+é"}, "'mass_f64' is not valid base64"),
+            ({"first_bin": 1, "mass_f64": _f64([1.0])[:8]}, "'mass_f64' must be base64 of one or more float64 values"),
+            ({"first_bin": 1, "mass_f64": ""}, "'mass_f64' must be base64 of one or more float64 values, got ''"),
+            ({"first_bin": 1, "mass_f64": 1.0}, "'mass_f64' must be base64 of one or more float64 values, got 1.0"),
+            ({"first_bin": 1, "mass_f64": _f64([float("nan"), 1.0])}, "probability mass must be finite"),
+            ({"first_bin": 1, "mass_f64": _f64([1.5, -0.5])}, "negative probability"),
+            ({"first_bin": 1, "mass_f64": _f64([1.0]), "mass": [1.0]}, "dense literal carries both 'mass' and 'mass_f64'"),
         ],
         ids=["negative-first-bin", "fractional-first-bin", "boolean-first-bin", "missing-first-bin",
-             "string-mass", "object-mass", "empty-mass", "negative-entry", "both-forms"],
+             "string-mass", "object-mass", "empty-mass", "negative-entry", "both-forms",
+             "f64-bad-base64", "f64-non-ascii", "f64-ragged-bytes", "f64-empty", "f64-not-a-string",
+             "f64-nan", "f64-negative-entry", "mass-and-mass-f64"],
     )
     def test_malformed_dense_literal_names_edge(self, literal, message):
         with pytest.raises(GraphValidationError, match=f"edge 'bad': {message}"):
@@ -245,8 +276,11 @@ class TestSaveRoundTrip:
         with pytest.raises(ValueError):
             again.edge_dists[0].mass[1] = 0.9
 
-    def test_acceptance_grid_masses_pinned(self, grids):
-        assert _mass_digest(grids["acceptance-32"]) == ACCEPTANCE_MASS_SHA256
+    def test_acceptance_grid_masses_pinned(self, grids, tmp_path):
+        grid = grids["acceptance-32"]
+        assert _mass_digest(grid) == ACCEPTANCE_MASS_SHA256
+        rr.save_graph(grid, tmp_path / "graph.json")
+        assert _mass_digest(rr.load_graph(tmp_path / "graph.json")) == ACCEPTANCE_MASS_SHA256
 
     @pytest.mark.parametrize("name", sorted(GRIDS))
     def test_grid_round_trips_through_file(self, grids, name, tmp_path):
@@ -256,15 +290,21 @@ class TestSaveRoundTrip:
         assert again.dt == grids[name].dt
         _assert_same_pmfs(again, grids[name])
 
-    def test_pairs_form_loads_like_dense_form(self, fixture_graph, grids):
+    def test_pairs_form_loads_like_dense_form(self, fixture_graph):
         fixture_doc = json.loads(FIXTURE_PATH.read_text())
         assert all("pmf" in e["dist"] for e in fixture_doc["edges"])
-        dense = rr.save_graph(fixture_graph)
-        assert all("mass" in e["dist"] for e in dense["edges"])
-        _assert_same_pmfs(rr.load_graph(dense), rr.load_graph(fixture_doc))
+        saved = rr.save_graph(fixture_graph)
+        for dense in (saved, _dense_list_form(saved)):
+            _assert_same_pmfs(rr.load_graph(dense), rr.load_graph(fixture_doc))
 
-        grid = grids["12-dt0.5"]
-        _assert_same_pmfs(rr.load_graph(_pairs_form(rr.save_graph(grid))), grid)
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_every_literal_form_loads_alike(self, grids, name):
+        # save_graph writes mass_f64 only; documents in the older dense-list
+        # and pairs forms, read back from JSON text, load to the same bytes.
+        doc = rr.save_graph(grids[name])
+        assert all("mass_f64" in e["dist"] and "mass" not in e["dist"] for e in doc["edges"])
+        for form in (doc, _dense_list_form(doc), _pairs_form(doc)):
+            _assert_same_pmfs(rr.load_graph(json.loads(json.dumps(form))), grids[name])
 
 def test_edge_support_runs_cover_exactly_the_nonzero_bins(fixture_graph):
     rng = np.random.default_rng(11)
