@@ -9,8 +9,9 @@ harness (:mod:`reliroute.harness`) reproduces the timing studies at desk
 scale.
 
 The package logs through ``logging.getLogger("reliroute")`` and is silent
-unless the application configures logging: each policy solve emits one DEBUG
-record with its block counts and seconds.
+unless the application configures logging: each policy solve, each
+realizability pass and each potential-table build emits one DEBUG record
+with its counts and seconds.
 """
 
 import logging

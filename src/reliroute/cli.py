@@ -19,7 +19,7 @@ from .harness import BenchmarkConfig, generate_instances, run_benchmark, summari
 from .network import grid_partition, load_graph, save_graph
 from .pathsearch import sota_path_report
 from .policy import compute_policy
-from .potentials import _check_graph, build_archive, load_archive, prune, save_archive
+from .potentials import build_archive, load_archive, prune, save_archive
 from .synth import grid_topology, synthesize_distributions
 
 
@@ -114,7 +114,7 @@ def path_cmd(graph_path, source, dest, budget, k, pot_path):
     mask = None
     if pot_path:
         archive = load_archive(pot_path)
-        _check_graph(graph, archive["dt"], nodes=len(archive["partition"].assignment))
+        archive["partition"].check_graph(graph)
         region = archive["partition"].region_of_index(graph.node_index(dest))
         if region not in archive["tables"]:
             raise click.ClickException(f"archive has no table for region {region}")

@@ -39,10 +39,12 @@ def _bin_index(k, name: str = "bin index") -> int:
 
 
 def _budget(T, name: str) -> int:
-    """``T`` as an ``int`` if it is an integer (numpy integers included, booleans
-    not); otherwise ``ValueError`` naming ``name``.  Callers check the range."""
+    """``T`` as an ``int`` if it is a nonnegative integer (numpy integers included,
+    booleans not); otherwise ``ValueError`` naming ``name``.  Callers check the upper bound."""
     if isinstance(T, bool) or not isinstance(T, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {T!r}")
+    if T < 0:
+        raise ValueError(f"{name} must be nonnegative, got {T}")
     return int(T)
 
 

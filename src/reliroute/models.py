@@ -158,6 +158,17 @@ def gaussian_mixture_pmf(
     return DiscreteDistribution(full, dt=dt)
 
 
+def dense_literal(dist: DiscreteDistribution) -> dict:
+    """``{"first_bin": k, "mass_f64": "<base64>"}`` for ``dist``, plus its
+    ``"truncated_tail"`` when nonzero: the masses from the first nonzero bin
+    on, as little-endian float64 bytes, which load back bit-identically."""
+    raw = dist.mass[dist.min_bin:].astype("<f8", copy=False).tobytes()
+    literal = {"first_bin": dist.min_bin, "mass_f64": base64.b64encode(raw).decode("ascii")}
+    if dist.truncated_tail:
+        literal["truncated_tail"] = dist.truncated_tail
+    return literal
+
+
 def _decode_mass_f64(text) -> np.ndarray:
     # Little-endian float64 bytes in base64: one decode, one view, no per-bin loop.
     try:
@@ -172,8 +183,6 @@ def _decode_mass_f64(text) -> np.ndarray:
 def _dense_histogram(literal: dict, dt: float) -> DiscreteDistribution:
     first, mass = _bin_index(literal.get("first_bin"), "'first_bin'"), literal.get("mass")
     if "mass_f64" in literal:
-        if "mass" in literal:
-            raise ValueError("dense literal carries both 'mass' and 'mass_f64'; give one")
         mass = _decode_mass_f64(literal["mass_f64"])
     elif not isinstance(mass, list) or not mass:
         raise ValueError(f"'mass' must be a nonempty list of probabilities, got {mass!r:.40}")
@@ -196,14 +205,13 @@ def resolve_distribution_literal(literal: dict, dt: float) -> DiscreteDistributi
          "components": [{"weight": w, "mean": s, "std": s}, ...],
          "min_seconds": s}
 
-    A literal with a ``"mass_f64"`` or a ``"mass"`` key is a dense form:
-    ``mass[j]`` is the probability of bin ``first_bin + j`` and
-    ``truncated_tail`` (default 0) the mass past the last bin.
-    :func:`~reliroute.network.save_graph` writes ``mass_f64``, the masses as
-    little-endian float64 bytes in base64, which decodes with one
+    A histogram carries exactly one of ``"mass_f64"``, ``"mass"`` and
+    ``"pmf"``.  The first two are dense: ``mass[j]`` is the probability of bin
+    ``first_bin + j`` and ``truncated_tail`` (default 0) the mass past the
+    last bin.  :func:`~reliroute.network.save_graph` writes
+    :func:`dense_literal`'s ``mass_f64``, which decodes with one
     ``np.frombuffer``; the ``mass`` list, for hand-written documents, still
-    loads.  Neither is read with a per-bin loop, and both go through the same
-    :class:`DiscreteDistribution` checks.
+    loads.  Both go through the same :class:`DiscreteDistribution` checks.
     """
     if not isinstance(literal, dict):
         raise ValueError(f"distribution literal must be an object, got {type(literal).__name__}")
@@ -211,14 +219,15 @@ def resolve_distribution_literal(literal: dict, dt: float) -> DiscreteDistributi
         raise ValueError(
             f"distribution dt {literal['dt']} does not match the graph time step {dt}"
         )
-    dense, pairs = "mass" in literal or "mass_f64" in literal, "pmf" in literal
-    model = literal.get("model", "histogram" if dense or pairs else None)
+    found = [key for key in ("mass_f64", "mass", "pmf") if key in literal]
+    model = literal.get("model", "histogram" if found else None)
     if model == "histogram":
-        if dense == pairs:
-            raise ValueError("histogram literal requires either a 'mass' list or a 'pmf' list")
-        if dense:
-            return _dense_histogram(literal, dt)
-        return DiscreteDistribution.from_pairs(literal["pmf"], dt=dt)
+        if len(found) != 1:
+            names = " and ".join(map(repr, found)) or "none"
+            raise ValueError(f"histogram literal needs exactly one of 'mass_f64', 'mass', 'pmf'; found {names}")
+        if found == ["pmf"]:
+            return DiscreteDistribution.from_pairs(literal["pmf"], dt=dt)
+        return _dense_histogram(literal, dt)
     if model == "shifted-gamma":
         shift = float(literal["shift"])
         return shifted_gamma_pmf(

@@ -18,7 +18,6 @@ Graphs are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import base64
 import json
 from functools import cached_property
 from pathlib import Path
@@ -27,7 +26,7 @@ import numpy as np
 
 from .distributions import DiscreteDistribution
 from .errors import GraphValidationError
-from .models import resolve_distribution_literal
+from .models import dense_literal, resolve_distribution_literal
 
 
 def _edge_ident(label, pos: int) -> str:
@@ -257,11 +256,10 @@ def load_graph(source) -> StochasticGraph:
 def save_graph(graph: StochasticGraph, target=None) -> dict:
     """Serialize a graph to the document schema used by :func:`load_graph`.
 
-    Each edge's PMF is written as ``{"first_bin": k, "mass_f64": "<base64>"}``:
-    its masses from the first nonzero bin on, as little-endian float64 bytes
-    in base64, plus ``"truncated_tail"`` when that is nonzero.  PMF values
-    and tails round-trip bit-identically, and the rest of the document (dt,
-    nodes, labels) stays readable JSON.  Returns the document; also writes it
+    Each edge's PMF is written as the base64 ``mass_f64`` literal of
+    :func:`~reliroute.models.dense_literal`, so PMF values and tails
+    round-trip bit-identically, and the rest of the document (dt, nodes,
+    labels) stays readable JSON.  Returns the document; also writes it
     as compact JSON to the path ``target`` when one is given.
     """
     doc = {
@@ -273,14 +271,10 @@ def save_graph(graph: StochasticGraph, target=None) -> dict:
         "edges": [],
     }
     for eidx, dist in enumerate(graph.edge_dists):
-        raw = dist.mass[dist.min_bin:].astype("<f8", copy=False).tobytes()
-        literal = {"first_bin": dist.min_bin, "mass_f64": base64.b64encode(raw).decode("ascii")}
-        if dist.truncated_tail:
-            literal["truncated_tail"] = dist.truncated_tail
         entry = {
             "from": graph.node_ids[graph.edge_tails[eidx]],
             "to": graph.node_ids[graph.edge_heads[eidx]],
-            "dist": literal,
+            "dist": dense_literal(dist),
         }
         if graph._edge_labels[eidx] is not None:
             entry["id"] = graph._edge_labels[eidx]
@@ -309,6 +303,13 @@ class RegionPartition:
         self.regions = tuple(
             np.nonzero(assignment == r)[0] for r in range(self.region_count)
         )
+
+    def check_graph(self, graph: StochasticGraph) -> None:
+        """Raise ``ValueError`` unless the partition has one region per node of ``graph``."""
+        if len(self.assignment) != graph.num_nodes:
+            raise ValueError(
+                f"partition assigns {len(self.assignment)} nodes to regions but the graph has {graph.num_nodes}"
+            )
 
     def region_of_index(self, node_index: int) -> int:
         return int(self.assignment[node_index])

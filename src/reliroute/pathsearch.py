@@ -107,7 +107,7 @@ def sota_path_report(
         raise ValueError(f"k must be at least 1, got {k}")
     policy.check_graph(graph)
     T = policy.horizon if T is None else _budget(T, "budget")
-    if T < 0 or T > policy.horizon:
+    if T > policy.horizon:
         raise ValueError(f"budget {T} outside the policy horizon 0..{policy.horizon}")
     cap = policy.horizon + 1
     s = graph.node_index(source)
@@ -230,8 +230,6 @@ def path_reliability(graph: StochasticGraph, path, T: int, edges=None) -> float:
     edges the edge sequence must be passed explicitly via ``edges``.
     """
     T = _budget(T, "budget")
-    if T < 0:
-        raise ValueError(f"budget must be nonnegative, got {T}")
     if edges is None:
         if path is None or len(path) == 0:
             raise ValueError("empty path")

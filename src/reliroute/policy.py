@@ -390,8 +390,6 @@ def _solve(graph: StochasticGraph, dest, T: int, edge_mask=None, shared: dict | 
     graph share kernel transforms through one ``shared`` dict (see
     :class:`_EdgeArrays`), with tables bit-identical to solving alone."""
     T = _budget(T, "horizon")
-    if T < 0:
-        raise ValueError(f"horizon must be nonnegative, got {T}")
     d = graph.node_index(dest)
     start = time.perf_counter()
 

@@ -100,8 +100,6 @@ def compute_realizability(
         raise ValueError(f"unknown initial-budget mode {initial_budgets!r}")
     policy.check_graph(graph)
     T = policy.horizon if T is None else _budget(T, "horizon")
-    if T < 0:
-        raise ValueError(f"horizon must be nonnegative, got {T}")
     if T > policy.horizon:
         raise ValueError(f"horizon {T} exceeds the policy horizon {policy.horizon}")
 
@@ -175,8 +173,6 @@ class PotentialTable:
     def edge_mask(self, budget: int) -> np.ndarray:
         """Edges that may participate in any optimal solution at ``<= budget``."""
         budget = _budget(budget, "budget")
-        if budget < 0:
-            raise ValueError(f"budget must be nonnegative, got {budget}")
         if budget > self.horizon:
             raise ValueError(
                 f"budget {budget} exceeds the preprocessed horizon {self.horizon}; "
@@ -187,19 +183,13 @@ class PotentialTable:
     def kept_count(self, budget: int) -> int:
         return int(self.edge_mask(budget).sum())
 
-
-def _check_graph(graph: StochasticGraph, dt: float, edges: int | None = None, nodes: int | None = None) -> None:
-    """Raise ``ValueError`` unless a potentials archive or table built with
-    time step ``dt``, ``edges`` edges and ``nodes`` region assignments (the
-    counts are checked when given) fits ``graph``."""
-    if nodes is not None and nodes != graph.num_nodes:
-        raise ValueError(
-            f"potentials archive assigns {nodes} nodes to regions but the graph has {graph.num_nodes}"
-        )
-    if dt != graph.dt:
-        raise ValueError(f"potentials archive has dt={dt} but the graph has dt={graph.dt}")
-    if edges is not None and edges != graph.num_edges:
-        raise ValueError("potential table does not match this graph's edge count")
+    def check_graph(self, graph: StochasticGraph) -> None:
+        """Raise ``ValueError`` unless the table's budgets count bins of
+        ``graph``'s ``dt`` and it has one potential per edge of ``graph``."""
+        if self.dt != graph.dt:
+            raise ValueError(f"potential table has dt={self.dt} but the graph has dt={graph.dt}")
+        if len(self.phi) != graph.num_edges:
+            raise ValueError(f"potential table has {len(self.phi)} edges but the graph has {graph.num_edges}")
 
 
 def prune(graph: StochasticGraph, table: PotentialTable, budget: int) -> np.ndarray:
@@ -211,7 +201,7 @@ def prune(graph: StochasticGraph, table: PotentialTable, budget: int) -> np.ndar
     region and budgets up to the horizon.  A table built for a graph with
     another ``dt`` or edge count raises ``ValueError``.
     """
-    _check_graph(graph, table.dt, edges=len(table.phi))
+    table.check_graph(graph)
     return table.edge_mask(budget)
 
 
@@ -260,11 +250,11 @@ def compute_arc_potentials(
     the edge lies on an optimal fixed path, sweeping every budget and
     re-running the search only when the incumbent's certificate fails; it
     prunes far harder but is only valid for path queries from those sources.
-    An empty ``sources`` list raises ``ValueError`` in either mode.
+    An empty ``sources`` list, or a partition of another graph's nodes,
+    raises ``ValueError``.
     """
     T = _budget(T, "horizon")
-    if T < 0:
-        raise ValueError(f"horizon must be nonnegative, got {T}")
+    partition.check_graph(graph)
     if not 0 <= region < partition.region_count:
         raise ValueError(f"region {region} out of range 0..{partition.region_count - 1}")
     if mode not in MODES:

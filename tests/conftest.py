@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import math
 import random
 from pathlib import Path
@@ -27,6 +28,22 @@ def edge_by_label(graph, label):
         if graph.edge_label(e) == label:
             return e
     raise ValueError(f"no edge labelled {label!r}")
+
+
+def literal_mass(dist):
+    """A dense literal's masses as a list, from either dense form."""
+    if "mass_f64" in dist:
+        return np.frombuffer(base64.b64decode(dist["mass_f64"]), "<f8").tolist()
+    return dist["mass"]
+
+
+def dense_list_form(doc):
+    """The same document with every dense literal's masses as a ``mass`` list."""
+    edges = []
+    for e in doc["edges"]:
+        dist = {k: v for k, v in e["dist"].items() if k != "mass_f64"}
+        edges.append(dict(e, dist=dict(dist, mass=literal_mass(e["dist"]))))
+    return dict(doc, edges=edges)
 
 
 def random_edge_dist(rng, max_delta=5, max_width=6, dt=1.0):

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 import reliroute as rr
 from reliroute.cli import main
 
-from conftest import FIXTURE_PATH
+from conftest import FIXTURE_PATH, dense_list_form
 
 
 @pytest.fixture()
@@ -104,6 +104,26 @@ def test_full_pipeline_on_synthetic_grid(runner, tmp_path):
     summary = json.loads(result.output)
     assert summary["completed"] == 3
     assert (bench_dir / "records.csv").exists()
+
+
+def test_path_answers_alike_from_mass_f64_and_mass_list_documents(runner, tmp_path):
+    graph_file, list_file = tmp_path / "net.json", tmp_path / "net-list.json"
+    result = runner.invoke(main, ["synth", "--grid", "6", "--seed", "7", "--out", str(graph_file)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(graph_file.read_text())
+    assert all("mass_f64" in e["dist"] for e in doc["edges"])
+    list_file.write_text(json.dumps(dense_list_form(doc)))
+    answers = []
+    for path in (graph_file, list_file):
+        result = runner.invoke(
+            main,
+            ["path", "--graph", str(path), "--source", "n00_00", "--dest", "n05_05", "--budget", "160"],
+        )
+        assert result.exit_code == 0, result.output
+        out = json.loads(result.output)
+        out.pop("wall_time")
+        answers.append(out)
+    assert answers[0] == answers[1]
 
 
 def test_bench_with_pruning(runner, tmp_path):

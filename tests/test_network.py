@@ -11,7 +11,7 @@ import pytest
 import reliroute as rr
 from reliroute.errors import GraphValidationError
 
-from conftest import FIXTURE_PATH, edge_by_label
+from conftest import FIXTURE_PATH, dense_list_form, edge_by_label, literal_mass
 
 #: SHA-256 of the 32x32 acceptance grid's edge masses (see ``_mass_digest``).
 ACCEPTANCE_MASS_SHA256 = "f8acb69ddcda6081b51aace57eefe727bb2b50a8b0454ac36f9b72deec5e45c3"
@@ -44,31 +44,19 @@ def _assert_same_pmfs(a, b):
         assert x.truncated_tail == y.truncated_tail
 
 
+#: Start of the error for a histogram literal with no masses key or several.
+ONE_HISTOGRAM_KEY = "histogram literal needs exactly one of 'mass_f64', 'mass', 'pmf'"
+
+
 def _f64(values):
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _literal_mass(dist):
-    """A dense literal's masses as a list, from either dense form."""
-    if "mass_f64" in dist:
-        return np.frombuffer(base64.b64decode(dist["mass_f64"]), "<f8").tolist()
-    return dist["mass"]
-
-
-def _dense_list_form(doc):
-    """The same document with every dense literal's masses as a ``mass`` list."""
-    edges = []
-    for e in doc["edges"]:
-        dist = {k: v for k, v in e["dist"].items() if k != "mass_f64"}
-        edges.append(dict(e, dist=dict(dist, mass=_literal_mass(e["dist"]))))
-    return dict(doc, edges=edges)
 
 
 def _pairs_form(doc):
     """The same document with every dense literal rewritten as ``pmf`` pairs."""
     edges = []
     for e in doc["edges"]:
-        first, mass = e["dist"]["first_bin"], _literal_mass(e["dist"])
+        first, mass = e["dist"]["first_bin"], literal_mass(e["dist"])
         edges.append(dict(e, dist={"pmf": [[first + j, p] for j, p in enumerate(mass) if p]}))
     return dict(doc, edges=edges)
 
@@ -213,7 +201,7 @@ class TestLoadGraph:
             ({"first_bin": 1, "mass": {}}, "'mass' must be a nonempty list of probabilities, got {}"),
             ({"first_bin": 1, "mass": []}, r"'mass' must be a nonempty list of probabilities, got \[\]"),
             ({"first_bin": 1, "mass": [1.5, -0.5]}, "negative probability"),
-            ({"first_bin": 1, "mass": [1.0], "pmf": [[1, 1.0]]}, "histogram literal requires either a 'mass' list or a 'pmf' list"),
+            ({"first_bin": 1, "mass": [1.0], "pmf": [[1, 1.0]]}, f"{ONE_HISTOGRAM_KEY}; found 'mass' and 'pmf'"),
             ({"first_bin": 1, "mass_f64": "AAAA*AAAAPA/"}, "'mass_f64' is not valid base64"),
             ({"first_bin": 1, "mass_f64": "AAAAAAAA8D+é"}, "'mass_f64' is not valid base64"),
             ({"first_bin": 1, "mass_f64": _f64([1.0])[:8]}, "'mass_f64' must be base64 of one or more float64 values"),
@@ -221,12 +209,15 @@ class TestLoadGraph:
             ({"first_bin": 1, "mass_f64": 1.0}, "'mass_f64' must be base64 of one or more float64 values, got 1.0"),
             ({"first_bin": 1, "mass_f64": _f64([float("nan"), 1.0])}, "probability mass must be finite"),
             ({"first_bin": 1, "mass_f64": _f64([1.5, -0.5])}, "negative probability"),
-            ({"first_bin": 1, "mass_f64": _f64([1.0]), "mass": [1.0]}, "dense literal carries both 'mass' and 'mass_f64'"),
+            ({"first_bin": 1, "mass_f64": _f64([1.0]), "mass": [1.0]}, f"{ONE_HISTOGRAM_KEY}; found 'mass_f64' and 'mass'"),
+            ({"first_bin": 1, "mass_f64": _f64([1.0]), "pmf": [[1, 1.0]]}, f"{ONE_HISTOGRAM_KEY}; found 'mass_f64' and 'pmf'"),
+            ({"model": "histogram", "first_bin": 1}, f"{ONE_HISTOGRAM_KEY}; found none"),
         ],
         ids=["negative-first-bin", "fractional-first-bin", "boolean-first-bin", "missing-first-bin",
              "string-mass", "object-mass", "empty-mass", "negative-entry", "both-forms",
              "f64-bad-base64", "f64-non-ascii", "f64-ragged-bytes", "f64-empty", "f64-not-a-string",
-             "f64-nan", "f64-negative-entry", "mass-and-mass-f64"],
+             "f64-nan", "f64-negative-entry", "mass-and-mass-f64", "mass-f64-and-pmf",
+             "no-masses"],
     )
     def test_malformed_dense_literal_names_edge(self, literal, message):
         with pytest.raises(GraphValidationError, match=f"edge 'bad': {message}"):
@@ -294,7 +285,7 @@ class TestSaveRoundTrip:
         fixture_doc = json.loads(FIXTURE_PATH.read_text())
         assert all("pmf" in e["dist"] for e in fixture_doc["edges"])
         saved = rr.save_graph(fixture_graph)
-        for dense in (saved, _dense_list_form(saved)):
+        for dense in (saved, dense_list_form(saved)):
             _assert_same_pmfs(rr.load_graph(dense), rr.load_graph(fixture_doc))
 
     @pytest.mark.parametrize("name", sorted(GRIDS))
@@ -303,7 +294,7 @@ class TestSaveRoundTrip:
         # and pairs forms, read back from JSON text, load to the same bytes.
         doc = rr.save_graph(grids[name])
         assert all("mass_f64" in e["dist"] and "mass" not in e["dist"] for e in doc["edges"])
-        for form in (doc, _dense_list_form(doc), _pairs_form(doc)):
+        for form in (doc, dense_list_form(doc), _pairs_form(doc)):
             _assert_same_pmfs(rr.load_graph(json.loads(json.dumps(form))), grids[name])
 
 def test_edge_support_runs_cover_exactly_the_nonzero_bins(fixture_graph):

@@ -287,5 +287,11 @@ class TestBudgetCheck:
             budget_calls[entry](value)
 
     @pytest.mark.parametrize("entry", BUDGET_ENTRY_POINTS)
+    def test_negative_budget_rejected(self, budget_calls, entry):
+        name = "horizon" if entry in ("compute_policy", "compute_realizability", "compute_arc_potentials") else "budget"
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -1$"):
+            budget_calls[entry](-1)
+
+    @pytest.mark.parametrize("entry", BUDGET_ENTRY_POINTS)
     def test_numpy_integer_budget_accepted(self, budget_calls, entry):
         budget_calls[entry](np.int64(3))

@@ -206,6 +206,23 @@ class TestArcPotentials:
         with pytest.raises(ValueError, match="dt=0.5 but the graph has dt=1.0"):
             rr.prune(fixture_graph, dataclasses.replace(table, dt=0.5), 4)
 
+    def test_prune_rejects_table_with_another_edge_count(self, fixture_graph, fixture_region):
+        partition, region = fixture_region
+        table = rr.compute_arc_potentials(fixture_graph, partition, region, 6)
+        with pytest.raises(ValueError, match="potential table has 3 edges but the graph has 4"):
+            rr.prune(fixture_graph, dataclasses.replace(table, phi=table.phi[:3]), 4)
+
+    def test_partition_of_another_graph_rejected(self):
+        g3, g4 = (rr.synthesize_distributions(rr.grid_topology(k), seed=7) for k in (3, 4))
+        partition = rr.grid_partition(g3, 2)
+        message = "partition assigns 9 nodes to regions but the graph has 16"
+        with pytest.raises(ValueError, match=message):
+            partition.check_graph(g4)
+        with pytest.raises(ValueError, match=message):
+            rr.compute_arc_potentials(g4, partition, 0, 60)
+        with pytest.raises(ValueError, match=message):
+            rr.build_archive(g4, partition, 60)
+
     def test_policy_accepts_pruning_pair(self, fixture_graph, fixture_region):
         partition, region = fixture_region
         table = rr.compute_arc_potentials(fixture_graph, partition, region, 6)
