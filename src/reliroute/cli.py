@@ -65,7 +65,7 @@ def synth(grid_k, dt, spacing, speed, cov, delay_factor, seed, out_path):
 @click.option("--dest", required=True)
 @click.option("--budget", type=int, required=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
-              help="Export the table (.json, else compressed npz).")
+              help="Export the table as compressed npz.")
 def policy(graph_path, dest, budget, out_path):
     """Compute the arrival-probability policy toward a destination."""
     graph = load_graph(graph_path)

@@ -30,22 +30,19 @@ NORMALIZATION_TOL = 1e-9
 EXACT_TOL = 1e-12
 
 
-def _bin_index(k, name: str = "bin index") -> int:
-    """``k`` as an ``int`` if it is a nonnegative integer (numpy integers
-    included, booleans not); otherwise ``ValueError`` naming ``name``."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {k!r}")
-    return int(k)
-
-
-def _budget(T, name: str) -> int:
-    """``T`` as an ``int`` if it is a nonnegative integer (numpy integers included,
-    booleans not); otherwise ``ValueError`` naming ``name``.  Callers check the upper bound."""
-    if isinstance(T, bool) or not isinstance(T, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {T!r}")
-    if T < 0:
-        raise ValueError(f"{name} must be nonnegative, got {T}")
-    return int(T)
+def _integer(value, name: str, least: int = 0, bound: tuple[str, int] | None = None) -> int:
+    """``value`` as an ``int`` if it is an integer (numpy integers included,
+    booleans not) of at least ``least`` and, given ``bound = (bound_name,
+    most)``, at most ``most``; otherwise ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < least:
+        shape = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {shape}, got {value}")
+    if bound is not None and value > bound[1]:
+        raise ValueError(f"{name} {value} exceeds {bound[0]} {bound[1]}")
+    return value
 
 
 class DiscreteDistribution:
@@ -128,7 +125,7 @@ class DiscreteDistribution:
         pairs = list(pairs)
         if not pairs:
             raise ValueError("empty PMF")
-        bins = [_bin_index(k) for k, _ in pairs]
+        bins = [_integer(k, "bin index") for k, _ in pairs]
         if len(set(bins)) != len(bins):
             raise ValueError("duplicate bin index in PMF pairs")
         arr = np.zeros(max(bins) + 1, dtype=np.float64)
@@ -139,7 +136,7 @@ class DiscreteDistribution:
     @classmethod
     def point_mass(cls, at_bin: int, dt: float = 1.0) -> "DiscreteDistribution":
         """A deterministic travel time of exactly ``at_bin`` bins."""
-        at_bin = _bin_index(at_bin)
+        at_bin = _integer(at_bin, "bin index")
         arr = np.zeros(at_bin + 1, dtype=np.float64)
         arr[at_bin] = 1.0
         return cls(arr, dt=dt)
@@ -213,8 +210,8 @@ def convolve(a: DiscreteDistribution, b: DiscreteDistribution, cap: int | None =
     """
     if a.dt != b.dt:
         raise ValueError(f"time-step mismatch: {a.dt} vs {b.dt}")
-    if cap is not None and cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
+    if cap is not None:
+        cap = _integer(cap, "cap", 1)
 
     total_a = a.total_mass + a.truncated_tail
     total_b = b.total_mass + b.truncated_tail

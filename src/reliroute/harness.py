@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .distributions import _integer
 from .network import StochasticGraph, grid_partition
 from .pathsearch import path_distribution, sota_path_report
 from .policy import compute_policy
@@ -109,8 +110,7 @@ class ProblemInstance:
 def generate_instances(graph: StochasticGraph, n: int, seed: int = 0) -> list[ProblemInstance]:
     """Draw ``n`` instances: uniform connected node pairs, budgets uniform on
     the integer bins of the LET path's 5th-95th percentile range."""
-    if n < 1:
-        raise ValueError(f"need at least one instance, got {n}")
+    n = _integer(n, "instance count", 1)
     if graph.num_nodes < 2:
         raise ValueError("instance generation needs a graph with at least two nodes")
     rng = random.Random(seed)
@@ -185,7 +185,7 @@ class BenchmarkRecord:
 def _median_time(fn, repetitions: int):
     """Run ``fn`` ``repetitions`` times; return (median seconds, last result)."""
     times, result = [], None
-    for _ in range(max(1, repetitions)):
+    for _ in range(repetitions):
         t0 = time.perf_counter()
         result = fn()
         times.append(time.perf_counter() - t0)
@@ -280,7 +280,10 @@ def run_benchmark(
     config = config or BenchmarkConfig()
     if config.pruning and config.pruning not in MODES:
         raise ValueError(f"pruning {config.pruning!r} is not one of {MODES}")
-    if config.pruning and not config.grid_k:
+    _integer(config.repetitions, "repetitions", 1)
+    if config.path_repetitions is not None:
+        _integer(config.path_repetitions, "path_repetitions", 1)
+    if config.pruning and config.grid_k is None:
         raise ValueError(f"pruning {config.pruning!r} needs grid_k, the region grid to prune by (bench --grid)")
     table_for = _table_cache(graph, instances, config) if config.pruning else None
     records = [_run_instance(graph, i, inst, config, table_for) for i, inst in enumerate(instances)]

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _bin_index
+from .distributions import DiscreteDistribution, _integer
 
 #: Upper-tail probability at which generated supports are cut off.
 TAIL_EPS = 1e-12
@@ -181,7 +181,7 @@ def _decode_mass_f64(text) -> np.ndarray:
 
 
 def _dense_histogram(literal: dict, dt: float) -> DiscreteDistribution:
-    first, mass = _bin_index(literal.get("first_bin"), "'first_bin'"), literal.get("mass")
+    first, mass = _integer(literal.get("first_bin"), "'first_bin'"), literal.get("mass")
     if "mass_f64" in literal:
         mass = _decode_mass_f64(literal["mass_f64"])
     elif not isinstance(mass, list) or not mass:

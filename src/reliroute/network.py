@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, _integer
 from .errors import GraphValidationError
 from .models import dense_literal, resolve_distribution_literal
 
@@ -291,9 +291,12 @@ class RegionPartition:
     """Assignment of every node to one of ``region_count`` contiguous ids."""
 
     def __init__(self, assignment):
-        assignment = np.asarray(assignment, dtype=np.int64)
+        assignment = np.asarray(assignment)
         if assignment.ndim != 1 or assignment.size == 0:
             raise ValueError("assignment must be a nonempty 1-D array")
+        if assignment.dtype.kind not in "iu":
+            raise ValueError(f"assignment must hold integer region ids, got {assignment.dtype} values")
+        assignment = assignment.astype(np.int64, copy=False)
         present = np.unique(assignment)
         if present[0] < 0 or not np.array_equal(present, np.arange(len(present))):
             raise ValueError("region ids must be exactly 0..r-1 with every id used")
@@ -321,8 +324,7 @@ def grid_partition(graph: StochasticGraph, k: int) -> RegionPartition:
     Empty cells are dropped and region ids compacted, so the resulting region
     count is at most ``k * k``.  Deterministic and total.
     """
-    if k < 1:
-        raise ValueError(f"grid dimension must be at least 1, got {k}")
+    k = _integer(k, "grid dimension", 1)
     xy = graph.coords
     lo = xy.min(axis=0)
     span = xy.max(axis=0) - lo

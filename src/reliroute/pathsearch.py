@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _budget, convolve
+from .distributions import DiscreteDistribution, _integer, convolve
 from .errors import SearchBudgetExceeded
 from .network import StochasticGraph
 from .policy import PolicyTable, _edge_mask
@@ -103,12 +103,9 @@ def sota_path_report(
     zero at ``T``, so that together they bound every other path at every
     budget up to the horizon.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    k = _integer(k, "k", 1)
     policy.check_graph(graph)
-    T = policy.horizon if T is None else _budget(T, "budget")
-    if T > policy.horizon:
-        raise ValueError(f"budget {T} outside the policy horizon 0..{policy.horizon}")
+    T = policy.horizon if T is None else _integer(T, "budget", bound=("the policy horizon", policy.horizon))
     cap = policy.horizon + 1
     s = graph.node_index(source)
     d = graph.node_index(policy.dest)
@@ -229,7 +226,7 @@ def path_reliability(graph: StochasticGraph, path, T: int, edges=None) -> float:
     ``path`` is a node sequence; when consecutive nodes are joined by parallel
     edges the edge sequence must be passed explicitly via ``edges``.
     """
-    T = _budget(T, "budget")
+    T = _integer(T, "budget")
     if edges is None:
         if path is None or len(path) == 0:
             raise ValueError("empty path")

@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import EXACT_TOL, _budget
+from .distributions import EXACT_TOL, _integer
 from .network import StochasticGraph
 
 _log = logging.getLogger(__name__)
@@ -68,7 +68,7 @@ class PolicyTable:
     dt: float
     u: np.ndarray
     w: np.ndarray
-    node_ids: tuple = field(default_factory=tuple, repr=False)
+    node_ids: tuple = field(repr=False)
 
     def check_graph(self, graph: StochasticGraph) -> None:
         """Raise ``ValueError`` unless the table's rows are ``graph``'s nodes
@@ -78,45 +78,34 @@ class PolicyTable:
                 f"policy table has {self.w.shape[0]} node rows but the graph has "
                 f"{graph.num_nodes} nodes; it was built for another graph"
             )
-        if self.node_ids and tuple(self.node_ids) != graph.node_ids:
+        if tuple(self.node_ids) != graph.node_ids:
             raise ValueError("policy table's node ids differ from the graph's; it was built for another graph")
         if self.dt != graph.dt:
             raise ValueError(f"policy table has dt={self.dt} but the graph has dt={graph.dt}")
 
     def save(self, target) -> None:
-        """Write the table, keyed by (destination, horizon, dt).
-
-        ``.json`` targets get a readable dump; anything else is a compressed
-        ``npz`` with a JSON header, written under exactly the name given.
-        """
+        """Write the table as a compressed ``npz`` with a JSON header keyed by
+        (destination, horizon, dt) and the node ids, under exactly the name given."""
         meta = {
             "destination": self.dest,
             "horizon": self.horizon,
             "dt": self.dt,
             "nodes": list(self.node_ids),
         }
-        target = Path(target)
-        if target.suffix == ".json":
-            doc = dict(meta, u=self.u.tolist(), w=self.w.tolist())
-            target.write_text(json.dumps(doc))
-        else:
-            # Through a handle: given a name, numpy would append ".npz".
-            with target.open("wb") as handle:
-                np.savez_compressed(handle, meta=json.dumps(meta), u=self.u, w=self.w)
+        # Through a handle: given a name, numpy would append ".npz".
+        with Path(target).open("wb") as handle:
+            np.savez_compressed(handle, meta=json.dumps(meta), u=self.u, w=self.w)
 
     @classmethod
     def load(cls, source) -> "PolicyTable":
-        source = Path(source)
+        """Read a table written by :meth:`save`.  A missing field, or arrays
+        that do not fit the horizon, raise ``ValueError``."""
         try:
-            if source.suffix == ".json":
-                meta = json.loads(source.read_text())
-                u = np.array(meta["u"], dtype=np.float64)
-                w = np.array(meta["w"], dtype=np.int32)
-            else:
-                with np.load(source) as data:
-                    meta = json.loads(str(data["meta"]))
-                    u, w = data["u"], data["w"]
+            with np.load(source) as data:
+                meta = json.loads(str(data["meta"]))
+                u, w = data["u"], data["w"]
             dest, horizon, dt = meta["destination"], int(meta["horizon"]), float(meta["dt"])
+            node_ids = tuple(meta["nodes"])
         except KeyError as exc:
             raise ValueError(f"policy table document is missing a field: {exc}") from None
         if u.shape != w.shape or u.ndim != 2 or u.shape[1] != horizon + 1:
@@ -132,7 +121,7 @@ class PolicyTable:
             dt=dt,
             u=u,
             w=w,
-            node_ids=tuple(meta.get("nodes", ())),
+            node_ids=node_ids,
         )
 
 
@@ -389,7 +378,7 @@ def _solve(graph: StochasticGraph, dest, T: int, edge_mask=None, shared: dict | 
     """:func:`compute_policy`; solves toward several destinations of one
     graph share kernel transforms through one ``shared`` dict (see
     :class:`_EdgeArrays`), with tables bit-identical to solving alone."""
-    T = _budget(T, "horizon")
+    T = _integer(T, "horizon")
     d = graph.node_index(dest)
     start = time.perf_counter()
 

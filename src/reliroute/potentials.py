@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import EXACT_TOL, _budget
+from .distributions import EXACT_TOL, _integer
 from .network import RegionPartition, StochasticGraph
 # compute_policy is not called here, but perfbench's traced run wraps it where
 # this module would look it up.
@@ -99,9 +99,7 @@ def compute_realizability(
     if initial_budgets not in ("exact", "any"):
         raise ValueError(f"unknown initial-budget mode {initial_budgets!r}")
     policy.check_graph(graph)
-    T = policy.horizon if T is None else _budget(T, "horizon")
-    if T > policy.horizon:
-        raise ValueError(f"horizon {T} exceeds the policy horizon {policy.horizon}")
+    T = policy.horizon if T is None else _integer(T, "horizon", bound=("the policy horizon", policy.horizon))
 
     sources = source if isinstance(source, (list, tuple)) else [source]
     if not sources:
@@ -172,12 +170,7 @@ class PotentialTable:
 
     def edge_mask(self, budget: int) -> np.ndarray:
         """Edges that may participate in any optimal solution at ``<= budget``."""
-        budget = _budget(budget, "budget")
-        if budget > self.horizon:
-            raise ValueError(
-                f"budget {budget} exceeds the preprocessed horizon {self.horizon}; "
-                "potentials beyond the horizon are unknown"
-            )
+        budget = _integer(budget, "budget", bound=("the preprocessed horizon", self.horizon))
         return self.phi <= budget
 
     def kept_count(self, budget: int) -> int:
@@ -253,10 +246,9 @@ def compute_arc_potentials(
     An empty ``sources`` list, or a partition of another graph's nodes,
     raises ``ValueError``.
     """
-    T = _budget(T, "horizon")
+    T = _integer(T, "horizon")
     partition.check_graph(graph)
-    if not 0 <= region < partition.region_count:
-        raise ValueError(f"region {region} out of range 0..{partition.region_count - 1}")
+    region = _integer(region, "region", bound=("the last region id", partition.region_count - 1))
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if sources is not None and not isinstance(sources, (list, tuple)):
@@ -309,10 +301,12 @@ def build_archive(
     regions=None,
 ) -> dict:
     """Compute tables for several regions; returns ``{region: PotentialTable}``
-    plus the partition, bundled for serialization."""
+    plus the partition, bundled for serialization.  A partition of another
+    graph's nodes raises ``ValueError`` before any table is built."""
+    partition.check_graph(graph)
     chosen = range(partition.region_count) if regions is None else regions
     tables = {
-        int(r): compute_arc_potentials(graph, partition, int(r), T, mode=mode, sources=sources)
+        r: compute_arc_potentials(graph, partition, r, T, mode=mode, sources=sources)
         for r in chosen
     }
     return {"partition": partition, "tables": tables, "horizon": T, "mode": mode,
@@ -353,7 +347,7 @@ def load_archive(source) -> dict:
     where = "potentials archive"
     try:
         horizon, dt, mode = int(doc["horizon"]), float(doc["dt"]), doc["mode"]
-        partition = RegionPartition(np.array(doc["assignment"], dtype=np.int64))
+        partition = RegionPartition(doc["assignment"])
         tables = {}
         for r, tab in doc["tables"].items():
             where = f"potentials archive table {r}"

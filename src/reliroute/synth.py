@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+from .distributions import _integer
 from .errors import GraphValidationError
 from .models import _check_gamma_args, free_flow_bins, shifted_gamma_pmfs
 from .network import StochasticGraph, _edge_ident
@@ -24,8 +25,7 @@ def grid_topology(k: int, spacing: float = 100.0, speed: float = 10.0, dt: float
     Nodes sit on integer lattice coordinates scaled by ``spacing`` metres and
     every adjacent pair is connected in both directions.
     """
-    if k < 2:
-        raise ValueError(f"grid must be at least 2x2, got {k}")
+    k = _integer(k, "grid dimension", 2)
     nodes = [
         {"id": f"n{r:02d}_{c:02d}", "x": c * spacing, "y": r * spacing}
         for r in range(k)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import json
 import math
 import random
 from pathlib import Path
@@ -44,6 +45,17 @@ def dense_list_form(doc):
         dist = {k: v for k, v in e["dist"].items() if k != "mass_f64"}
         edges.append(dict(e, dist=dict(dist, mass=literal_mass(e["dist"]))))
     return dict(doc, edges=edges)
+
+
+def edit_policy_file(path, edit):
+    """Rewrite the policy table file at ``path`` after ``edit(doc)``: ``doc``
+    holds the fields of its JSON header plus the arrays ``u`` and ``w``."""
+    with np.load(path) as data:
+        doc = dict(json.loads(str(data["meta"])), u=data["u"], w=data["w"])
+    edit(doc)
+    u, w = doc.pop("u"), doc.pop("w")
+    with open(path, "wb") as handle:
+        np.savez_compressed(handle, meta=json.dumps(doc), u=u, w=w)
 
 
 def random_edge_dist(rng, max_delta=5, max_width=6, dt=1.0):

@@ -203,9 +203,11 @@ def test_path_rejects_mismatched_potentials(runner, tmp_path, graph_args, budget
         (["preprocess", "--grid", "2", "--horizon", "-1", "--out", "x.json"], "horizon must be nonnegative"),
         (["preprocess", "--grid", "2", "--horizon", "6", "--mode", "path", "--source", "nope",
           "--out", "x.json"], "unknown node id 'nope'"),
-        (["bench", "--instances", "0", "--out", "out"], "need at least one instance, got 0"),
+        (["bench", "--instances", "0", "--out", "out"], "instance count must be at least 1, got 0"),
         (["bench", "--instances", "1", "--preprocess", "policy", "--out", "out"],
          "pruning 'policy' needs grid_k, the region grid to prune by (bench --grid)"),
+        (["bench", "--instances", "2", "--grid", "0", "--preprocess", "policy", "--out", "out"],
+         "grid dimension must be at least 1, got 0"),
     ],
 )
 def test_value_errors_are_reported_without_traceback(runner, args, message):

@@ -193,10 +193,10 @@ class TestLoadGraph:
     @pytest.mark.parametrize(
         "literal, message",
         [
-            ({"first_bin": -1, "mass": [1.0]}, "'first_bin' must be a nonnegative integer, got -1"),
-            ({"first_bin": 1.5, "mass": [1.0]}, "'first_bin' must be a nonnegative integer, got 1.5"),
-            ({"first_bin": True, "mass": [1.0]}, "'first_bin' must be a nonnegative integer, got True"),
-            ({"mass": [1.0]}, "'first_bin' must be a nonnegative integer, got None"),
+            ({"first_bin": -1, "mass": [1.0]}, "'first_bin' must be nonnegative, got -1"),
+            ({"first_bin": 1.5, "mass": [1.0]}, "'first_bin' must be an integer, got 1.5"),
+            ({"first_bin": True, "mass": [1.0]}, "'first_bin' must be an integer, got True"),
+            ({"mass": [1.0]}, "'first_bin' must be an integer, got None"),
             ({"first_bin": 1, "mass": "x"}, "'mass' must be a nonempty list of probabilities, got 'x'"),
             ({"first_bin": 1, "mass": {}}, "'mass' must be a nonempty list of probabilities, got {}"),
             ({"first_bin": 1, "mass": []}, r"'mass' must be a nonempty list of probabilities, got \[\]"),
@@ -356,6 +356,20 @@ class TestGridPartition:
         part = rr.grid_partition(g, 3)
         assert len(part.assignment) == 5
         assert part.region_count <= 3
+
+    @pytest.mark.parametrize(
+        "assignment, kind",
+        [([0.5, 1.7, 1.2], "float64"), ([True, False], "bool"), (np.array([0.0, 1.0]), "float64")],
+        ids=["fractions", "booleans", "float-array"],
+    )
+    def test_assignment_must_hold_integers(self, assignment, kind):
+        with pytest.raises(ValueError, match=f"^assignment must hold integer region ids, got {kind} values$"):
+            rr.RegionPartition(assignment)
+
+    def test_integer_assignments_accepted(self):
+        for assignment in ([1, 0, 1], np.array([1, 0, 1], dtype=np.int32), np.array([1, 0, 1], dtype=np.uint8)):
+            part = rr.RegionPartition(assignment)
+            assert part.assignment.dtype == np.int64 and part.assignment.tolist() == [1, 0, 1]
 
     def test_k_validation(self, fixture_graph):
         with pytest.raises(ValueError):

@@ -1,6 +1,5 @@
 """Policy solver: DP values, the direct-sum oracle, invariants."""
 
-import json
 import logging
 import os
 import random
@@ -20,6 +19,7 @@ from conftest import (
     direct_policy,
     edge_by_label,
     edge_evaluation,
+    edit_policy_file,
     random_connected_graph,
     reference_policy,
 )
@@ -152,8 +152,7 @@ class TestPolicyValues:
 class TestPolicyTableIO:
     @pytest.mark.parametrize("suffix", [".npz", ".bin", ".json"])
     def test_round_trip(self, fixture_graph, tmp_path, suffix):
-        # Any name that is not .json holds a compressed npz, under exactly
-        # that name.
+        # Any name holds a compressed npz, under exactly that name.
         pol = rr.compute_policy(fixture_graph, "v3", 5)
         target = tmp_path / f"table{suffix}"
         pol.save(target)
@@ -169,11 +168,9 @@ class TestPolicyTableIO:
         # Tables written before the solver had a single traversal order carry
         # an "order" entry.
         pol = rr.compute_policy(fixture_graph, "v3", 5)
-        target = tmp_path / "table.json"
+        target = tmp_path / "table.npz"
         pol.save(target)
-        doc = json.loads(target.read_text())
-        doc["order"] = "dijkstra-blocks"
-        target.write_text(json.dumps(doc))
+        edit_policy_file(target, lambda doc: doc.update(order="dijkstra-blocks"))
         again = rr.PolicyTable.load(target)
         assert np.array_equal(again.u, pol.u)
         assert np.array_equal(again.w, pol.w)
@@ -182,12 +179,14 @@ class TestPolicyTableIO:
         # Tables written before the table stopped recording its convolution
         # backend carry a "backend" entry.
         pol = rr.compute_policy(fixture_graph, "v3", 5)
-        target = tmp_path / "table.json"
+        target = tmp_path / "table.npz"
         pol.save(target)
-        doc = json.loads(target.read_text())
-        assert "backend" not in doc
-        doc["backend"] = "zdc"
-        target.write_text(json.dumps(doc))
+
+        def add_backend(doc):
+            assert "backend" not in doc
+            doc["backend"] = "zdc"
+
+        edit_policy_file(target, add_backend)
         again = rr.PolicyTable.load(target)
         assert np.array_equal(again.u, pol.u)
         assert np.array_equal(again.w, pol.w)
@@ -195,18 +194,17 @@ class TestPolicyTableIO:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda doc: doc["w"].pop(), r"u has shape \(3, 6\) and its w \(2, 6\)"),
+            (lambda doc: doc.update(w=doc["w"][:-1]), r"u has shape \(3, 6\) and its w \(2, 6\)"),
             (lambda doc: doc.update(horizon=4), r"one column per budget 0..4"),
             (lambda doc: doc.pop("destination"), r"missing a field: 'destination'"),
+            (lambda doc: doc.pop("nodes"), r"missing a field: 'nodes'"),
         ],
-        ids=["row-counts-differ", "wrong-horizon", "no-destination"],
+        ids=["row-counts-differ", "wrong-horizon", "no-destination", "no-nodes"],
     )
     def test_load_rejects_malformed_documents(self, fixture_graph, tmp_path, edit, message):
-        target = tmp_path / "table.json"
+        target = tmp_path / "table.npz"
         rr.compute_policy(fixture_graph, "v3", 5).save(target)
-        doc = json.loads(target.read_text())
-        edit(doc)
-        target.write_text(json.dumps(doc))
+        edit_policy_file(target, edit)
         with pytest.raises(ValueError, match=message):
             rr.PolicyTable.load(target)
 
@@ -295,3 +293,74 @@ class TestBudgetCheck:
     @pytest.mark.parametrize("entry", BUDGET_ENTRY_POINTS)
     def test_numpy_integer_budget_accepted(self, budget_calls, entry):
         budget_calls[entry](np.int64(3))
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("sota_path_report", "budget 5 exceeds the policy horizon 4"),
+            ("compute_realizability", "horizon 5 exceeds the policy horizon 4"),
+            ("PotentialTable.edge_mask", "budget 5 exceeds the preprocessed horizon 4"),
+        ],
+    )
+    def test_budget_above_horizon_rejected(self, budget_calls, entry, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            budget_calls[entry](5)
+
+
+@pytest.fixture(scope="module")
+def count_calls(fixture_graph):
+    """Each public entry point that takes a count or a region id, as
+    ``(name in the message, least value, value -> call)``."""
+    g = fixture_graph
+    pol = rr.compute_policy(g, "v3", 4)
+    partition = rr.grid_partition(g, 3)
+    instances = rr.generate_instances(g, 1, seed=2)
+    d = rr.DiscreteDistribution.point_mass(1)
+    return {
+        "sota_path_report.k": ("k", 1, lambda v: rr.sota_path_report(g, pol, "v1", T=4, k=v)),
+        "generate_instances.n": ("instance count", 1, lambda v: rr.generate_instances(g, v)),
+        "grid_partition.k": ("grid dimension", 1, lambda v: rr.grid_partition(g, v)),
+        "grid_topology.k": ("grid dimension", 2, lambda v: rr.grid_topology(v)),
+        "convolve.cap": ("cap", 1, lambda v: rr.convolve(d, d, cap=v)),
+        "compute_arc_potentials.region": ("region", 0, lambda v: rr.compute_arc_potentials(g, partition, v, 4)),
+        "build_archive.regions": ("region", 0, lambda v: rr.build_archive(g, partition, 4, regions=[v])),
+        "BenchmarkConfig.repetitions": (
+            "repetitions", 1, lambda v: rr.run_benchmark(g, instances, rr.BenchmarkConfig(repetitions=v))),
+        "BenchmarkConfig.path_repetitions": (
+            "path_repetitions", 1, lambda v: rr.run_benchmark(g, instances, rr.BenchmarkConfig(path_repetitions=v))),
+    }
+
+
+COUNT_ENTRY_POINTS = [
+    "sota_path_report.k",
+    "generate_instances.n",
+    "grid_partition.k",
+    "grid_topology.k",
+    "convolve.cap",
+    "compute_arc_potentials.region",
+    "build_archive.regions",
+    "BenchmarkConfig.repetitions",
+    "BenchmarkConfig.path_repetitions",
+]
+
+
+class TestCountCheck:
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [2.5, True, "3"], ids=repr)
+    def test_non_integer_rejected(self, count_calls, entry, value):
+        name, _, call = count_calls[entry]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            call(value)
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    def test_below_least_rejected(self, count_calls, entry):
+        name, least, call = count_calls[entry]
+        shape = "nonnegative" if least == 0 else f"at least {least}"
+        with pytest.raises(ValueError, match=f"^{name} must be {shape}, got {least - 1}$"):
+            call(least - 1)
+
+    def test_region_past_the_last_rejected(self, fixture_graph):
+        partition = rr.grid_partition(fixture_graph, 3)
+        n = partition.region_count
+        with pytest.raises(ValueError, match=f"^region {n} exceeds the last region id {n - 1}$"):
+            rr.compute_arc_potentials(fixture_graph, partition, n, 4)

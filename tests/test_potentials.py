@@ -222,6 +222,8 @@ class TestArcPotentials:
             rr.compute_arc_potentials(g4, partition, 0, 60)
         with pytest.raises(ValueError, match=message):
             rr.build_archive(g4, partition, 60)
+        with pytest.raises(ValueError, match=message):
+            rr.build_archive(g4, partition, 60, regions=[])
 
     def test_policy_accepts_pruning_pair(self, fixture_graph, fixture_region):
         partition, region = fixture_region
@@ -531,6 +533,16 @@ class TestArchiveIO:
         del parent[drop[-1]]
         target.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
+            rr.load_archive(target)
+
+    @pytest.mark.parametrize("assignment", [[0.0, 1.0, 2.0], [0.5, 1.7, 1.2]], ids=["whole-floats", "fractions"])
+    def test_float_assignment_rejected(self, fixture_graph, tmp_path, assignment):
+        target = tmp_path / "potentials.json"
+        rr.save_archive(rr.build_archive(fixture_graph, rr.grid_partition(fixture_graph, 3), 6, regions=[]), target)
+        doc = json.loads(target.read_text())
+        doc["assignment"] = assignment
+        target.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="^assignment must hold integer region ids, got float64 values$"):
             rr.load_archive(target)
 
     def test_reject_foreign_file(self, tmp_path):
