@@ -118,7 +118,12 @@ def path_cmd(graph_path, source, dest, budget, k, pot_path):
         region = archive["partition"].region_of_index(graph.node_index(dest))
         if region not in archive["tables"]:
             raise click.ClickException(f"archive has no table for region {region}")
-        mask = prune(graph, archive["tables"][region], budget)
+        table = archive["tables"][region]
+        mask = prune(graph, table, budget)
+        if table.sources is not None and source not in table.sources:
+            raise click.ClickException(f"archive was built for sources {list(table.sources)}, not {source!r}")
+        if table.mode == "path" and k > 1:
+            raise click.ClickException("archive is path-mode and keeps only the best path; --k must be 1")
     t0 = time.perf_counter()
     table = compute_policy(graph, dest, budget, edge_mask=mask)
     report = sota_path_report(graph, table, source, T=budget, k=k, edge_mask=mask)

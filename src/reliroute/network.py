@@ -18,6 +18,7 @@ Graphs are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from functools import cached_property
 from pathlib import Path
@@ -163,6 +164,19 @@ class StochasticGraph:
         means = np.array([d.mean() for d in self.edge_dists], dtype=np.float64)
         means.setflags(write=False)
         return means
+
+    @cached_property
+    def digest(self) -> str:
+        """sha256 (hex) of what tables computed on this graph depend on: ``dt``,
+        the node ids, and each edge's tail, head, masses and truncated tail, but
+        not coordinates or labels.  Computed on first use."""
+        h = hashlib.sha256(repr((self.dt, self.node_ids)).encode())
+        h.update(np.stack([self.edge_tails, self.edge_heads]).tobytes())
+        h.update(np.array([(len(d.mass), d.truncated_tail) for d in self.edge_dists]).tobytes())
+        # Edge by edge: one concatenation would add the masses' size to peak memory.
+        for d in self.edge_dists:
+            h.update(d.mass)
+        return h.hexdigest()
 
     @cached_property
     def edge_support(self) -> np.ndarray:

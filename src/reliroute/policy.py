@@ -60,69 +60,83 @@ class PolicyTable:
     ``u[i, t]`` is the probability of reaching the destination from node ``i``
     within ``t`` bins under the optimal policy; ``w[i, t]`` is the edge to
     traverse next (``NO_EDGE`` when ``u[i, t] == 0``).  Rows are indexed by
-    graph node index.  Immutable once built; share freely.
+    graph node index; ``graph_digest`` is the graph's ``digest``.  Immutable
+    once built; share freely.
     """
 
     dest: object
     horizon: int
-    dt: float
     u: np.ndarray
     w: np.ndarray
-    node_ids: tuple = field(repr=False)
+    graph_digest: str = field(repr=False)
 
     def check_graph(self, graph: StochasticGraph) -> None:
-        """Raise ``ValueError`` unless the table's rows are ``graph``'s nodes
-        and its budgets count bins of ``graph``'s ``dt``."""
+        """Raise ``ValueError`` unless the table was computed on ``graph``:
+        one row per node of ``graph``, and ``graph``'s digest."""
         if self.w.shape[0] != graph.num_nodes:
             raise ValueError(
                 f"policy table has {self.w.shape[0]} node rows but the graph has "
                 f"{graph.num_nodes} nodes; it was built for another graph"
             )
-        if tuple(self.node_ids) != graph.node_ids:
-            raise ValueError("policy table's node ids differ from the graph's; it was built for another graph")
-        if self.dt != graph.dt:
-            raise ValueError(f"policy table has dt={self.dt} but the graph has dt={graph.dt}")
+        if self.graph_digest != graph.digest:
+            raise ValueError("policy table was built for another graph: its graph digest differs from the graph's")
 
     def save(self, target) -> None:
-        """Write the table as a compressed ``npz`` with a JSON header keyed by
-        (destination, horizon, dt) and the node ids, under exactly the name given."""
-        meta = {
-            "destination": self.dest,
-            "horizon": self.horizon,
-            "dt": self.dt,
-            "nodes": list(self.node_ids),
-        }
-        # Through a handle: given a name, numpy would append ".npz".
-        with Path(target).open("wb") as handle:
-            np.savez_compressed(handle, meta=json.dumps(meta), u=self.u, w=self.w)
+        """Write the table as a compressed ``npz`` with a JSON header of its
+        destination, horizon and graph digest, under exactly the name given."""
+        header = {"destination": self.dest, "horizon": self.horizon, "graph_digest": self.graph_digest}
+        _write_table(target, "policy table", header, u=self.u, w=self.w)
 
     @classmethod
     def load(cls, source) -> "PolicyTable":
-        """Read a table written by :meth:`save`.  A missing field, or arrays
-        that do not fit the horizon, raise ``ValueError``."""
-        try:
-            with np.load(source) as data:
-                meta = json.loads(str(data["meta"]))
-                u, w = data["u"], data["w"]
-            dest, horizon, dt = meta["destination"], int(meta["horizon"]), float(meta["dt"])
-            node_ids = tuple(meta["nodes"])
-        except KeyError as exc:
-            raise ValueError(f"policy table document is missing a field: {exc}") from None
-        if u.shape != w.shape or u.ndim != 2 or u.shape[1] != horizon + 1:
+        """Read a table written by :meth:`save`.  Any other file, a missing
+        field, a bad horizon, or arrays that do not fit it raise ``ValueError``."""
+        fields = ("destination", "horizon", "graph_digest", "u", "w")
+        dest, horizon, digest, u, w = _read_table(source, "policy table", fields)
+        horizon = _integer(horizon, "policy table horizon")
+        fits = u.shape == w.shape and u.ndim == 2 and u.shape[1] == horizon + 1
+        if not (fits and u.dtype.kind == "f" and w.dtype.kind in "iu"):
             raise ValueError(
-                f"policy table's u has shape {u.shape} and its w {w.shape}; both need one row "
-                f"per node and one column per budget 0..{horizon}"
+                f"policy table's u has shape {u.shape} and its w {w.shape}, of {u.dtype} and {w.dtype}; both need "
+                f"one row per node and one column per budget 0..{horizon}, u of floats and w of integers"
             )
         u.setflags(write=False)
         w.setflags(write=False)
         return cls(
             dest=dest,
             horizon=horizon,
-            dt=dt,
             u=u,
             w=w,
-            node_ids=node_ids,
+            graph_digest=digest,
         )
+
+
+def _write_table(target, kind: str, header: dict, **arrays) -> None:
+    """Write ``arrays`` as a compressed ``npz`` under exactly the name given,
+    with ``header`` and ``kind`` as JSON in its ``meta`` entry."""
+    # Through a handle: given a name, numpy would append ".npz".
+    with Path(target).open("wb") as handle:
+        np.savez_compressed(handle, meta=json.dumps(dict(header, kind=kind)), **arrays)
+
+
+def _read_table(source, kind: str, fields) -> list:
+    """``fields``, from the JSON header or the arrays, of a file that
+    :func:`_write_table` wrote as ``kind``.  Any other file raises one
+    ``ValueError`` naming ``kind`` and the file; a missing field, one naming it."""
+    try:
+        with np.load(source) as data:
+            doc = dict(json.loads(str(data["meta"])), **data)
+    except OSError:
+        raise
+    except Exception:
+        # A foreign or damaged file fails in numpy, zipfile, zlib or json, in many ways.
+        doc = {}
+    if doc.get("kind") != kind:
+        raise ValueError(f"{source} is not a {kind} written by this version of reliroute")
+    try:
+        return [doc[name] for name in fields]
+    except KeyError as exc:
+        raise ValueError(f"{kind} is missing a field: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +414,7 @@ def _solve(graph: StochasticGraph, dest, T: int, edge_mask=None, shared: dict | 
     return PolicyTable(
         dest=dest,
         horizon=T,
-        dt=graph.dt,
         u=U,
         w=W,
-        node_ids=graph.node_ids,
+        graph_digest=graph.digest,
     )

@@ -30,11 +30,9 @@ once built.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +40,7 @@ from .distributions import EXACT_TOL, _integer
 from .network import RegionPartition, StochasticGraph
 # compute_policy is not called here, but perfbench's traced run wraps it where
 # this module would look it up.
-from .policy import NO_EDGE, PolicyTable, _solve, compute_policy  # noqa: F401
+from .policy import NO_EDGE, PolicyTable, _read_table, _solve, _write_table, compute_policy  # noqa: F401
 from .pathsearch import path_distribution, sota_path_report
 
 _log = logging.getLogger(__name__)
@@ -159,13 +157,14 @@ class PotentialTable:
     """Per-edge activation budgets toward one destination region.
 
     ``phi[e]`` is the least budget at which edge ``e`` becomes active
-    (``INFINITE_POTENTIAL`` when it never does within the horizon).
+    (``INFINITE_POTENTIAL`` when it never does within the horizon);
+    ``graph_digest`` is the graph's ``digest``.
     """
 
     horizon: int
-    dt: float
     mode: str
     phi: np.ndarray
+    graph_digest: str = field(repr=False)
     sources: tuple | None = None
 
     def edge_mask(self, budget: int) -> np.ndarray:
@@ -177,12 +176,12 @@ class PotentialTable:
         return int(self.edge_mask(budget).sum())
 
     def check_graph(self, graph: StochasticGraph) -> None:
-        """Raise ``ValueError`` unless the table's budgets count bins of
-        ``graph``'s ``dt`` and it has one potential per edge of ``graph``."""
-        if self.dt != graph.dt:
-            raise ValueError(f"potential table has dt={self.dt} but the graph has dt={graph.dt}")
+        """Raise ``ValueError`` unless the table was computed on ``graph``:
+        one potential per edge of ``graph``, and ``graph``'s digest."""
         if len(self.phi) != graph.num_edges:
             raise ValueError(f"potential table has {len(self.phi)} edges but the graph has {graph.num_edges}")
+        if self.graph_digest != graph.digest:
+            raise ValueError("potential table was built for another graph: its graph digest differs from the graph's")
 
 
 def prune(graph: StochasticGraph, table: PotentialTable, budget: int) -> np.ndarray:
@@ -191,8 +190,8 @@ def prune(graph: StochasticGraph, table: PotentialTable, budget: int) -> np.ndar
     An edge survives iff its activation potential is at most the budget.
     Optimal values on
     the masked graph match the full graph for destinations in the table's
-    region and budgets up to the horizon.  A table built for a graph with
-    another ``dt`` or edge count raises ``ValueError``.
+    region and budgets up to the horizon.  A table built for another graph
+    raises ``ValueError``.
     """
     table.check_graph(graph)
     return table.edge_mask(budget)
@@ -281,9 +280,9 @@ def compute_arc_potentials(
     )
     return PotentialTable(
         horizon=T,
-        dt=graph.dt,
         mode=mode,
         phi=phi,
+        graph_digest=graph.digest,
         sources=tuple(sources) if sources is not None else None,
     )
 
@@ -301,8 +300,10 @@ def build_archive(
     regions=None,
 ) -> dict:
     """Compute tables for several regions; returns ``{region: PotentialTable}``
-    plus the partition, bundled for serialization.  A partition of another
-    graph's nodes raises ``ValueError`` before any table is built."""
+    plus the partition, bundled for serialization.  A bad horizon, or a
+    partition of another graph's nodes, raises ``ValueError`` before any
+    table is built."""
+    T = _integer(T, "horizon")
     partition.check_graph(graph)
     chosen = range(partition.region_count) if regions is None else regions
     tables = {
@@ -310,55 +311,47 @@ def build_archive(
         for r in chosen
     }
     return {"partition": partition, "tables": tables, "horizon": T, "mode": mode,
-            "dt": graph.dt}
+            "graph_digest": graph.digest}
 
 
 def save_archive(archive: dict, target) -> None:
-    """Write an archive as versioned JSON (infinite potentials become null)."""
-    tables = {}
-    for r, tab in archive["tables"].items():
-        tables[str(r)] = {
-            "phi": [None if p >= INFINITE_POTENTIAL else int(p) for p in tab.phi],
-            "sources": list(tab.sources) if tab.sources is not None else None,
-        }
-    doc = {
-        "format": "reliroute-potentials",
-        "version": 1,
-        "region_count": archive["partition"].region_count,
-        "horizon": archive["horizon"],
-        "dt": archive["dt"],
-        "mode": archive["mode"],
-        "assignment": [int(r) for r in archive["partition"].assignment],
-        "tables": tables,
-    }
-    Path(target).write_text(json.dumps(doc))
+    """Write an archive as a compressed ``npz`` with a JSON header, under
+    exactly the name given.  Its tables share one horizon, mode and sources,
+    and their potentials are one row per region."""
+    tables = archive["tables"]
+    header = {key: archive[key] for key in ("graph_digest", "horizon", "mode")}
+    header["sources"] = next((tab.sources for tab in tables.values()), None)
+    header["regions"] = [int(r) for r in tables]
+    phi = np.stack([tab.phi for tab in tables.values()]) if tables else np.zeros((0, 0), dtype=np.int64)
+    _write_table(target, "potentials archive", header, assignment=archive["partition"].assignment, phi=phi)
 
 
 def load_archive(source) -> dict:
-    """Read an archive written by :func:`save_archive`.
-
-    Fields of older documents that nothing reads (activation intervals, and
-    each table's region nodes, which the partition gives) are ignored.  A
-    missing field raises ``ValueError`` naming it.
-    """
-    doc = json.loads(Path(source).read_text())
-    if doc.get("format") != "reliroute-potentials" or doc.get("version") != 1:
-        raise ValueError("not a recognized potentials archive")
-    where = "potentials archive"
-    try:
-        horizon, dt, mode = int(doc["horizon"]), float(doc["dt"]), doc["mode"]
-        partition = RegionPartition(doc["assignment"])
-        tables = {}
-        for r, tab in doc["tables"].items():
-            where = f"potentials archive table {r}"
-            phi = np.array([INFINITE_POTENTIAL if p is None else p for p in tab["phi"]], dtype=np.int64)
-            tables[int(r)] = PotentialTable(
-                horizon=horizon,
-                dt=dt,
-                mode=mode,
-                phi=phi,
-                sources=tuple(tab["sources"]) if tab["sources"] is not None else None,
-            )
-    except KeyError as exc:
-        raise ValueError(f"{where} is missing a field: {exc}") from None
-    return {"partition": partition, "tables": tables, "horizon": horizon, "mode": mode, "dt": dt}
+    """Read an archive written by :func:`save_archive`.  Any other file, a
+    missing field, an unknown mode, or a horizon, region id or potential that
+    is not an integer in range raises ``ValueError``."""
+    digest, horizon, mode, sources, regions, assignment, phi = _read_table(
+        source, "potentials archive", ("graph_digest", "horizon", "mode", "sources", "regions", "assignment", "phi")
+    )
+    horizon = _integer(horizon, "potentials archive horizon")
+    if mode not in MODES:
+        raise ValueError(f"potentials archive has unknown mode {mode!r}")
+    if not (isinstance(regions, list) and (sources is None or isinstance(sources, list))):
+        raise ValueError("potentials archive needs a list of regions, and a list of sources or null")
+    partition = RegionPartition(assignment)
+    last = ("the last region id", partition.region_count - 1)
+    regions = [_integer(r, "potentials archive region", bound=last) for r in regions]
+    if len(set(regions)) != len(regions):
+        raise ValueError(f"potentials archive lists a region twice: {regions}")
+    shaped = phi.dtype.kind in "iu" and phi.ndim == 2 and len(phi) == len(regions)
+    if not (shaped and np.all((phi >= 0) & (phi <= horizon) | (phi == INFINITE_POTENTIAL))):
+        raise ValueError(
+            f"potentials archive's phi must hold one row per region of integer budgets 0..{horizon} "
+            f"or INFINITE_POTENTIAL, got {phi.dtype} values of shape {phi.shape}"
+        )
+    sources = tuple(sources) if sources is not None else None
+    tables = {
+        r: PotentialTable(horizon=horizon, mode=mode, phi=row, graph_digest=digest, sources=sources)
+        for r, row in zip(regions, phi)
+    }
+    return {"partition": partition, "tables": tables, "horizon": horizon, "mode": mode, "graph_digest": digest}

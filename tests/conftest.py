@@ -47,15 +47,16 @@ def dense_list_form(doc):
     return dict(doc, edges=edges)
 
 
-def edit_policy_file(path, edit):
-    """Rewrite the policy table file at ``path`` after ``edit(doc)``: ``doc``
-    holds the fields of its JSON header plus the arrays ``u`` and ``w``."""
+def edit_table_file(path, edit):
+    """Rewrite the policy table or potentials archive file at ``path`` after
+    ``edit(doc)``: ``doc`` holds the fields of its JSON header and its arrays
+    (``u`` and ``w``, or ``assignment`` and ``phi``)."""
     with np.load(path) as data:
-        doc = dict(json.loads(str(data["meta"])), u=data["u"], w=data["w"])
+        doc = dict(json.loads(str(data["meta"])), **{name: data[name] for name in data.files if name != "meta"})
     edit(doc)
-    u, w = doc.pop("u"), doc.pop("w")
+    arrays = {name: doc.pop(name) for name in list(doc) if isinstance(doc[name], np.ndarray)}
     with open(path, "wb") as handle:
-        np.savez_compressed(handle, meta=json.dumps(doc), u=u, w=w)
+        np.savez_compressed(handle, meta=json.dumps(doc), **arrays)
 
 
 def random_edge_dist(rng, max_delta=5, max_width=6, dt=1.0):
@@ -193,7 +194,7 @@ def direct_policy(graph, dest, T, edge_mask=None):
             first = np.argmax(table >= best[:, None] - rr.EXACT_TOL, axis=1)
             u[nodes, t] = np.maximum(np.minimum(best, 1.0), u[nodes, t - 1])
             w[nodes, t] = np.where(best > 0.0, edges[slots[np.arange(len(nodes)), first]], rr.NO_EDGE)
-    return rr.PolicyTable(dest=dest, horizon=T, dt=graph.dt, u=u, w=w, node_ids=graph.node_ids)
+    return rr.PolicyTable(dest=dest, horizon=T, u=u, w=w, graph_digest=graph.digest)
 
 
 def edge_evaluation(graph, u, edge, t):

@@ -168,7 +168,7 @@ def test_invalid_graph_is_reported(runner, tmp_path):
     [
         (["--grid", "4"], "200", "budget 200 exceeds the preprocessed horizon 120"),
         (["--grid", "5"], "100", "assigns 16 nodes to regions but the graph has 25"),
-        (["--grid", "4", "--dt", "0.5"], "100", "dt=1.0 but the graph has dt=0.5"),
+        (["--grid", "4", "--dt", "0.5"], "100", "potential table was built for another graph"),
     ],
 )
 def test_path_rejects_mismatched_potentials(runner, tmp_path, graph_args, budget, message):
@@ -190,6 +190,66 @@ def test_path_rejects_mismatched_potentials(runner, tmp_path, graph_args, budget
     assert result.exit_code != 0
     assert message in result.output
     assert isinstance(result.exception, SystemExit)
+
+
+@pytest.fixture(scope="module")
+def grid6_archives(tmp_path_factory):
+    """The 6x6 grid of seed 7, that of seed 8 with cov 2, and archives of
+    ``n05_05``'s region at horizon 200 built on the first: policy mode,
+    policy mode conditioned on ``n00_00`` and path mode from ``n00_00``."""
+    folder, runner = tmp_path_factory.mktemp("grid6"), CliRunner()
+    files = {"net": folder / "net.json", "net8": folder / "net8.json"}
+    for name, args in (("net", ["--seed", "7"]), ("net8", ["--seed", "8", "--cov", "2"])):
+        result = runner.invoke(main, ["synth", "--grid", "6", *args, "--out", str(files[name])])
+        assert result.exit_code == 0, result.output
+    for name, args in (("policy", []), ("conditioned", ["--source", "n00_00"]),
+                       ("path", ["--mode", "path", "--source", "n00_00"])):
+        files[name] = folder / f"pot-{name}.npz"
+        result = runner.invoke(main, ["preprocess", "--graph", str(files["net"]), "--grid", "2",
+                                      "--horizon", "200", "--region", "3", *args, "--out", str(files[name])])
+        assert result.exit_code == 0, result.output
+    return files
+
+
+def _error_line(result):
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    [line] = result.output.splitlines()
+    assert line.startswith("Error: ")
+    return line
+
+
+@pytest.mark.parametrize("kind", ["policy", "conditioned", "path"])
+def test_path_refuses_archive_of_another_graph(runner, grid6_archives, kind):
+    result = runner.invoke(
+        main,
+        ["path", "--graph", str(grid6_archives["net8"]), "--source", "n00_00", "--dest", "n05_05",
+         "--budget", "100", "--potentials", str(grid6_archives[kind])],
+    )
+    assert _error_line(result) == (
+        "Error: potential table was built for another graph: its graph digest differs from the graph's"
+    )
+
+
+@pytest.mark.parametrize("kind, source, budget", [("path", "n02_03", "160"), ("conditioned", "n05_00", "60")])
+def test_path_refuses_source_outside_the_tables_sources(runner, grid6_archives, kind, source, budget):
+    result = runner.invoke(
+        main,
+        ["path", "--graph", str(grid6_archives["net"]), "--source", source, "--dest", "n05_05",
+         "--budget", budget, "--potentials", str(grid6_archives[kind])],
+    )
+    assert _error_line(result) == f"Error: archive was built for sources ['n00_00'], not '{source}'"
+
+
+def test_path_refuses_ranked_paths_with_a_path_mode_archive(runner, grid6_archives):
+    args = ["path", "--graph", str(grid6_archives["net"]), "--source", "n00_00", "--dest", "n05_05",
+            "--budget", "160", "--potentials"]
+    result = runner.invoke(main, [*args, str(grid6_archives["path"]), "--k", "4"])
+    assert _error_line(result) == (
+        "Error: archive is path-mode and keeps only the best path; --k must be 1"
+    )
+    for kind, k in (("path", "1"), ("policy", "4"), ("conditioned", "4")):
+        result = runner.invoke(main, [*args, str(grid6_archives[kind]), "--k", k])
+        assert result.exit_code == 0, result.output
 
 
 @pytest.mark.parametrize(

@@ -264,6 +264,7 @@ class TestSaveRoundTrip:
         again = pickle.loads(pickle.dumps(g))
         assert again.node_ids == g.node_ids and again.edge_label(0) == "ab"
         _assert_same_pmfs(again, g)
+        assert again.digest == g.digest
         with pytest.raises(ValueError):
             again.edge_dists[0].mass[1] = 0.9
 
@@ -295,7 +296,35 @@ class TestSaveRoundTrip:
         doc = rr.save_graph(grids[name])
         assert all("mass_f64" in e["dist"] and "mass" not in e["dist"] for e in doc["edges"])
         for form in (doc, dense_list_form(doc), _pairs_form(doc)):
-            _assert_same_pmfs(rr.load_graph(json.loads(json.dumps(form))), grids[name])
+            again = rr.load_graph(json.loads(json.dumps(form)))
+            _assert_same_pmfs(again, grids[name])
+            assert again.digest == grids[name].digest
+
+class TestDigest:
+    def test_changes_with_seed_cov_and_dt(self):
+        def grid6(seed=7, cov=1.0, dt=1.0):
+            model = dict(rr.synth.DEFAULT_MODEL, cov=cov)
+            return rr.synthesize_distributions(rr.grid_topology(6, dt=dt), model, seed=seed)
+
+        digests = [g.digest for g in (grid6(), grid6(seed=8), grid6(cov=2.0), grid6(dt=0.5))]
+        assert len(set(digests)) == 4
+        assert grid6().digest == digests[0]
+
+    def test_changes_with_the_order_of_parallel_edges(self):
+        fast, slow = rr.DiscreteDistribution.point_mass(1), rr.DiscreteDistribution.point_mass(2)
+        nodes = [("a", 0, 0), ("b", 1, 0)]
+        one = rr.StochasticGraph(1.0, nodes, [("a", "b", fast), ("a", "b", slow)])
+        other = rr.StochasticGraph(1.0, nodes, [("a", "b", slow), ("a", "b", fast)])
+        assert one.digest != other.digest
+
+    def test_ignores_coordinates_and_labels(self, fixture_graph):
+        doc = rr.save_graph(fixture_graph)
+        for node in doc["nodes"]:
+            node["x"] += 5.0
+        for edge in doc["edges"]:
+            edge["id"] = "renamed-" + edge["id"]
+        assert rr.load_graph(doc).digest == fixture_graph.digest
+
 
 def test_edge_support_runs_cover_exactly_the_nonzero_bins(fixture_graph):
     rng = np.random.default_rng(11)

@@ -174,9 +174,9 @@ class TestSearchProperties:
         # Same node ids, but the table's budgets count half-second bins.
         half, unit = (rr.synthesize_distributions(rr.grid_topology(4, dt=dt), seed=1) for dt in (0.5, 1.0))
         pol = rr.compute_policy(half, "n03_03", 40)
-        with pytest.raises(ValueError, match="policy table has dt=0.5 but the graph has dt=1.0"):
+        with pytest.raises(ValueError, match="^policy table was built for another graph"):
             rr.sota_path_report(unit, pol, "n00_00", 40)
-        with pytest.raises(ValueError, match="policy table has dt=0.5 but the graph has dt=1.0"):
+        with pytest.raises(ValueError, match="^policy table was built for another graph"):
             rr.compute_realizability(unit, pol, "n00_00")
 
     def test_pruned_search_with_mask(self, fixture_graph):

@@ -1,5 +1,6 @@
 """Policy solver: DP values, the direct-sum oracle, invariants."""
 
+import json
 import logging
 import os
 import random
@@ -19,7 +20,7 @@ from conftest import (
     direct_policy,
     edge_by_label,
     edge_evaluation,
-    edit_policy_file,
+    edit_table_file,
     random_connected_graph,
     reference_policy,
 )
@@ -159,10 +160,10 @@ class TestPolicyTableIO:
         assert list(tmp_path.iterdir()) == [target]
         again = rr.PolicyTable.load(target)
         assert again.dest == "v3"
-        assert again.horizon == 5 and again.dt == 1.0
+        assert again.horizon == 5 and again.graph_digest == fixture_graph.digest
         assert again.u.dtype == pol.u.dtype and again.u.tobytes() == pol.u.tobytes()
         assert again.w.dtype == pol.w.dtype and again.w.tobytes() == pol.w.tobytes()
-        assert tuple(again.node_ids) == fixture_graph.node_ids
+        again.check_graph(fixture_graph)
 
     def test_load_ignores_update_order_field(self, fixture_graph, tmp_path):
         # Tables written before the solver had a single traversal order carry
@@ -170,7 +171,7 @@ class TestPolicyTableIO:
         pol = rr.compute_policy(fixture_graph, "v3", 5)
         target = tmp_path / "table.npz"
         pol.save(target)
-        edit_policy_file(target, lambda doc: doc.update(order="dijkstra-blocks"))
+        edit_table_file(target, lambda doc: doc.update(order="dijkstra-blocks"))
         again = rr.PolicyTable.load(target)
         assert np.array_equal(again.u, pol.u)
         assert np.array_equal(again.w, pol.w)
@@ -186,7 +187,7 @@ class TestPolicyTableIO:
             assert "backend" not in doc
             doc["backend"] = "zdc"
 
-        edit_policy_file(target, add_backend)
+        edit_table_file(target, add_backend)
         again = rr.PolicyTable.load(target)
         assert np.array_equal(again.u, pol.u)
         assert np.array_equal(again.w, pol.w)
@@ -197,15 +198,59 @@ class TestPolicyTableIO:
             (lambda doc: doc.update(w=doc["w"][:-1]), r"u has shape \(3, 6\) and its w \(2, 6\)"),
             (lambda doc: doc.update(horizon=4), r"one column per budget 0..4"),
             (lambda doc: doc.pop("destination"), r"missing a field: 'destination'"),
-            (lambda doc: doc.pop("nodes"), r"missing a field: 'nodes'"),
+            (lambda doc: doc.pop("graph_digest"), r"^policy table is missing a field: 'graph_digest'$"),
+            (lambda doc: doc.update(w=doc["w"].astype(float)), r"of float64 and float64; .* w of integers$"),
         ],
-        ids=["row-counts-differ", "wrong-horizon", "no-destination", "no-nodes"],
+        ids=["row-counts-differ", "wrong-horizon", "no-destination", "no-digest", "float-successors"],
     )
     def test_load_rejects_malformed_documents(self, fixture_graph, tmp_path, edit, message):
         target = tmp_path / "table.npz"
         rr.compute_policy(fixture_graph, "v3", 5).save(target)
-        edit_policy_file(target, edit)
+        edit_table_file(target, edit)
         with pytest.raises(ValueError, match=message):
+            rr.PolicyTable.load(target)
+
+    @pytest.mark.parametrize(
+        "horizon, message",
+        [
+            (4.7, "policy table horizon must be an integer, got 4.7"),
+            (5.0, "policy table horizon must be an integer, got 5.0"),
+            (True, "policy table horizon must be an integer, got True"),
+            ("5", "policy table horizon must be an integer, got '5'"),
+            (-1, "policy table horizon must be nonnegative, got -1"),
+        ],
+    )
+    def test_load_validates_the_horizon(self, fixture_graph, tmp_path, horizon, message):
+        target = tmp_path / "table.npz"
+        rr.compute_policy(fixture_graph, "v3", 5).save(target)
+        edit_table_file(target, lambda doc: doc.update(horizon=horizon))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rr.PolicyTable.load(target)
+
+    @pytest.mark.parametrize("kind", ["json-text", "graph-document", "potentials-archive", "truncated", "pre-digest"])
+    def test_load_refuses_other_files(self, fixture_graph, tmp_path, kind):
+        target = tmp_path / "table.npz"
+        pol = rr.compute_policy(fixture_graph, "v3", 5)
+        if kind == "json-text":
+            # The JSON form tables once had.
+            target.write_text(json.dumps({"destination": "v3", "horizon": 5, "u": pol.u.tolist(), "w": pol.w.tolist()}))
+        elif kind == "graph-document":
+            rr.save_graph(fixture_graph, target)
+        elif kind == "potentials-archive":
+            rr.save_archive(rr.build_archive(fixture_graph, rr.grid_partition(fixture_graph, 2), 5), target)
+        elif kind == "truncated":
+            pol.save(target)
+            target.write_bytes(target.read_bytes()[:-40])
+        else:
+            # The header tables had before they recorded their kind and graph digest.
+            def predigest(doc):
+                del doc["kind"], doc["graph_digest"]
+                doc.update(dt=1.0, nodes=list(fixture_graph.node_ids))
+
+            pol.save(target)
+            edit_table_file(target, predigest)
+        refusal = f"^{re.escape(str(target))} is not a policy table written by this version of reliroute$"
+        with pytest.raises(ValueError, match=refusal):
             rr.PolicyTable.load(target)
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import logging
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -19,6 +20,7 @@ from conftest import (
     FIXTURE_PATH,
     direct_policy,
     edge_by_label,
+    edit_table_file,
     forward_reachability_oracle,
     per_destination_potentials,
     random_connected_graph,
@@ -153,7 +155,7 @@ class TestRealizability:
             [(f"n{g.edge_tails[e]}", f"n{g.edge_heads[e]}", g.edge_dists[e])
              for e in range(g.num_edges)],
         )
-        with pytest.raises(ValueError, match="node ids differ"):
+        with pytest.raises(ValueError, match="^policy table was built for another graph"):
             rr.compute_realizability(renamed, pol, "n0")
 
     def test_rollouts_stay_on_marked_edges(self, fixture_graph):
@@ -164,6 +166,16 @@ class TestRealizability:
         for _ in range(500):
             edges, _ = rollout_policy(g, pol, "v1", 4, rng)
             assert all(flags.edge_marked[e] for e in edges)
+
+
+@pytest.fixture(scope="module")
+def seed7_tables():
+    """A policy table toward ``n05_05`` at horizon 100 and a policy-mode archive
+    of region 3 at horizon 200, on the 6x6 grid of seed 7."""
+    graph = rr.synthesize_distributions(rr.grid_topology(6), seed=7)
+    partition = rr.grid_partition(graph, 2)
+    assert partition.region_of_index(graph.node_index("n05_05")) == 3
+    return rr.compute_policy(graph, "n05_05", 100), rr.build_archive(graph, partition, 200, regions=[3])
 
 
 @pytest.fixture(scope="module")
@@ -201,10 +213,12 @@ class TestArcPotentials:
             rr.prune(fixture_graph, table, 7)
 
     def test_prune_rejects_table_with_another_dt(self, fixture_graph, fixture_region):
+        # The same masses and node ids, but the table's budgets count half-second bins.
         partition, region = fixture_region
-        table = rr.compute_arc_potentials(fixture_graph, partition, region, 6)
-        with pytest.raises(ValueError, match="dt=0.5 but the graph has dt=1.0"):
-            rr.prune(fixture_graph, dataclasses.replace(table, dt=0.5), 4)
+        half = rr.load_graph(dict(rr.save_graph(fixture_graph), dt=0.5))
+        table = rr.compute_arc_potentials(half, partition, region, 6)
+        with pytest.raises(ValueError, match="^potential table was built for another graph"):
+            rr.prune(fixture_graph, table, 4)
 
     def test_prune_rejects_table_with_another_edge_count(self, fixture_graph, fixture_region):
         partition, region = fixture_region
@@ -224,6 +238,38 @@ class TestArcPotentials:
             rr.build_archive(g4, partition, 60)
         with pytest.raises(ValueError, match=message):
             rr.build_archive(g4, partition, 60, regions=[])
+
+    def test_archive_horizon_checked_without_regions(self, fixture_graph):
+        partition = rr.grid_partition(fixture_graph, 3)
+        with pytest.raises(ValueError, match="^horizon must be an integer, got 2.5$"):
+            rr.build_archive(fixture_graph, partition, 2.5, regions=[])
+
+    def test_tables_of_another_graph_refused(self, seed7_tables):
+        # Same nodes, edges and dt as the seed-7 grid, other masses.
+        other = rr.synthesize_distributions(rr.grid_topology(6), dict(rr.synth.DEFAULT_MODEL, cov=2.0), seed=8)
+        pol, archive = seed7_tables
+        table = archive["tables"][3]
+        message = "^{} table was built for another graph"
+        for check in (lambda: pol.check_graph(other),
+                      lambda: rr.sota_path_report(other, pol, "n00_00", 100),
+                      lambda: rr.compute_realizability(other, pol, "n00_00")):
+            with pytest.raises(ValueError, match=message.format("policy")):
+                check()
+        for check in (lambda: table.check_graph(other), lambda: rr.prune(other, table, 100)):
+            with pytest.raises(ValueError, match=message.format("potential")):
+                check()
+
+    def test_tables_pass_on_copies_of_their_graph(self, seed7_tables, tmp_path):
+        pol, archive = seed7_tables
+        graph = rr.synthesize_distributions(rr.grid_topology(6), seed=7)
+        rr.save_graph(graph, tmp_path / "net.json")
+        pol.save(tmp_path / "table.npz")
+        rr.save_archive(archive, tmp_path / "pot.npz")
+        for copy in (rr.load_graph(tmp_path / "net.json"), pickle.loads(pickle.dumps(graph))):
+            for table in (pol, rr.PolicyTable.load(tmp_path / "table.npz")):
+                table.check_graph(copy)
+            for tables in (archive["tables"], rr.load_archive(tmp_path / "pot.npz")["tables"]):
+                tables[3].check_graph(copy)
 
     def test_policy_accepts_pruning_pair(self, fixture_graph, fixture_region):
         partition, region = fixture_region
@@ -484,31 +530,29 @@ class TestPruningSoundness:
 class TestArchiveIO:
     def test_round_trip(self, fixture_graph, tmp_path):
         partition = rr.grid_partition(fixture_graph, 3)
-        archive = rr.build_archive(fixture_graph, partition, 6)
+        archive = rr.build_archive(fixture_graph, partition, 6, sources=["v1"])
         target = tmp_path / "potentials.json"
         rr.save_archive(archive, target)
+        assert list(tmp_path.iterdir()) == [target]
         again = rr.load_archive(target)
         assert again["horizon"] == 6 and again["mode"] == "policy"
+        assert again["graph_digest"] == fixture_graph.digest
         assert np.array_equal(again["partition"].assignment, partition.assignment)
+        assert again["tables"].keys() == archive["tables"].keys()
         for r, table in archive["tables"].items():
             loaded = again["tables"][r]
-            assert np.array_equal(loaded.phi, table.phi)
+            assert loaded.phi.dtype == table.phi.dtype and loaded.phi.tobytes() == table.phi.tobytes()
+            assert (loaded.horizon, loaded.mode, loaded.sources) == (6, "policy", ("v1",))
+            loaded.check_graph(fixture_graph)
 
     def test_reads_documents_with_intervals(self, fixture_graph, tmp_path):
         partition = rr.grid_partition(fixture_graph, 3)
         archive = rr.build_archive(fixture_graph, partition, 6)
-        target = tmp_path / "potentials.json"
+        target = tmp_path / "potentials.npz"
         rr.save_archive(archive, target)
-        # Older writers also stored activation intervals and each table's
-        # region nodes; they are ignored.
-        doc = json.loads(target.read_text())
-        assert all("region_nodes" not in tab for tab in doc["tables"].values())
-        doc["k_intervals"] = 2
-        for r, tab in doc["tables"].items():
-            tab["region_nodes"] = [int(i) for i in partition.regions[int(r)]]
-            tab["intervals"] = [[[p, 6]] if p is not None else [] for p in tab["phi"]]
-            tab["next_lb"] = [7] * len(tab["phi"])
-        target.write_text(json.dumps(doc))
+        # Header fields that nothing reads, such as the activation intervals
+        # and region nodes of older writers, are ignored.
+        edit_table_file(target, lambda doc: doc.update(k_intervals=2, region_count=3, next_lb=[7]))
         again = rr.load_archive(target)
         for r, table in archive["tables"].items():
             assert np.array_equal(again["tables"][r].phi, table.phi)
@@ -518,35 +562,90 @@ class TestArchiveIO:
         [
             (("assignment",), "potentials archive is missing a field: 'assignment'"),
             (("horizon",), "potentials archive is missing a field: 'horizon'"),
-            (("tables", "2", "sources"), "potentials archive table 2 is missing a field: 'sources'"),
-            (("tables", "2", "phi"), "potentials archive table 2 is missing a field: 'phi'"),
+            (("sources",), "potentials archive is missing a field: 'sources'"),
+            (("phi",), "potentials archive is missing a field: 'phi'"),
+            (("graph_digest",), "potentials archive is missing a field: 'graph_digest'"),
         ],
     )
     def test_missing_field_is_named(self, fixture_graph, tmp_path, drop, message):
         partition = rr.grid_partition(fixture_graph, 3)
-        target = tmp_path / "potentials.json"
+        target = tmp_path / "potentials.npz"
         rr.save_archive(rr.build_archive(fixture_graph, partition, 6, regions=[2]), target)
-        doc = json.loads(target.read_text())
-        parent = doc
-        for key in drop[:-1]:
-            parent = parent[key]
-        del parent[drop[-1]]
-        target.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=message):
+
+        def edit(doc):
+            for key in drop:
+                del doc[key]
+
+        edit_table_file(target, edit)
+        with pytest.raises(ValueError, match=f"^{message}$"):
             rr.load_archive(target)
 
     @pytest.mark.parametrize("assignment", [[0.0, 1.0, 2.0], [0.5, 1.7, 1.2]], ids=["whole-floats", "fractions"])
     def test_float_assignment_rejected(self, fixture_graph, tmp_path, assignment):
-        target = tmp_path / "potentials.json"
+        target = tmp_path / "potentials.npz"
         rr.save_archive(rr.build_archive(fixture_graph, rr.grid_partition(fixture_graph, 3), 6, regions=[]), target)
-        doc = json.loads(target.read_text())
-        doc["assignment"] = assignment
-        target.write_text(json.dumps(doc))
+        edit_table_file(target, lambda doc: doc.update(assignment=np.array(assignment)))
         with pytest.raises(ValueError, match="^assignment must hold integer region ids, got float64 values$"):
+            rr.load_archive(target)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(horizon=4.9), "potentials archive horizon must be an integer, got 4.9"),
+            (lambda doc: doc.update(horizon=-1), "potentials archive horizon must be nonnegative, got -1"),
+            (lambda doc: doc.update(mode="bogus"), "potentials archive has unknown mode 'bogus'"),
+            (lambda doc: doc.update(regions=[1.0]), "potentials archive region must be an integer, got 1.0"),
+            (lambda doc: doc.update(regions=[3]), "potentials archive region 3 exceeds the last region id 2"),
+            (lambda doc: doc.update(regions=[-1]), "potentials archive region must be nonnegative, got -1"),
+            (lambda doc: doc.update(regions=2), "potentials archive needs a list of regions, and a list of sources"),
+            (lambda doc: doc.update(sources="v1"), "potentials archive needs a list of regions, and a list of sources"),
+            (lambda doc: doc.update(regions=[2, 2], phi=doc["phi"].repeat(2, axis=0)),
+             "potentials archive lists a region twice: [2, 2]"),
+            (lambda doc: doc.update(phi=np.where(doc["phi"] == 2, 2.7, doc["phi"])),
+             "got float64 values of shape (1, 4)"),
+            (lambda doc: doc.update(phi=doc["phi"] == 2), "got bool values of shape (1, 4)"),
+            (lambda doc: doc.update(phi=doc["phi"][0]), "got int64 values of shape (4,)"),
+            (lambda doc: doc.update(phi=np.where(doc["phi"] == 5, 7, doc["phi"])), "got int64 values of shape (1, 4)"),
+            (lambda doc: doc.update(phi=doc["phi"] - 3), "got int64 values of shape (1, 4)"),
+        ],
+        ids=["fractional-horizon", "negative-horizon", "unknown-mode", "float-region", "region-out-of-range",
+             "negative-region", "regions-not-a-list", "sources-not-a-list", "repeated-region", "float-phi",
+             "bool-phi", "one-dimensional-phi", "phi-past-horizon", "negative-phi"],
+    )
+    def test_load_validates_header_values(self, fixture_graph, tmp_path, edit, message):
+        target = tmp_path / "potentials.npz"
+        rr.save_archive(rr.build_archive(fixture_graph, rr.grid_partition(fixture_graph, 3), 6, regions=[2]), target)
+        edit_table_file(target, edit)
+        with pytest.raises(ValueError, match=re.escape(message)):
             rr.load_archive(target)
 
     def test_reject_foreign_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
-        with pytest.raises(ValueError, match="archive"):
+        with pytest.raises(ValueError, match="bad.json is not a potentials archive"):
             rr.load_archive(bad)
+
+    @pytest.mark.parametrize("kind", ["json-text", "graph-document", "policy-table", "truncated", "pre-digest"])
+    def test_load_refuses_other_files(self, fixture_graph, tmp_path, kind):
+        target = tmp_path / "potentials.json"
+        archive = rr.build_archive(fixture_graph, rr.grid_partition(fixture_graph, 3), 6, regions=[2])
+        if kind == "json-text":
+            target.write_text(json.dumps({"format": "reliroute-potentials", "version": 1}))
+        elif kind == "graph-document":
+            rr.save_graph(fixture_graph, target)
+        elif kind == "policy-table":
+            rr.compute_policy(fixture_graph, "v3", 6).save(target)
+        elif kind == "truncated":
+            rr.save_archive(archive, target)
+            target.write_bytes(target.read_bytes()[:-40])
+        else:
+            # The versioned JSON document archives were before they recorded a graph digest.
+            phi = [None if p == INFINITE_POTENTIAL else int(p) for p in archive["tables"][2].phi]
+            target.write_text(json.dumps({
+                "format": "reliroute-potentials", "version": 1, "region_count": 3, "horizon": 6, "dt": 1.0,
+                "mode": "policy", "assignment": archive["partition"].assignment.tolist(),
+                "tables": {"2": {"phi": phi, "sources": None}},
+            }))
+        refusal = f"^{re.escape(str(target))} is not a potentials archive written by this version of reliroute$"
+        with pytest.raises(ValueError, match=refusal):
+            rr.load_archive(target)
