@@ -115,10 +115,7 @@ def path_cmd(graph_path, source, dest, budget, k, pot_path):
     if pot_path:
         archive = load_archive(pot_path)
         archive["partition"].check_graph(graph)
-        region = archive["partition"].region_of_index(graph.node_index(dest))
-        if region not in archive["tables"]:
-            raise click.ClickException(f"archive has no table for region {region}")
-        table = archive["tables"][region]
+        table = archive["tables"][archive["partition"].region_of_index(graph.node_index(dest))]
         mask = prune(graph, table, budget)
         if table.sources is not None and source not in table.sources:
             raise click.ClickException(f"archive was built for sources {list(table.sources)}, not {source!r}")
@@ -126,7 +123,8 @@ def path_cmd(graph_path, source, dest, budget, k, pot_path):
             raise click.ClickException("archive is path-mode and keeps only the best path; --k must be 1")
     t0 = time.perf_counter()
     table = compute_policy(graph, dest, budget, edge_mask=mask)
-    report = sota_path_report(graph, table, source, T=budget, k=k, edge_mask=mask)
+    # The mask prunes the solve only: the search needs every edge (see prune).
+    report = sota_path_report(graph, table, source, T=budget, k=k)
     wall = time.perf_counter() - t0
     best = report.paths[0] if report.paths else None
     out = {
@@ -158,18 +156,14 @@ def path_cmd(graph_path, source, dest, budget, k, pot_path):
 @click.option("--horizon", type=int, required=True)
 @click.option("--mode", type=click.Choice(["policy", "path"]), default="policy", show_default=True)
 @click.option("--source", "sources", multiple=True,
-              help="Source node(s); required for path mode, optional conditioning for policy mode.")
-@click.option("--region", "regions", multiple=True, type=int,
-              help="Limit to specific region ids (default: all).")
+              help="Source node(s) of a path-mode archive, which answers only these.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
-def preprocess(graph_path, grid_k, horizon, mode, sources, regions, out_path):
-    """Build an activation-potential archive for query pruning."""
+def preprocess(graph_path, grid_k, horizon, mode, sources, out_path):
+    """Build an activation-potential archive of every region for query pruning."""
     graph = load_graph(graph_path)
     partition = grid_partition(graph, grid_k)
     src = [_coerce_id(graph, s) for s in sources] or None
-    archive = build_archive(
-        graph, partition, horizon, mode=mode, sources=src, regions=list(regions) or None
-    )
+    archive = build_archive(graph, partition, horizon, mode=mode, sources=src)
     save_archive(archive, out_path)
     kept = {r: tab.kept_count(horizon) for r, tab in archive["tables"].items()}
     click.echo(

@@ -14,8 +14,9 @@ and a gnuplot script, keeping the output data-only.
 
 Instances run in order, in one process.  A pruning run builds one potential
 table per (destination region, sources) key, at the largest budget among the
-instances that use it, and prunes each of those instances at its own budget;
-the sources are ``(source,)`` in path mode and ``None`` in policy mode.
+instances that use it, and prunes each of those instances' policy solve at
+its own budget, then searches the whole graph with that policy; the sources
+are ``(source,)`` in path mode and ``None`` in policy mode.
 """
 
 from __future__ import annotations
@@ -231,9 +232,7 @@ def _run_instance(graph, index, inst, config, table_for):
                 config.repetitions,
             )
             rec.pruned_path_time, prep = _median_time(
-                lambda: sota_path_report(
-                    graph, ppol, inst.source, T=inst.budget, edge_mask=mask
-                ),
+                lambda: sota_path_report(graph, ppol, inst.source, T=inst.budget),
                 path_reps,
             )
             rec.pruned_reliability = prep.paths[0].reliability if prep.paths else 0.0

@@ -93,20 +93,21 @@ def sota_path_report(
     """Best-first search for the ``k`` most reliable loop-free paths.
 
     ``policy`` must be computed toward the desired destination with a horizon
-    of at least ``T``.  ``edge_mask`` optionally restricts the edge set (e.g.
-    from activation-potential pruning).  ``queue_limit`` bounds memory;
-    exceeding it raises :class:`SearchBudgetExceeded`.
+    of at least ``T``.  ``edge_mask`` optionally restricts the edge set; a
+    pruning mask belongs to the policy solve, not here.  ``queue_limit``
+    bounds memory; exceeding it raises :class:`SearchBudgetExceeded`.
 
-    Prefix distributions are kept to ``policy.horizon + 1`` bins.  With
-    ``keep_frontier`` the report's ``frontier`` lists ``(prefix mass, last
-    node)`` for every unexpanded partial path, including those whose key is
-    zero at ``T``, so that together they bound every other path at every
-    budget up to the horizon.
+    Prefix distributions are kept to ``T + 1`` bins, all a key or a
+    reliability reads.  With ``keep_frontier`` they are kept to
+    ``policy.horizon + 1`` bins, and the report's ``frontier`` lists ``(prefix
+    mass, last node)`` for every unexpanded partial path, including those
+    whose key is zero at ``T``, so that together they bound every other path
+    at every budget up to the horizon.
     """
     k = _integer(k, "k", 1)
     policy.check_graph(graph)
     T = policy.horizon if T is None else _integer(T, "budget", bound=("the policy horizon", policy.horizon))
-    cap = policy.horizon + 1
+    cap = (policy.horizon if keep_frontier else T) + 1
     s = graph.node_index(source)
     d = graph.node_index(policy.dest)
     keep, heads = _edge_mask(graph, edge_mask).tolist(), graph._heads

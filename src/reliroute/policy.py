@@ -91,9 +91,8 @@ class PolicyTable:
     def load(cls, source) -> "PolicyTable":
         """Read a table written by :meth:`save`.  Any other file, a missing
         field, a bad horizon, or arrays that do not fit it raise ``ValueError``."""
-        fields = ("destination", "horizon", "graph_digest", "u", "w")
-        dest, horizon, digest, u, w = _read_table(source, "policy table", fields)
-        horizon = _integer(horizon, "policy table horizon")
+        doc = _read_table(source, "policy table", ("destination", "horizon", "graph_digest", "u", "w"))
+        horizon, u, w = _integer(doc["horizon"], "policy table horizon"), doc["u"], doc["w"]
         fits = u.shape == w.shape and u.ndim == 2 and u.shape[1] == horizon + 1
         if not (fits and u.dtype.kind == "f" and w.dtype.kind in "iu"):
             raise ValueError(
@@ -103,11 +102,11 @@ class PolicyTable:
         u.setflags(write=False)
         w.setflags(write=False)
         return cls(
-            dest=dest,
+            dest=doc["destination"],
             horizon=horizon,
             u=u,
             w=w,
-            graph_digest=digest,
+            graph_digest=doc["graph_digest"],
         )
 
 
@@ -119,10 +118,11 @@ def _write_table(target, kind: str, header: dict, **arrays) -> None:
         np.savez_compressed(handle, meta=json.dumps(dict(header, kind=kind)), **arrays)
 
 
-def _read_table(source, kind: str, fields) -> list:
-    """``fields``, from the JSON header or the arrays, of a file that
+def _read_table(source, kind: str, fields) -> dict:
+    """The JSON header and the arrays, by name, of a file that
     :func:`_write_table` wrote as ``kind``.  Any other file raises one
-    ``ValueError`` naming ``kind`` and the file; a missing field, one naming it."""
+    ``ValueError`` naming ``kind`` and the file; a file missing one of
+    ``fields``, one naming it."""
     try:
         with np.load(source) as data:
             doc = dict(json.loads(str(data["meta"])), **data)
@@ -133,10 +133,10 @@ def _read_table(source, kind: str, fields) -> list:
         doc = {}
     if doc.get("kind") != kind:
         raise ValueError(f"{source} is not a {kind} written by this version of reliroute")
-    try:
-        return [doc[name] for name in fields]
-    except KeyError as exc:
-        raise ValueError(f"{kind} is missing a field: {exc}") from None
+    missing = [name for name in fields if name not in doc]
+    if missing:
+        raise ValueError(f"{kind} is missing a field: {missing[0]!r}")
+    return doc
 
 
 # ---------------------------------------------------------------------------

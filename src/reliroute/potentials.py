@@ -2,15 +2,16 @@
 
 An edge's *activation potential* for a destination region is the least time
 budget at which the edge participates in an optimal solution toward some
-destination in that region.  At query time, edges whose potential exceeds the
-query budget can be dropped without changing any optimal value at or below
-that budget.  Each table keeps one running minimum per edge, in one of two
+destination in that region.  A query leaves the edges whose potential exceeds
+its budget out of the policy solve only, and searches the whole graph with
+that policy.  Each table keeps one running minimum per edge, in one of two
 modes:
 
 - ``policy`` mode takes the least budget at which the edge is the chosen
-  successor ``w_i(t)`` of some policy toward a region destination (optionally
-  only at states realizable from a source side, which tightens the table for
-  queries known to start there);
+  successor ``w_i(t)`` of some policy toward a region destination, so the
+  pruned policy equals the unpruned one.  Optionally it counts only states
+  realizable from given sources: such a table is valid for the policy from
+  those sources, not for path queries;
 - ``path`` mode takes the least budget at which the edge lies on an optimal
   fixed path from a given source toward a region destination.  Optimal paths
   change rarely as the budget grows, so the sweep re-runs the search only
@@ -188,10 +189,13 @@ def prune(graph: StochasticGraph, table: PotentialTable, budget: int) -> np.ndar
     """Boolean keep-mask over the graph's edges for a query at ``budget``.
 
     An edge survives iff its activation potential is at most the budget.
-    Optimal values on
-    the masked graph match the full graph for destinations in the table's
-    region and budgets up to the horizon.  A table built for another graph
-    raises ``ValueError``.
+    Pass the mask to :func:`compute_policy` only and search the whole graph
+    with the policy it returns.  With a policy-mode table the masked policy
+    equals the full graph's for destinations in the table's region and budgets
+    up to the horizon, so the search ranks paths as it would unpruned.  A
+    path-mode table keeps only the best path from its sources, so it answers
+    those sources at ``k=1`` only.  A table built for another graph raises
+    ``ValueError``.
     """
     table.check_graph(graph)
     return table.edge_mask(budget)
@@ -236,12 +240,14 @@ def compute_arc_potentials(
 
     ``mode="policy"`` takes, for every edge, the least budget at which it is
     the chosen successor of an optimal policy toward some destination in the
-    region (``sources`` optionally conditions on realizability from those
-    nodes, shrinking the table to trips that can actually start there).
+    region.  ``sources`` optionally conditions on realizability from those
+    nodes: the table then keeps only the moves the policy makes from them, so
+    it is valid for the policy from those sources, not for path queries.
     ``mode="path"`` requires ``sources`` and takes the least budget at which
     the edge lies on an optimal fixed path, sweeping every budget and
     re-running the search only when the incumbent's certificate fails; it
-    prunes far harder but is only valid for path queries from those sources.
+    prunes far harder but is only valid for best-path queries from those
+    sources.
     An empty ``sources`` list, or a partition of another graph's nodes,
     raises ``ValueError``.
     """
@@ -297,18 +303,19 @@ def build_archive(
     T: int,
     mode: str = "policy",
     sources=None,
-    regions=None,
 ) -> dict:
-    """Compute tables for several regions; returns ``{region: PotentialTable}``
-    plus the partition, bundled for serialization.  A bad horizon, or a
-    partition of another graph's nodes, raises ``ValueError`` before any
-    table is built."""
+    """Compute the table of every region; returns ``{region: PotentialTable}``
+    plus the partition, bundled for serialization.  Sources in policy mode
+    (a conditioned table is not valid for path queries), a bad horizon, or a
+    partition of another graph's nodes raise ``ValueError`` before any table
+    is built."""
     T = _integer(T, "horizon")
     partition.check_graph(graph)
-    chosen = range(partition.region_count) if regions is None else regions
+    if mode == "policy" and sources is not None:
+        raise ValueError(f"policy-mode archives serve every source and take none, got {sources!r}")
     tables = {
         r: compute_arc_potentials(graph, partition, r, T, mode=mode, sources=sources)
-        for r in chosen
+        for r in range(partition.region_count)
     }
     return {"partition": partition, "tables": tables, "horizon": T, "mode": mode,
             "graph_digest": graph.digest}
@@ -317,41 +324,39 @@ def build_archive(
 def save_archive(archive: dict, target) -> None:
     """Write an archive as a compressed ``npz`` with a JSON header, under
     exactly the name given.  Its tables share one horizon, mode and sources,
-    and their potentials are one row per region."""
-    tables = archive["tables"]
+    and their potentials are one row per region, in region order."""
+    partition, tables = archive["partition"], archive["tables"]
     header = {key: archive[key] for key in ("graph_digest", "horizon", "mode")}
-    header["sources"] = next((tab.sources for tab in tables.values()), None)
-    header["regions"] = [int(r) for r in tables]
-    phi = np.stack([tab.phi for tab in tables.values()]) if tables else np.zeros((0, 0), dtype=np.int64)
-    _write_table(target, "potentials archive", header, assignment=archive["partition"].assignment, phi=phi)
+    header["sources"] = tables[0].sources
+    phi = np.stack([tables[r].phi for r in range(partition.region_count)])
+    _write_table(target, "potentials archive", header, assignment=partition.assignment, phi=phi)
 
 
 def load_archive(source) -> dict:
     """Read an archive written by :func:`save_archive`.  Any other file, a
-    missing field, an unknown mode, or a horizon, region id or potential that
-    is not an integer in range raises ``ValueError``."""
-    digest, horizon, mode, sources, regions, assignment, phi = _read_table(
-        source, "potentials archive", ("graph_digest", "horizon", "mode", "sources", "regions", "assignment", "phi")
-    )
-    horizon = _integer(horizon, "potentials archive horizon")
+    missing field, an unknown mode, sources that do not fit the mode, a
+    horizon or potential that is not an integer in range, or an archive of an
+    older reliroute that lists its regions, raises ``ValueError``."""
+    fields = ("graph_digest", "horizon", "mode", "sources", "assignment", "phi")
+    doc = _read_table(source, "potentials archive", fields)
+    if "regions" in doc:
+        raise ValueError("potentials archive lists its regions, so an older reliroute wrote it "
+                         "and its rows need not follow the region ids; rebuild it")
+    horizon = _integer(doc["horizon"], "potentials archive horizon")
+    mode, sources, phi = doc["mode"], doc["sources"], doc["phi"]
     if mode not in MODES:
         raise ValueError(f"potentials archive has unknown mode {mode!r}")
-    if not (isinstance(regions, list) and (sources is None or isinstance(sources, list))):
-        raise ValueError("potentials archive needs a list of regions, and a list of sources or null")
-    partition = RegionPartition(assignment)
-    last = ("the last region id", partition.region_count - 1)
-    regions = [_integer(r, "potentials archive region", bound=last) for r in regions]
-    if len(set(regions)) != len(regions):
-        raise ValueError(f"potentials archive lists a region twice: {regions}")
-    shaped = phi.dtype.kind in "iu" and phi.ndim == 2 and len(phi) == len(regions)
+    if mode == "policy" and sources is not None:
+        raise ValueError(f"potentials archive is policy-mode but lists sources {sources!r}")
+    if mode == "path" and not (isinstance(sources, list) and sources):
+        raise ValueError(f"potentials archive is path-mode and needs a nonempty list of sources, got {sources!r}")
+    partition = RegionPartition(doc["assignment"])
+    shaped = phi.dtype.kind in "iu" and phi.ndim == 2 and len(phi) == partition.region_count
     if not (shaped and np.all((phi >= 0) & (phi <= horizon) | (phi == INFINITE_POTENTIAL))):
         raise ValueError(
             f"potentials archive's phi must hold one row per region of integer budgets 0..{horizon} "
             f"or INFINITE_POTENTIAL, got {phi.dtype} values of shape {phi.shape}"
         )
-    sources = tuple(sources) if sources is not None else None
-    tables = {
-        r: PotentialTable(horizon=horizon, mode=mode, phi=row, graph_digest=digest, sources=sources)
-        for r, row in zip(regions, phi)
-    }
+    digest, sources = doc["graph_digest"], tuple(sources) if sources else None
+    tables = {r: PotentialTable(horizon, mode, row, digest, sources) for r, row in enumerate(phi)}
     return {"partition": partition, "tables": tables, "horizon": horizon, "mode": mode, "graph_digest": digest}

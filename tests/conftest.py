@@ -92,6 +92,24 @@ def random_connected_graph(rng, max_nodes=10, max_extra_edges=20, min_nodes=2,
     return rr.StochasticGraph(1.0, nodes, edges), 0, n - 1
 
 
+def four_node_graph():
+    """``s->b->d`` (0.7 within 4 bins) beats both ``s->a->d`` paths over
+    parallel edges (0.6 and 0.5), yet the policy toward ``d`` goes from ``s``
+    to ``a`` at every budget, so ``s->b`` is never a policy successor."""
+
+    def dist(pmf):
+        mass = np.zeros(max(pmf) + 1)
+        mass[list(pmf)] = list(pmf.values())
+        return rr.DiscreteDistribution(mass)
+
+    return rr.StochasticGraph(
+        1.0,
+        [("s", 0.0, 0.0), ("a", 1.0, 1.0), ("b", 1.0, -1.0), ("d", 2.0, 0.0)],
+        [("s", "a", dist({1: 0.5, 2: 0.5})), ("s", "b", dist({1: 1.0})), ("a", "d", dist({1: 0.6, 4: 0.4})),
+         ("a", "d", dist({3: 1.0})), ("b", "d", dist({3: 0.7, 9: 0.3}))],
+    )
+
+
 def shifted_gamma_oracle(min_bin, mean_delay, cov, dt=1.0):
     """One edge's gamma-delay PMF, discretized on its own; the reference for
     ``rr.models.shifted_gamma_pmfs``, which must match it bit for bit.

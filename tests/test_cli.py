@@ -8,7 +8,7 @@ from click.testing import CliRunner
 import reliroute as rr
 from reliroute.cli import main
 
-from conftest import FIXTURE_PATH, dense_list_form
+from conftest import FIXTURE_PATH, dense_list_form, edit_table_file
 
 
 @pytest.fixture()
@@ -178,8 +178,7 @@ def test_path_rejects_mismatched_potentials(runner, tmp_path, graph_args, budget
     pot_file = tmp_path / "potentials.json"
     result = runner.invoke(
         main,
-        ["preprocess", "--graph", str(built), "--grid", "2", "--horizon", "120",
-         "--region", "3", "--out", str(pot_file)],
+        ["preprocess", "--graph", str(built), "--grid", "2", "--horizon", "120", "--out", str(pot_file)],
     )
     assert result.exit_code == 0, result.output
     result = runner.invoke(
@@ -194,19 +193,17 @@ def test_path_rejects_mismatched_potentials(runner, tmp_path, graph_args, budget
 
 @pytest.fixture(scope="module")
 def grid6_archives(tmp_path_factory):
-    """The 6x6 grid of seed 7, that of seed 8 with cov 2, and archives of
-    ``n05_05``'s region at horizon 200 built on the first: policy mode,
-    policy mode conditioned on ``n00_00`` and path mode from ``n00_00``."""
+    """The 6x6 grid of seed 7, that of seed 8 with cov 2, and archives at
+    horizon 200 built on the first: policy mode and path mode from ``n00_00``."""
     folder, runner = tmp_path_factory.mktemp("grid6"), CliRunner()
     files = {"net": folder / "net.json", "net8": folder / "net8.json"}
     for name, args in (("net", ["--seed", "7"]), ("net8", ["--seed", "8", "--cov", "2"])):
         result = runner.invoke(main, ["synth", "--grid", "6", *args, "--out", str(files[name])])
         assert result.exit_code == 0, result.output
-    for name, args in (("policy", []), ("conditioned", ["--source", "n00_00"]),
-                       ("path", ["--mode", "path", "--source", "n00_00"])):
+    for name, args in (("policy", []), ("path", ["--mode", "path", "--source", "n00_00"])):
         files[name] = folder / f"pot-{name}.npz"
         result = runner.invoke(main, ["preprocess", "--graph", str(files["net"]), "--grid", "2",
-                                      "--horizon", "200", "--region", "3", *args, "--out", str(files[name])])
+                                      "--horizon", "200", *args, "--out", str(files[name])])
         assert result.exit_code == 0, result.output
     return files
 
@@ -218,7 +215,7 @@ def _error_line(result):
     return line
 
 
-@pytest.mark.parametrize("kind", ["policy", "conditioned", "path"])
+@pytest.mark.parametrize("kind", ["policy", "path"])
 def test_path_refuses_archive_of_another_graph(runner, grid6_archives, kind):
     result = runner.invoke(
         main,
@@ -230,7 +227,7 @@ def test_path_refuses_archive_of_another_graph(runner, grid6_archives, kind):
     )
 
 
-@pytest.mark.parametrize("kind, source, budget", [("path", "n02_03", "160"), ("conditioned", "n05_00", "60")])
+@pytest.mark.parametrize("kind, source, budget", [("path", "n02_03", "160"), ("path", "n05_00", "160")])
 def test_path_refuses_source_outside_the_tables_sources(runner, grid6_archives, kind, source, budget):
     result = runner.invoke(
         main,
@@ -247,9 +244,64 @@ def test_path_refuses_ranked_paths_with_a_path_mode_archive(runner, grid6_archiv
     assert _error_line(result) == (
         "Error: archive is path-mode and keeps only the best path; --k must be 1"
     )
-    for kind, k in (("path", "1"), ("policy", "4"), ("conditioned", "4")):
+    for kind, k in (("path", "1"), ("policy", "4")):
         result = runner.invoke(main, [*args, str(grid6_archives[kind]), "--k", k])
         assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize(
+    "seed, query, expect",
+    [
+        (0, ["--source", "n00_00", "--dest", "n03_03"],
+         [(["n00_00", "n01_00", "n02_00", "n03_00", "n03_01", "n03_02", "n03_03"], 0.9999841335894679)]),
+        (7, ["--source", "n03_04", "--dest", "n00_00", "--k", "3"],
+         [(None, 0.9999621894433512), (None, 0.999938702220735), (None, 0.9999071858291286)]),
+    ],
+    ids=["seed0-best", "seed7-k3"],
+)
+def test_path_answers_alike_with_a_policy_archive(runner, tmp_path, seed, query, expect):
+    # A masked search loses n02_00->n03_00 on the first, which is never a
+    # policy successor toward that region, and ranks two worse paths on the second.
+    graph, pot = str(tmp_path / "net.json"), str(tmp_path / "pot.npz")
+    runner.invoke(main, ["synth", "--grid", "6", "--seed", str(seed), "--out", graph])
+    result = runner.invoke(main, ["preprocess", "--graph", graph, "--grid", "2", "--horizon", "200", "--out", pot])
+    assert result.exit_code == 0, result.output
+    answers = []
+    for extra in ([], ["--potentials", pot]):
+        result = runner.invoke(main, ["path", "--graph", graph, *query, "--budget", "160", *extra])
+        assert result.exit_code == 0, result.output
+        out = json.loads(result.output)
+        answers.append([(p["path"], p["reliability"]) for p in out.get("ranked", [out])])
+    plain, pruned = answers
+    assert pruned == plain
+    for (nodes, rel), (want_nodes, want_rel) in zip(plain, expect, strict=True):
+        assert rel == want_rel and nodes == (want_nodes or nodes)
+
+
+@pytest.mark.parametrize(
+    "args, edit, message",
+    [
+        (["--source", "n00_00"], None, "policy-mode archives serve every source and take none, got ['n00_00']"),
+        ([], lambda doc: doc.update(regions=list(range(4))),
+         "potentials archive lists its regions, so an older reliroute wrote it "
+         "and its rows need not follow the region ids; rebuild it"),
+        ([], lambda doc: doc.update(sources=["n00_00"]),
+         "potentials archive is policy-mode but lists sources ['n00_00']"),
+        (["--mode", "path", "--source", "n00_00"], lambda doc: doc.update(sources=None),
+         "potentials archive is path-mode and needs a nonempty list of sources, got None"),
+    ],
+    ids=["policy-mode-sources", "older-archive", "policy-header-with-sources", "path-header-without-sources"],
+)
+def test_archives_that_would_change_answers_are_refused(runner, grid6_archives, tmp_path, args, edit, message):
+    pot = tmp_path / "pot.npz"
+    result = runner.invoke(main, ["preprocess", "--graph", str(grid6_archives["net"]), "--grid", "2",
+                                  "--horizon", "200", *args, "--out", str(pot)])
+    if edit is not None:
+        assert result.exit_code == 0, result.output
+        edit_table_file(pot, edit)
+        result = runner.invoke(main, ["path", "--graph", str(grid6_archives["net"]), "--source", "n00_00",
+                                      "--dest", "n05_05", "--budget", "160", "--potentials", str(pot)])
+    assert _error_line(result) == f"Error: {message}"
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 
 import reliroute as rr
 
-from conftest import edge_by_label
+from conftest import edge_by_label, four_node_graph
 
 
 class TestLetPath:
@@ -155,6 +155,16 @@ class TestRunBenchmark:
                 assert 0 < rec.pruned_kept_edges <= g.num_edges
 
     @pytest.mark.parametrize("mode", ["policy", "path"])
+    def test_pruned_runs_search_the_whole_graph(self, mode):
+        # On the 2x2 grid d shares a region with a. A policy table prunes s->b
+        # from the solve, so a search of the pruned graph would return 0.6.
+        inst = rr.ProblemInstance(source="s", dest="d", budget=4, seed=0, let_nodes=(), let_edges=(), p5=0, p95=0)
+        config = rr.BenchmarkConfig(repetitions=1, pruning=mode, grid_k=2)
+        [rec] = rr.run_benchmark(four_node_graph(), [inst], config=config)
+        assert rec.path_nodes == ("s", "b", "d")
+        assert rec.pruned_reliability == rec.reliability == pytest.approx(0.7)
+
+    @pytest.mark.parametrize("mode", ["policy", "path"])
     def test_pruned_runs_build_each_table_once(self, monkeypatch, mode):
         g = rr.synthesize_distributions(rr.grid_topology(4), seed=21)
         partition = rr.grid_partition(g, 2)
@@ -195,7 +205,7 @@ class TestRunBenchmark:
             table = rr.compute_arc_potentials(g, partition, region, inst.budget, mode=mode, sources=sources)
             mask = rr.prune(g, table, inst.budget)
             pol = rr.compute_policy(g, inst.dest, inst.budget, edge_mask=mask)
-            best = rr.sota_path(g, pol, inst.source, inst.budget, edge_mask=mask)
+            best = rr.sota_path(g, pol, inst.source, inst.budget)
             assert rec.pruned_kept_edges == int(mask.sum())
             assert rec.pruned_reliability == best[0].reliability
 

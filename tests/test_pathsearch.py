@@ -58,6 +58,20 @@ class TestFixtureSearch:
         assert best <= report.policy_bound + 1e-9
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_a_table_past_the_budget_searches_alike(fixture_graph, k):
+    # Prefixes are kept to the budget's bins, whatever the table's horizon.
+    grid = rr.synthesize_distributions(rr.grid_topology(6), seed=7)
+    for g, source, dest, T in ((fixture_graph, "v1", "v3", 4), (grid, "n00_00", "n05_05", 120)):
+        outcomes = []
+        for horizon in (T, 2 * T):
+            report = rr.sota_path_report(g, rr.compute_policy(g, dest, horizon), source, T, k=k)
+            outcomes.append(([(p.nodes, p.edges, p.reliability) for p in report.paths],
+                             report.status, report.popped, report.pushed, report.queue_peak))
+        assert outcomes[0] == outcomes[1]
+        assert len(outcomes[0][0]) == k
+
+
 class TestPathReliability:
     def test_fixture_values(self, fixture_graph):
         g = fixture_graph

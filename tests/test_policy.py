@@ -368,7 +368,6 @@ def count_calls(fixture_graph):
         "grid_topology.k": ("grid dimension", 2, lambda v: rr.grid_topology(v)),
         "convolve.cap": ("cap", 1, lambda v: rr.convolve(d, d, cap=v)),
         "compute_arc_potentials.region": ("region", 0, lambda v: rr.compute_arc_potentials(g, partition, v, 4)),
-        "build_archive.regions": ("region", 0, lambda v: rr.build_archive(g, partition, 4, regions=[v])),
         "BenchmarkConfig.repetitions": (
             "repetitions", 1, lambda v: rr.run_benchmark(g, instances, rr.BenchmarkConfig(repetitions=v))),
         "BenchmarkConfig.path_repetitions": (
@@ -383,7 +382,6 @@ COUNT_ENTRY_POINTS = [
     "grid_topology.k",
     "convolve.cap",
     "compute_arc_potentials.region",
-    "build_archive.regions",
     "BenchmarkConfig.repetitions",
     "BenchmarkConfig.path_repetitions",
 ]

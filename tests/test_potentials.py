@@ -22,6 +22,7 @@ from conftest import (
     edge_by_label,
     edit_table_file,
     forward_reachability_oracle,
+    four_node_graph,
     per_destination_potentials,
     random_connected_graph,
     random_edge_dist,
@@ -171,11 +172,11 @@ class TestRealizability:
 @pytest.fixture(scope="module")
 def seed7_tables():
     """A policy table toward ``n05_05`` at horizon 100 and a policy-mode archive
-    of region 3 at horizon 200, on the 6x6 grid of seed 7."""
+    at horizon 200, on the 6x6 grid of seed 7; ``n05_05`` is in region 3."""
     graph = rr.synthesize_distributions(rr.grid_topology(6), seed=7)
     partition = rr.grid_partition(graph, 2)
     assert partition.region_of_index(graph.node_index("n05_05")) == 3
-    return rr.compute_policy(graph, "n05_05", 100), rr.build_archive(graph, partition, 200, regions=[3])
+    return rr.compute_policy(graph, "n05_05", 100), rr.build_archive(graph, partition, 200)
 
 
 @pytest.fixture(scope="module")
@@ -236,13 +237,11 @@ class TestArcPotentials:
             rr.compute_arc_potentials(g4, partition, 0, 60)
         with pytest.raises(ValueError, match=message):
             rr.build_archive(g4, partition, 60)
-        with pytest.raises(ValueError, match=message):
-            rr.build_archive(g4, partition, 60, regions=[])
 
     def test_archive_horizon_checked_without_regions(self, fixture_graph):
         partition = rr.grid_partition(fixture_graph, 3)
         with pytest.raises(ValueError, match="^horizon must be an integer, got 2.5$"):
-            rr.build_archive(fixture_graph, partition, 2.5, regions=[])
+            rr.build_archive(fixture_graph, partition, 2.5)
 
     def test_tables_of_another_graph_refused(self, seed7_tables):
         # Same nodes, edges and dt as the seed-7 grid, other masses.
@@ -378,9 +377,8 @@ class TestArcPotentials:
         table = rr.compute_arc_potentials(g, partition, 1, 12, mode="path", sources=["s"])
         phi = {(a, b): table.phi[g.find_edges(a, b)[0]] for a, b in (("s", "d"), ("s", "y"), ("y", "d"))}
         assert phi == {("s", "d"): 7, ("s", "y"): 8, ("y", "d"): 8}
-        mask = rr.prune(g, table, 8)
-        pol = rr.compute_policy(g, "d", 8, edge_mask=mask)
-        assert rr.sota_path(g, pol, "s", 8, edge_mask=mask)[0].reliability == 1.0
+        pol = rr.compute_policy(g, "d", 8, edge_mask=rr.prune(g, table, 8))
+        assert rr.sota_path(g, pol, "s", 8)[0].reliability == 1.0
 
 
 class TestPotentialsLogging:
@@ -466,9 +464,8 @@ class TestPruningSoundness:
                 table = rr.compute_arc_potentials(
                     g, partition, region, T, mode=mode, sources=sources
                 )
-                mask = rr.prune(g, table, T)
-                ppol = rr.compute_policy(g, d, T, edge_mask=mask)
-                got = rr.sota_path(g, ppol, s, T, edge_mask=mask)
+                ppol = rr.compute_policy(g, d, T, edge_mask=rr.prune(g, table, T))
+                got = rr.sota_path(g, ppol, s, T)
                 got_rel = got[0].reliability if got else 0.0
                 assert got_rel == pytest.approx(base_rel, abs=1e-12)
             # Policy values are preserved by policy-mode pruning.
@@ -487,9 +484,8 @@ class TestPruningSoundness:
             pol = rr.compute_policy(g, d, T)
             for budget in range(T + 1):
                 base = rr.sota_path(g, pol, s, budget)
-                mask = rr.prune(g, table, budget)
-                ppol = rr.compute_policy(g, d, budget, edge_mask=mask)
-                got = rr.sota_path(g, ppol, s, budget, edge_mask=mask)
+                ppol = rr.compute_policy(g, d, budget, edge_mask=rr.prune(g, table, budget))
+                got = rr.sota_path(g, ppol, s, budget)
                 assert (got[0].reliability if got else 0.0) == pytest.approx(
                     base[0].reliability if base else 0.0, abs=1e-12
                 ), (budget, T)
@@ -516,33 +512,76 @@ class TestPruningSoundness:
             g, partition, region, T, mode="policy", sources=[s]
         )
         assert conditioned.kept_count(T) <= free.kept_count(T)
-        # Conditioned tables stay sound for queries from that source.
-        mask = rr.prune(g, conditioned, T)
+        # Conditioned tables keep the policy from that source at every budget.
+        si = g.node_index(s)
         pol = rr.compute_policy(g, d, T)
-        ppol = rr.compute_policy(g, d, T, edge_mask=mask)
-        base = rr.sota_path(g, pol, s, T)
-        got = rr.sota_path(g, ppol, s, T, edge_mask=mask)
-        assert (got[0].reliability if got else 0.0) == pytest.approx(
-            base[0].reliability if base else 0.0, abs=1e-12
-        )
+        ppol = rr.compute_policy(g, d, T, edge_mask=rr.prune(g, conditioned, T))
+        assert np.abs(ppol.u[si] - pol.u[si]).max() <= 1e-12
+
+    def test_pruning_restricts_the_solve_not_the_search(self):
+        g = four_node_graph()
+        partition = rr.RegionPartition([int(nid == "d") for nid in g.node_ids])
+        ranking = lambda found: [(p.nodes, p.edges, p.reliability) for p in found]
+        base = ranking(rr.sota_path(g, rr.compute_policy(g, "d", 4), "s", 4, k=3))
+        assert [(nodes, rel) for nodes, _, rel in base] == [
+            (("s", "b", "d"), pytest.approx(0.7)), (("s", "a", "d"), pytest.approx(0.6)),
+            (("s", "a", "d"), pytest.approx(0.5)),
+        ]
+        for mode, sources, k in (("policy", None, 3), ("path", ["s"], 1)):
+            table = rr.build_archive(g, partition, 4, mode=mode, sources=sources)["tables"][1]
+            mask = rr.prune(g, table, 4)
+            pol = rr.compute_policy(g, "d", 4, edge_mask=mask)
+            assert ranking(rr.sota_path(g, pol, "s", 4, k=k)) == base[:k]
+            if mode == "policy":
+                # Searching the masked graph loses s->b->d.
+                assert not mask[g.find_edges("s", "b")[0]]
+                assert rr.sota_path(g, pol, "s", 4, edge_mask=mask)[0].reliability == pytest.approx(0.6)
+        # A table conditioned on s keeps only the policy's moves from s.
+        conditioned = rr.compute_arc_potentials(g, partition, 1, 4, sources=["s"])
+        pol = rr.compute_policy(g, "d", 4, edge_mask=rr.prune(g, conditioned, 4))
+        assert rr.sota_path(g, pol, "s", 4)[0].reliability == pytest.approx(0.6)
+        refusal = "policy-mode archives serve every source and take none, got ['s']"
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            rr.build_archive(g, partition, 4, mode="policy", sources=["s"])
+
+    def test_whole_graph_search_matches_unpruned_on_randoms(self):
+        # Policy tables at k=3 and path tables at k=1, on the pruned policy.
+        rng = random.Random(81)
+        for _ in range(40):
+            g, s, d = random_connected_graph(rng, max_nodes=8, max_width=3)
+            T = rng.randint(1, 40)
+            partition = rr.grid_partition(g, 2)
+            region = partition.region_of_index(g.node_index(d))
+            base = rr.sota_path(g, rr.compute_policy(g, d, T), s, T, k=3)
+            for mode, sources, k in (("policy", None, 3), ("path", [s], 1)):
+                table = rr.compute_arc_potentials(g, partition, region, T, mode=mode, sources=sources)
+                pol = rr.compute_policy(g, d, T, edge_mask=rr.prune(g, table, T))
+                got = rr.sota_path(g, pol, s, T, k=k)
+                assert [p.reliability for p in got] == pytest.approx([p.reliability for p in base[:k]], abs=1e-12)
+
+
+OLDER = (
+    "potentials archive lists its regions, so an older reliroute wrote it "
+    "and its rows need not follow the region ids; rebuild it"
+)
 
 
 class TestArchiveIO:
     def test_round_trip(self, fixture_graph, tmp_path):
         partition = rr.grid_partition(fixture_graph, 3)
-        archive = rr.build_archive(fixture_graph, partition, 6, sources=["v1"])
+        archive = rr.build_archive(fixture_graph, partition, 6, mode="path", sources=["v1"])
         target = tmp_path / "potentials.json"
         rr.save_archive(archive, target)
         assert list(tmp_path.iterdir()) == [target]
         again = rr.load_archive(target)
-        assert again["horizon"] == 6 and again["mode"] == "policy"
+        assert again["horizon"] == 6 and again["mode"] == "path"
         assert again["graph_digest"] == fixture_graph.digest
         assert np.array_equal(again["partition"].assignment, partition.assignment)
         assert again["tables"].keys() == archive["tables"].keys()
         for r, table in archive["tables"].items():
             loaded = again["tables"][r]
             assert loaded.phi.dtype == table.phi.dtype and loaded.phi.tobytes() == table.phi.tobytes()
-            assert (loaded.horizon, loaded.mode, loaded.sources) == (6, "policy", ("v1",))
+            assert (loaded.horizon, loaded.mode, loaded.sources) == (6, "path", ("v1",))
             loaded.check_graph(fixture_graph)
 
     def test_reads_documents_with_intervals(self, fixture_graph, tmp_path):
@@ -570,7 +609,7 @@ class TestArchiveIO:
     def test_missing_field_is_named(self, fixture_graph, tmp_path, drop, message):
         partition = rr.grid_partition(fixture_graph, 3)
         target = tmp_path / "potentials.npz"
-        rr.save_archive(rr.build_archive(fixture_graph, partition, 6, regions=[2]), target)
+        rr.save_archive(rr.build_archive(fixture_graph, partition, 6), target)
 
         def edit(doc):
             for key in drop:
@@ -583,7 +622,7 @@ class TestArchiveIO:
     @pytest.mark.parametrize("assignment", [[0.0, 1.0, 2.0], [0.5, 1.7, 1.2]], ids=["whole-floats", "fractions"])
     def test_float_assignment_rejected(self, fixture_graph, tmp_path, assignment):
         target = tmp_path / "potentials.npz"
-        rr.save_archive(rr.build_archive(fixture_graph, rr.grid_partition(fixture_graph, 3), 6, regions=[]), target)
+        rr.save_archive(rr.build_archive(fixture_graph, rr.grid_partition(fixture_graph, 3), 6), target)
         edit_table_file(target, lambda doc: doc.update(assignment=np.array(assignment)))
         with pytest.raises(ValueError, match="^assignment must hold integer region ids, got float64 values$"):
             rr.load_archive(target)
@@ -594,27 +633,34 @@ class TestArchiveIO:
             (lambda doc: doc.update(horizon=4.9), "potentials archive horizon must be an integer, got 4.9"),
             (lambda doc: doc.update(horizon=-1), "potentials archive horizon must be nonnegative, got -1"),
             (lambda doc: doc.update(mode="bogus"), "potentials archive has unknown mode 'bogus'"),
-            (lambda doc: doc.update(regions=[1.0]), "potentials archive region must be an integer, got 1.0"),
-            (lambda doc: doc.update(regions=[3]), "potentials archive region 3 exceeds the last region id 2"),
-            (lambda doc: doc.update(regions=[-1]), "potentials archive region must be nonnegative, got -1"),
-            (lambda doc: doc.update(regions=2), "potentials archive needs a list of regions, and a list of sources"),
-            (lambda doc: doc.update(sources="v1"), "potentials archive needs a list of regions, and a list of sources"),
-            (lambda doc: doc.update(regions=[2, 2], phi=doc["phi"].repeat(2, axis=0)),
-             "potentials archive lists a region twice: [2, 2]"),
+            # An older reliroute listed the regions its rows hold, in any order.
+            (lambda doc: doc.update(regions=[1.0]), OLDER),
+            (lambda doc: doc.update(regions=[3]), OLDER),
+            (lambda doc: doc.update(regions=[-1]), OLDER),
+            (lambda doc: doc.update(regions=2), OLDER),
+            (lambda doc: doc.update(regions=[0, 1, 2]), OLDER),
+            (lambda doc: doc.update(regions=[2, 2], phi=doc["phi"][[2, 2]]), OLDER),
+            (lambda doc: doc.update(phi=doc["phi"][[0, 1, 2, 2]]), "got int64 values of shape (4, 4)"),
+            (lambda doc: doc.update(sources=["v1"]), "potentials archive is policy-mode but lists sources ['v1']"),
+            (lambda doc: doc.update(mode="path"),
+             "potentials archive is path-mode and needs a nonempty list of sources, got None"),
+            (lambda doc: doc.update(mode="path", sources="v1"),
+             "potentials archive is path-mode and needs a nonempty list of sources, got 'v1'"),
             (lambda doc: doc.update(phi=np.where(doc["phi"] == 2, 2.7, doc["phi"])),
-             "got float64 values of shape (1, 4)"),
-            (lambda doc: doc.update(phi=doc["phi"] == 2), "got bool values of shape (1, 4)"),
+             "got float64 values of shape (3, 4)"),
+            (lambda doc: doc.update(phi=doc["phi"] == 2), "got bool values of shape (3, 4)"),
             (lambda doc: doc.update(phi=doc["phi"][0]), "got int64 values of shape (4,)"),
-            (lambda doc: doc.update(phi=np.where(doc["phi"] == 5, 7, doc["phi"])), "got int64 values of shape (1, 4)"),
-            (lambda doc: doc.update(phi=doc["phi"] - 3), "got int64 values of shape (1, 4)"),
+            (lambda doc: doc.update(phi=np.where(doc["phi"] == 5, 7, doc["phi"])), "got int64 values of shape (3, 4)"),
+            (lambda doc: doc.update(phi=doc["phi"] - 3), "got int64 values of shape (3, 4)"),
         ],
         ids=["fractional-horizon", "negative-horizon", "unknown-mode", "float-region", "region-out-of-range",
-             "negative-region", "regions-not-a-list", "sources-not-a-list", "repeated-region", "float-phi",
+             "negative-region", "regions-not-a-list", "every-region-listed", "repeated-region", "repeated-row",
+             "policy-with-sources", "path-without-sources", "sources-not-a-list", "float-phi",
              "bool-phi", "one-dimensional-phi", "phi-past-horizon", "negative-phi"],
     )
     def test_load_validates_header_values(self, fixture_graph, tmp_path, edit, message):
         target = tmp_path / "potentials.npz"
-        rr.save_archive(rr.build_archive(fixture_graph, rr.grid_partition(fixture_graph, 3), 6, regions=[2]), target)
+        rr.save_archive(rr.build_archive(fixture_graph, rr.grid_partition(fixture_graph, 3), 6), target)
         edit_table_file(target, edit)
         with pytest.raises(ValueError, match=re.escape(message)):
             rr.load_archive(target)
@@ -628,7 +674,7 @@ class TestArchiveIO:
     @pytest.mark.parametrize("kind", ["json-text", "graph-document", "policy-table", "truncated", "pre-digest"])
     def test_load_refuses_other_files(self, fixture_graph, tmp_path, kind):
         target = tmp_path / "potentials.json"
-        archive = rr.build_archive(fixture_graph, rr.grid_partition(fixture_graph, 3), 6, regions=[2])
+        archive = rr.build_archive(fixture_graph, rr.grid_partition(fixture_graph, 3), 6)
         if kind == "json-text":
             target.write_text(json.dumps({"format": "reliroute-potentials", "version": 1}))
         elif kind == "graph-document":
