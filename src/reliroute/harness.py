@@ -14,9 +14,8 @@ and a gnuplot script, keeping the output data-only.
 
 Instances run in order, in one process.  A pruning run builds one potential
 table per (destination region, sources) key, at the largest budget among the
-instances that use it, and prunes each of those instances' policy solve at
-its own budget, then searches the whole graph with that policy; the sources
-are ``(source,)`` in path mode and ``None`` in policy mode.
+instances that use it, and prunes each of those instances at its own budget;
+the sources are ``(source,)`` in path mode and ``None`` in policy mode.
 """
 
 from __future__ import annotations
@@ -172,7 +171,7 @@ class BenchmarkRecord:
     queue_peak: int = 0
     max_child_key_excess: float = float("-inf")
     final_queue_max_key: float | None = None
-    status: str = "ok"
+    status: str = ""
     error: str = ""
     pruning: str = "none"
     pruned_kept_edges: int = -1
@@ -195,46 +194,36 @@ def _median_time(fn, repetitions: int):
 
 def _run_instance(graph, index, inst, config, table_for):
     rec = BenchmarkRecord(index=index, source=inst.source, dest=inst.dest, budget=inst.budget)
-    try:
-        policy_time, pol = _median_time(
-            lambda: compute_policy(graph, inst.dest, inst.budget),
-            config.repetitions,
-        )
-        rec.policy_time = policy_time
-        rec.policy_bound = float(pol.u[graph.node_index(inst.source), inst.budget])
 
-        path_reps = config.path_repetitions or config.repetitions
-        path_time, rep = _median_time(
-            lambda: sota_path_report(graph, pol, inst.source, T=inst.budget),
-            path_reps,
+    def timed_query(mask):
+        """Median seconds of the solve restricted to ``mask`` and of the search
+        with its policy, and the last search report.  The mask goes to the
+        solve only: the search always covers the whole graph."""
+        policy_time, pol = _median_time(
+            lambda: compute_policy(graph, inst.dest, inst.budget, edge_mask=mask), config.repetitions
         )
-        rec.path_time = path_time
-        rec.popped, rec.pushed, rec.queue_peak = rep.popped, rep.pushed, rep.queue_peak
-        rec.max_child_key_excess = rep.max_child_key_excess
-        rec.final_queue_max_key = rep.final_queue_max_key
-        rec.status = rep.status
+        path_time, report = _median_time(
+            lambda: sota_path_report(graph, pol, inst.source, T=inst.budget),
+            config.path_repetitions or config.repetitions,
+        )
+        return policy_time, path_time, report
+
+    try:
+        rec.policy_time, rec.path_time, rep = timed_query(None)
+        for name in ("status", "policy_bound", "popped", "pushed", "queue_peak", "max_child_key_excess",
+                     "final_queue_max_key"):
+            setattr(rec, name, getattr(rep, name))
         if rep.paths:
             best = rep.paths[0]
-            rec.reliability = best.reliability
-            rec.path_nodes = best.nodes
-            rec.path_edges = best.edges
+            rec.reliability, rec.path_nodes, rec.path_edges = best.reliability, best.nodes, best.edges
             rec.path_edge_count = len(best.edges)
-            rec.path_mean_seconds = float(
-                sum(graph.edge_dists[e].mean() for e in best.edges)
-            )
+            rec.path_mean_seconds = float(sum(graph.edge_dists[e].mean() for e in best.edges))
 
         if config.pruning:
             rec.pruning = config.pruning
             mask = prune(graph, table_for(inst), inst.budget)
             rec.pruned_kept_edges = int(mask.sum())
-            rec.pruned_policy_time, ppol = _median_time(
-                lambda: compute_policy(graph, inst.dest, inst.budget, edge_mask=mask),
-                config.repetitions,
-            )
-            rec.pruned_path_time, prep = _median_time(
-                lambda: sota_path_report(graph, ppol, inst.source, T=inst.budget),
-                path_reps,
-            )
+            rec.pruned_policy_time, rec.pruned_path_time, prep = timed_query(mask)
             rec.pruned_reliability = prep.paths[0].reliability if prep.paths else 0.0
     except Exception as exc:  # individual failures are recorded, not fatal
         rec.status = "error"
@@ -308,7 +297,7 @@ def write_benchmark_outputs(records: list[BenchmarkRecord], out_dir) -> None:
             row["path_edges"] = "|".join(str(e) for e in rec.path_edges)
             writer.writerow(row)
 
-    ok = [r for r in records if r.status in ("ok", "found")]
+    ok = [r for r in records if r.status == "found"]
     with open(out / "plots" / "budget_vs_time.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["budget", "policy_time", "path_time"])
@@ -336,7 +325,7 @@ def write_benchmark_outputs(records: list[BenchmarkRecord], out_dir) -> None:
 
 def summarize(records: list[BenchmarkRecord]) -> dict:
     """Aggregate medians and simple trend fits used by the scaling studies."""
-    ok = [r for r in records if r.status in ("ok", "found") and not r.error]
+    ok = [r for r in records if r.status == "found"]
     out: dict = {"instances": len(records), "completed": len(ok)}
     if not ok:
         return out

@@ -80,6 +80,9 @@ class PolicyTable:
             )
         if self.graph_digest != graph.digest:
             raise ValueError("policy table was built for another graph: its graph digest differs from the graph's")
+        top = int(self.w.max(initial=NO_EDGE))
+        if top >= graph.num_edges:
+            raise ValueError(f"policy table's w names edge {top} but the graph has {graph.num_edges} edges")
 
     def save(self, target) -> None:
         """Write the table as a compressed ``npz`` with a JSON header of its
@@ -90,7 +93,8 @@ class PolicyTable:
     @classmethod
     def load(cls, source) -> "PolicyTable":
         """Read a table written by :meth:`save`.  Any other file, a missing
-        field, a bad horizon, or arrays that do not fit it raise ``ValueError``."""
+        field, a bad horizon, arrays that do not fit it, or contents that no
+        solve produces (see :func:`_check_contents`) raise ``ValueError``."""
         doc = _read_table(source, "policy table", ("destination", "horizon", "graph_digest", "u", "w"))
         horizon, u, w = _integer(doc["horizon"], "policy table horizon"), doc["u"], doc["w"]
         fits = u.shape == w.shape and u.ndim == 2 and u.shape[1] == horizon + 1
@@ -99,6 +103,7 @@ class PolicyTable:
                 f"policy table's u has shape {u.shape} and its w {w.shape}, of {u.dtype} and {w.dtype}; both need "
                 f"one row per node and one column per budget 0..{horizon}, u of floats and w of integers"
             )
+        _check_contents(u, w)
         u.setflags(write=False)
         w.setflags(write=False)
         return cls(
@@ -108,6 +113,30 @@ class PolicyTable:
             w=w,
             graph_digest=doc["graph_digest"],
         )
+
+
+def _check_contents(u, w) -> None:
+    """Raise ``ValueError`` naming the first fault, and its node row, of a
+    table whose contents no solve produces.  ``u`` lies in [0, 1] and does not
+    decrease along budgets, and ``w`` is an edge or ``NO_EDGE``.  The
+    destination's is the one row with ``u`` 1 at budget 0, since no edge has
+    mass at bin 0, and it is all ones in ``u`` and ``NO_EDGE`` in ``w``.  Off
+    it, ``w`` is ``NO_EDGE`` exactly where ``u`` is 0."""
+
+    def refuse(bad, fault):
+        rows = np.flatnonzero(bad.any(axis=1))
+        if len(rows):
+            raise ValueError(f"policy table's {fault} in node row {rows[0]}")
+
+    refuse(~((u >= 0.0) & (u <= 1.0)), "u is not a probability in [0, 1]")  # NaN fails both comparisons
+    refuse(u[:, 1:] < u[:, :-1], "u decreases along budgets")
+    refuse(w < NO_EDGE, f"w is below NO_EDGE ({NO_EDGE})")
+    dest = u[:, 0] == 1.0
+    if dest.sum() != 1:
+        raise ValueError(f"policy table's u is 1 at budget 0 in {dest.sum()} rows; only the destination's row is")
+    dest = dest[:, None]
+    refuse(dest & ((u != 1.0) | (w != NO_EDGE)), "destination row is not all ones in u and NO_EDGE in w")
+    refuse(~dest & ((w == NO_EDGE) == (u > 0.0)), "w does not match u (NO_EDGE where u > 0, or an edge where u is 0)")
 
 
 def _write_table(target, kind: str, header: dict, **arrays) -> None:
@@ -124,7 +153,8 @@ def _read_table(source, kind: str, fields) -> dict:
     ``ValueError`` naming ``kind`` and the file; a file missing one of
     ``fields``, one naming it."""
     try:
-        with np.load(source) as data:
+        # Our own handle: np.load does not close one it opened if NpzFile then raises.
+        with open(source, "rb") as handle, np.load(handle) as data:
             doc = dict(json.loads(str(data["meta"])), **data)
     except OSError:
         raise

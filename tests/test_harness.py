@@ -122,6 +122,7 @@ class TestRunBenchmark:
             rr.path_reliability(fixture_graph, None, 4, edges=rec.path_edges), abs=1e-12
         )
         assert rec.reliability <= rec.policy_bound + 1e-9
+        assert rec.policy_bound == rr.compute_policy(fixture_graph, "v3", 4).u[0, 4]
 
     def test_empty_instance_list(self, fixture_graph):
         assert rr.run_benchmark(fixture_graph, [], config=rr.BenchmarkConfig()) == []
@@ -142,6 +143,8 @@ class TestRunBenchmark:
             bad_rec, good_rec = rr.run_benchmark(fixture_graph, [bad, good], config=config)
             assert bad_rec.status == "error" and "unknown node" in bad_rec.error
             assert good_rec.status == "found" and good_rec.pruned_reliability == good_rec.reliability
+            summary = rr.summarize([bad_rec, good_rec])
+            assert (summary["instances"], summary["completed"]) == (2, 1)
 
     def test_pruned_runs_match_unpruned(self):
         g = rr.synthesize_distributions(rr.grid_topology(4), seed=21)

@@ -210,6 +210,42 @@ class TestPolicyTableIO:
         with pytest.raises(ValueError, match=message):
             rr.PolicyTable.load(target)
 
+    # The fixture's table toward v3 at T=5: rows v1, v2, v3 (the destination),
+    # u[v1] = [0, 0, 0, .3, .65, .95] and u[v2] = [0, 0, .5, 1, 1, 1], with w
+    # an edge exactly where u > 0.  Each edit sets doc[name][index] = value.
+    @pytest.mark.parametrize(
+        "name, index, value, message",
+        [
+            ("u", (0, 5), 7.5, r"u is not a probability in \[0, 1\] in node row 0"),
+            ("u", (0, 2), -0.1, r"u is not a probability in \[0, 1\] in node row 0"),
+            ("u", (1, 3), np.nan, r"u is not a probability in \[0, 1\] in node row 1"),
+            ("u", (0, 4), 0.2, r"u decreases along budgets in node row 0"),
+            ("w", (1, 0), -2, r"w is below NO_EDGE \(-1\) in node row 1"),
+            ("u", (2, 0), 0.5, r"u is 1 at budget 0 in 0 rows; only the destination's row is"),
+            ("u", 1, 1.0, r"u is 1 at budget 0 in 2 rows; only the destination's row is"),
+            ("w", (2, 3), 3, r"destination row is not all ones in u and NO_EDGE in w in node row 2"),
+            ("u", 1, 0.0, r"w does not match u \(NO_EDGE where u > 0, or an edge where u is 0\) in node row 1"),
+            ("w", (0, 5), -1, r"w does not match u \(NO_EDGE where u > 0, or an edge where u is 0\) in node row 0"),
+        ],
+        ids=["u-above-one", "u-negative", "u-nan", "u-decreases", "w-below-no-edge", "no-destination-row",
+             "two-destination-rows", "destination-takes-an-edge", "zeroed-row-keeps-its-edges",
+             "no-edge-where-u-positive"],
+    )
+    def test_load_refuses_contents_no_solve_produces(self, fixture_graph, tmp_path, name, index, value, message):
+        target = tmp_path / "table.npz"
+        rr.compute_policy(fixture_graph, "v3", 5).save(target)
+        edit_table_file(target, lambda doc: doc[name].__setitem__(index, value))
+        with pytest.raises(ValueError, match=f"^policy table's {message}$"):
+            rr.PolicyTable.load(target)
+
+    def test_check_graph_refuses_an_edge_past_the_last(self, fixture_graph, tmp_path):
+        target = tmp_path / "table.npz"
+        rr.compute_policy(fixture_graph, "v3", 5).save(target)
+        edit_table_file(target, lambda doc: doc["w"].__setitem__((0, 5), fixture_graph.num_edges))
+        table = rr.PolicyTable.load(target)
+        with pytest.raises(ValueError, match=r"^policy table's w names edge 4 but the graph has 4 edges$"):
+            table.check_graph(fixture_graph)
+
     @pytest.mark.parametrize(
         "horizon, message",
         [
