@@ -72,6 +72,7 @@ class StochasticGraph:
         for pos, n in enumerate(nodes):
             try:
                 nid, x, y = (n["id"], n["x"], n["y"]) if isinstance(n, dict) else n
+                hash(nid)  # ids key the node index
                 node_list.append((nid, float(x), float(y)))
             except (KeyError, TypeError, ValueError) as exc:
                 raise GraphValidationError(f"node #{pos}: {exc}") from exc
@@ -93,7 +94,7 @@ class StochasticGraph:
         for pos, e in enumerate(edges):
             tail_id, head_id, dist = e[0], e[1], e[2]
             label = e[3] if len(e) > 3 else None
-            if tail_id not in index or head_id not in index:
+            if not (self.has_node(tail_id) and self.has_node(head_id)):
                 problem = "endpoint is not a declared node"
             elif not isinstance(dist, DiscreteDistribution):
                 problem = "distribution missing or of wrong type"
@@ -139,11 +140,14 @@ class StochasticGraph:
     def node_index(self, node_id) -> int:
         try:
             return self._index[node_id]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable id names no node
             raise ValueError(f"unknown node id {node_id!r}") from None
 
     def has_node(self, node_id) -> bool:
-        return node_id in self._index
+        try:
+            return node_id in self._index
+        except TypeError:
+            return False
 
     def edge_label(self, eidx: int) -> str:
         label = self._edge_labels[eidx]

@@ -11,7 +11,8 @@ For a destination ``d`` and horizon ``T`` the solver fills, for every node
 Because every edge's minimum travel time is at least one bin, ``u_i(t)``
 depends only on values at strictly smaller budgets, so the solver sweeps the
 budgets ``t = 1..T`` once, in blocks of the least minimum travel time, by
-partitioned FFT convolution.  Edge values within ``EXACT_TOL`` of the best
+partitioned FFT convolution, reading budgets below 0 from a margin of zero
+columns before ``u``.  Edge values within ``EXACT_TOL`` of the best
 count as ties and go to the smallest edge, so FFT rounding can change a
 successor only where two values differ by almost exactly ``EXACT_TOL``.
 
@@ -72,7 +73,8 @@ class PolicyTable:
 
     def check_graph(self, graph: StochasticGraph) -> None:
         """Raise ``ValueError`` unless the table was computed on ``graph``:
-        one row per node of ``graph``, and ``graph``'s digest."""
+        one row per node of ``graph``, ``graph``'s digest, edges of ``graph``
+        in ``w``, and ``u`` solved toward the destination it names."""
         if self.w.shape[0] != graph.num_nodes:
             raise ValueError(
                 f"policy table has {self.w.shape[0]} node rows but the graph has "
@@ -83,6 +85,8 @@ class PolicyTable:
         top = int(self.w.max(initial=NO_EDGE))
         if top >= graph.num_edges:
             raise ValueError(f"policy table's w names edge {top} but the graph has {graph.num_edges} edges")
+        if self.u[graph.node_index(self.dest), 0] != 1.0:
+            raise ValueError(f"policy table's destination {self.dest!r} is not the node its u was solved toward")
 
     def save(self, target) -> None:
         """Write the table as a compressed ``npz`` with a JSON header of its
@@ -311,7 +315,7 @@ def _write_step(U, W, t0, arrays: _EdgeArrays, groups, vals):
     W[tails, t0:t1] = np.where(best > 0.0, arrays.orig[winner], NO_EDGE)
 
 
-def _sweep_blocks(T, arrays: _EdgeArrays, U, W) -> int:
+def _sweep_blocks(T, arrays: _EdgeArrays, padded, W) -> int:
     """Sweep the budgets in blocks of ``D``, the least minimum travel time, and
     return the number of edge-blocks convolved.
 
@@ -319,7 +323,9 @@ def _sweep_blocks(T, arrays: _EdgeArrays, U, W) -> int:
     ``[bD, bD + D)``, reads only earlier blocks and is computed at once by
     uniformly partitioned overlap-save convolution: partition ``k`` of each
     kernel, bins ``[kD, kD + D)``, meets the window of blocks ``b - k - 1``
-    and ``b - k``.
+    and ``b - k``.  ``padded`` is U behind ``margin`` zero columns, so a window
+    or lower bound reads 0 below budget 0.  Block 0 lies below every
+    ``min_bin``, so the sweep starts at block 1.
 
     Only the tail groups active by the block's last budget take part (see
     :class:`_EdgeArrays`), and a block with none is skipped.  Each window is
@@ -335,13 +341,14 @@ def _sweep_blocks(T, arrays: _EdgeArrays, U, W) -> int:
     """
     D, R, heads, spectra = arrays.D, arrays.R, arrays.heads, arrays.spectra
     rows, blocks = len(heads), T // D + 1
+    margin = padded.shape[1] - (T + 1)
+    U = padded[:, margin:]
     # ring[j % R] is the spectrum of block j's window.  At block b, slots
     # [0, s) hold blocks b - s .. b - 1 and, from block R on, slots [s, R)
     # hold blocks b - R .. b - s - 1.  Slot i meets partition s - i in the
     # first run and R + s - i in the second.
     ring = np.zeros_like(spectra)
     conv_heads = heads[arrays.conv]
-    window = np.zeros((len(U), 2 * D))
     # Buffers at full size, sliced to each block's active prefix.
     window_spectrum = np.empty((len(U), D + 1), dtype=spectra.dtype)
     acc = np.empty(spectra.shape[1:], dtype=spectra.dtype)
@@ -350,24 +357,19 @@ def _sweep_blocks(T, arrays: _EdgeArrays, U, W) -> int:
     out = np.empty((rows, 2 * D))
     low = np.empty((rows, D))
     zero = np.empty((rows, D), dtype=bool)
-    # cell[e, j] is the flat index of U[head, bD + j - min_bin] at block b;
-    # U[head, 0] is row_start.
-    row_start = (heads * U.shape[1])[:, None]
-    cell = row_start - arrays.mins[:, None] + np.arange(D)
+    # cell[e, j] is the flat index in padded of U[head, bD + j - min_bin] at
+    # block b; an edge longer than the horizon reads only below 0 up to T.
+    cell = (heads * padded.shape[1] + margin - np.minimum(arrays.mins, margin))[:, None] + np.arange(D)
     first = arrays.first_mass[:, None]
-    below_min = int(arrays.mins.max())
     groups = np.searchsorted(arrays.activation, np.arange(blocks) * D + D - 1, side="right")
     active = np.append(0, arrays.group_ends)[groups]
     bounds = np.append(arrays.class_starts, rows)
     # members[c, b]: the active rows of reach class c at block b.
     members = np.array([np.searchsorted(arrays.conv[lo:hi], active) for lo, hi in zip(bounds[:-1], bounds[1:])])
-    for b in range(blocks):
-        if b:
-            window[:, :D] = window[:, D:]
-            window[:, D:] = U[:, (b - 1) * D : b * D]
-            np.fft.rfft(window, axis=1, out=window_spectrum)
-            np.take(window_spectrum, conv_heads, axis=0, out=ring[(b - 1) % R])
-            cell += D
+    for b in range(1, blocks):
+        np.fft.rfft(padded[:, margin + (b - 2) * D : margin + b * D], axis=1, out=window_spectrum)
+        np.take(window_spectrum, conv_heads, axis=0, out=ring[(b - 1) % R])
+        cell += D
         n = active[b]
         if not n:
             continue
@@ -386,18 +388,12 @@ def _sweep_blocks(T, arrays: _EdgeArrays, U, W) -> int:
         vals = np.fft.irfft(summed[:n], 2 * D, axis=1, out=out[:n])[:, D:]
         # U's rows never decrease, so the first support bin's term is a lower
         # bound that is zero exactly when the sum is, whatever FFT rounding.
-        # Below an edge's min_bin it reads U[head, 0] and is zeroed.
-        early = b * D < below_min
-        index = np.maximum(cell[:n], row_start[:n]) if early else cell[:n]
-        U.take(index, out=low[:n])
+        padded.take(cell[:n], out=low[:n])
         np.multiply(low[:n], first[:n], out=low[:n])
         np.maximum(vals, low[:n], out=vals)
         np.less_equal(low[:n], 0.0, out=zero[:n])
-        if early:
-            zero[:n] |= index != cell[:n]
         np.copyto(vals, 0.0, where=zero[:n])
-        t0 = max(b * D, 1)
-        _write_step(U, W, t0, arrays, groups[b], vals[:, t0 - b * D : min(D, T + 1 - b * D)])
+        _write_step(U, W, b * D, arrays, groups[b], vals[:, : T + 1 - b * D])
     return int(active.sum())
 
 
@@ -427,18 +423,21 @@ def _solve(graph: StochasticGraph, dest, T: int, edge_mask=None, shared: dict | 
     start = time.perf_counter()
 
     # Tables before edge arrays: the other order read ~5 MB more peak RSS over repeated solves.
-    U = np.zeros((graph.num_nodes, T + 1))
+    margin = min(int(graph.edge_support[:, 0, 0].max(initial=0)), T + 1)
+    padded = np.zeros((graph.num_nodes, margin + T + 1))
+    U = padded[:, margin:]
     W = np.full((graph.num_nodes, T + 1), NO_EDGE, dtype=np.int32)
     U[d, :] = 1.0
     arrays = _EdgeArrays(graph, d, T, edge_mask, shared)
 
-    active = _sweep_blocks(T, arrays, U, W) if len(arrays.orig) else 0
+    active = _sweep_blocks(T, arrays, padded, W) if len(arrays.orig) else 0
     blocks = T // arrays.D + 1
     _log.debug(
         "policy toward %r, T=%d: %d blocks of D=%d, R=%d partitions, %d of %d edge-blocks active, %.4f s",
         dest, T, blocks, arrays.D, arrays.R, active, blocks * arrays.num_kept, time.perf_counter() - start,
     )
 
+    padded.setflags(write=False)
     U.setflags(write=False)
     W.setflags(write=False)
     return PolicyTable(

@@ -116,6 +116,12 @@ def compute_realizability(
     runs = graph.edge_support
     D = int(runs[:, 0, 0].min(initial=T + 1))
     W = policy.w[:, : T + 1]
+    # Edges are sorted by tail, so each node's out-edges are one index range.
+    bounds = np.searchsorted(graph.edge_tails, np.arange(graph.num_nodes + 1))[:, None]
+    stray = np.flatnonzero(((W != NO_EDGE) & ((W < bounds[:-1]) | (W >= bounds[1:]))).any(axis=1))
+    if len(stray):
+        node = graph.node_ids[stray[0]]
+        raise ValueError(f"policy table's w names an edge that does not leave node {node!r} in node row {stray[0]}")
     blocks = 0
     for hi in range(T, -1, -D):
         lo = max(hi - D + 1, 0)

@@ -215,6 +215,28 @@ def _error_line(result):
     return line
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("node", [1], "node #0: unhashable type: 'list'"),
+        ("node", {}, "node #0: unhashable type: 'dict'"),
+        ("from", ["a"], "edge #0 (['a']->'b'): endpoint is not a declared node"),
+        ("to", {"id": "b"}, "edge #0 ('a'->{'id': 'b'}): endpoint is not a declared node"),
+    ],
+)
+def test_unhashable_ids_are_reported_as_one_error_line(runner, tmp_path, field, value, message):
+    doc = {"dt": 1.0, "nodes": [{"id": "a", "x": 0, "y": 0}, {"id": "b", "x": 1, "y": 0}],
+           "edges": [{"from": "a", "to": "b", "dist": {"pmf": [[1, 1.0]]}}]}
+    if field == "node":
+        doc["nodes"][0]["id"] = value
+    else:
+        doc["edges"][0][field] = value
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["path", "--graph", str(target), "--source", "a", "--dest", "b", "--budget", "4"])
+    assert _error_line(result) == f"Error: {message}"
+
+
 @pytest.mark.parametrize("kind", ["policy", "path"])
 def test_path_refuses_archive_of_another_graph(runner, grid6_archives, kind):
     result = runner.invoke(

@@ -227,6 +227,29 @@ class TestLoadGraph:
         with pytest.raises(ValueError, match="unknown node"):
             fixture_graph.node_index("v9")
 
+    @pytest.mark.parametrize("node_id", [[1], {}, {"a": 1}], ids=["list", "empty-object", "object"])
+    def test_unhashable_node_id_named_by_position(self, node_id):
+        nodes = [{"id": "a", "x": 0, "y": 0}, {"id": node_id, "x": 1, "y": 0}]
+        kind = type(node_id).__name__
+        with pytest.raises(GraphValidationError, match=f"^node #1: unhashable type: '{kind}'$"):
+            rr.load_graph({"dt": 1.0, "nodes": nodes, "edges": []})
+        with pytest.raises(GraphValidationError, match=f"^node #1: unhashable type: '{kind}'$"):
+            rr.StochasticGraph(1.0, nodes, [])
+
+    @pytest.mark.parametrize("end", ["from", "to"])
+    def test_unhashable_endpoint_named_by_edge(self, end):
+        edge = {"id": "bad", "from": "a", "to": "b", "dist": {"pmf": [[1, 1.0]]}}
+        edge[end] = [edge[end]]
+        doc = {"dt": 1.0, "nodes": [{"id": "a", "x": 0, "y": 0}, {"id": "b", "x": 1, "y": 0}], "edges": [edge]}
+        with pytest.raises(GraphValidationError, match=r"^edge 'bad' \(.*\): endpoint is not a declared node$"):
+            rr.load_graph(doc)
+
+    @pytest.mark.parametrize("node_id", [[1], {}, ["v1"]])
+    def test_unhashable_lookup_is_an_unknown_node(self, fixture_graph, node_id):
+        assert not fixture_graph.has_node(node_id)
+        with pytest.raises(ValueError, match="^unknown node id "):
+            fixture_graph.node_index(node_id)
+
 class TestSaveRoundTrip:
     def test_pmf_values_round_trip_bit_identically(self, fixture_graph, tmp_path):
         target = tmp_path / "graph.json"

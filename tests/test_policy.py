@@ -136,6 +136,26 @@ class TestPolicyValues:
             assert g.edge_label(int(pol.w[0, 3])) == "first"
             assert np.array_equal(pol.w, runs[0].w)
 
+    def test_an_edge_longer_than_the_horizon_reads_zeros_below_budget_0(self):
+        # Up to T = 13, s -> b is longer than the horizon plus one, so the zero
+        # margin is T + 1 wide and the edge's lower bounds read it; the row
+        # before b's is the destination's, all ones.
+        pmf = rr.DiscreteDistribution.from_pairs
+        g = rr.StochasticGraph(
+            1.0,
+            [("a", 0.0, 0.0), ("b", 1.0, 0.0), ("s", 2.0, 0.0)],
+            [("s", "a", pmf([[1, 0.5], [2, 0.5]])), ("s", "b", pmf([[15, 1.0]])), ("b", "a", pmf([[1, 1.0]]))],
+        )
+        for T in range(20):
+            direct, pol = direct_policy(g, "a", T), rr.compute_policy(g, "a", T)
+            assert np.abs(direct.u - pol.u).max() <= 1e-12, T
+            assert np.array_equal(direct.w, pol.w), T
+
+    def test_table_and_the_array_it_views_are_read_only(self, fixture_graph):
+        pol = rr.compute_policy(fixture_graph, "v3", 5)
+        for array in (pol.u, pol.u.base, pol.w):
+            assert not array.flags.writeable
+
     def test_edge_mask_restricts_choices(self, fixture_graph):
         g = fixture_graph
         mask = np.ones(g.num_edges, dtype=bool)
@@ -237,6 +257,16 @@ class TestPolicyTableIO:
         edit_table_file(target, lambda doc: doc[name].__setitem__(index, value))
         with pytest.raises(ValueError, match=f"^policy table's {message}$"):
             rr.PolicyTable.load(target)
+
+    def test_check_graph_refuses_a_destination_its_u_was_not_solved_toward(self, fixture_graph, tmp_path):
+        target = tmp_path / "table.npz"
+        rr.compute_policy(fixture_graph, "v3", 5).save(target)
+        edit_table_file(target, lambda doc: doc.__setitem__("destination", "v2"))
+        table = rr.PolicyTable.load(target)
+        with pytest.raises(ValueError, match=r"^policy table's destination 'v2' is not the node its u was solved toward$"):
+            table.check_graph(fixture_graph)
+        with pytest.raises(ValueError, match="destination 'v2'"):
+            rr.sota_path_report(fixture_graph, table, "v1", T=5)
 
     def test_check_graph_refuses_an_edge_past_the_last(self, fixture_graph, tmp_path):
         target = tmp_path / "table.npz"

@@ -159,6 +159,24 @@ class TestRealizability:
         with pytest.raises(ValueError, match="^policy table was built for another graph"):
             rr.compute_realizability(renamed, pol, "n0")
 
+    def test_successor_that_leaves_by_another_nodes_edge_rejected(self, fixture_graph, tmp_path):
+        g = fixture_graph
+        target = tmp_path / "table.npz"
+        rr.compute_policy(g, "v3", 5).save(target)
+        v1, e1, e4 = g.node_index("v1"), edge_by_label(g, "e1"), edge_by_label(g, "e4")
+
+        def take_e4(doc):
+            assert doc["w"][v1, 5] == e1
+            doc["w"][v1, 5] = e4  # an out-edge of v2
+
+        edit_table_file(target, take_e4)
+        table = rr.PolicyTable.load(target)
+        table.check_graph(g)
+        with pytest.raises(ValueError, match=rf"^policy table's w names an edge that does not leave node 'v1' in node row {v1}$"):
+            rr.compute_realizability(g, table, ["v1"], 5)
+        # Budgets below the edited one never read it.
+        rr.compute_realizability(g, table, ["v1"], 4)
+
     def test_rollouts_stay_on_marked_edges(self, fixture_graph):
         g = fixture_graph
         pol = rr.compute_policy(g, "v3", 4)
