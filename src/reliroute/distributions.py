@@ -67,8 +67,8 @@ class DiscreteDistribution:
         arr = np.array(mass, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("mass must be a 1-D array of probabilities per bin")
-        if not (dt > 0.0):
-            raise ValueError(f"dt must be positive, got {dt}")
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be {'finite' if dt > 0 else 'positive'}, got {dt}")
         if not (math.isfinite(truncated_tail) and truncated_tail >= -EXACT_TOL):
             raise ValueError(f"truncated_tail must be finite and nonnegative, got {truncated_tail}")
         # min and max propagate NaN, so together they see every non-finite value.

@@ -29,8 +29,11 @@ TAIL_EPS = 1e-12
 
 def free_flow_bins(free_flow_seconds: float, dt: float) -> int:
     """Minimum-travel-time bin for a free-flow time, rounded up to the grid."""
-    if free_flow_seconds <= 0:
-        raise ValueError(f"free-flow time must be positive, got {free_flow_seconds}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"time step must be {'finite' if dt > 0 else 'positive'}, got {dt}")
+    if not 0 < free_flow_seconds < math.inf:
+        shape = "finite" if free_flow_seconds > 0 else "positive"
+        raise ValueError(f"free-flow time must be {shape}, got {free_flow_seconds}")
     if free_flow_seconds < dt * (1.0 - 1e-9):
         raise ValueError(
             f"free-flow time {free_flow_seconds:.6g}s is below one time bin "
@@ -48,10 +51,11 @@ def _fold_residual(pmf: np.ndarray) -> np.ndarray:
 def _check_gamma_args(min_bin: int, mean_delay: float, cov: float) -> None:
     if min_bin < 1:
         raise ValueError("edge distributions must have their minimum travel time at bin 1 or later")
-    if mean_delay < 0:
-        raise ValueError(f"mean delay must be nonnegative, got {mean_delay}")
-    if cov < 0:
-        raise ValueError(f"coefficient of variation must be nonnegative, got {cov}")
+    for name, value in (("mean delay", mean_delay), ("coefficient of variation", cov)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 def shifted_gamma_pmfs(
@@ -132,23 +136,22 @@ def gaussian_mixture_pmf(
     if not components:
         raise ValueError("mixture must have at least one component")
     weights = np.array([float(c["weight"]) for c in components])
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
+    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-9):  # NaN fails both
         raise ValueError("mixture weights must be nonnegative and sum to 1")
+    means, stds = ([float(c[key]) for c in components] for key in ("mean", "std"))
+    if not all(map(math.isfinite, means + stds)):
+        raise ValueError(f"mixture component means and stds must be finite, got {means} and {stds}")
+    if min(stds) <= 0:
+        raise ValueError("mixture component std must be positive")
     floor = dt if min_seconds is None else float(min_seconds)
     floor_bin = free_flow_bins(floor, dt)
-    last = max(
-        floor_bin + 1,
-        int(math.ceil(max(float(c["mean"]) + 9.0 * float(c["std"]) for c in components) / dt)),
-    )
+    last = max(floor_bin + 1, int(math.ceil(max(m + 9.0 * s for m, s in zip(means, stds)) / dt)))
     from scipy import special
 
     edges = (np.arange(floor_bin, last + 1) + 0.5) * dt
     cdf = np.zeros(len(edges))
-    for c, w in zip(components, weights):
-        std = float(c["std"])
-        if std <= 0:
-            raise ValueError("mixture component std must be positive")
-        cdf += w * special.ndtr((edges - float(c["mean"])) / std)
+    for mean, std, w in zip(means, stds, weights):
+        cdf += w * special.ndtr((edges - mean) / std)
     pmf = np.empty(len(edges))
     pmf[0] = cdf[0]  # everything at or below the floor bin
     pmf[1:] = np.diff(cdf)

@@ -64,8 +64,8 @@ class StochasticGraph:
     """
 
     def __init__(self, dt: float, nodes, edges):
-        if not dt > 0:
-            raise GraphValidationError(f"time step must be positive, got {dt}")
+        if not 0 < dt < np.inf:
+            raise GraphValidationError(f"time step must be {'finite' if dt > 0 else 'positive'}, got {dt}")
         self.dt = float(dt)
 
         node_list = []
@@ -248,8 +248,8 @@ def load_graph(source) -> StochasticGraph:
         dt = float(doc["dt"])
     except (TypeError, ValueError) as exc:
         raise GraphValidationError(f"graph document's 'dt' field is not a number: {exc}") from exc
-    if not dt > 0:
-        raise GraphValidationError(f"time step must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise GraphValidationError(f"time step must be {'finite' if dt > 0 else 'positive'}, got {dt}")
     # A null node list is reported as an empty one.
     nodes = () if doc["nodes"] is None else doc["nodes"]
     for key, value in (("nodes", nodes), ("edges", doc["edges"])):

@@ -12,9 +12,11 @@ Because every edge's minimum travel time is at least one bin, ``u_i(t)``
 depends only on values at strictly smaller budgets, so the solver sweeps the
 budgets ``t = 1..T`` once, in blocks of the least minimum travel time, by
 partitioned FFT convolution, reading budgets below 0 from a margin of zero
-columns before ``u``.  Edge values within ``EXACT_TOL`` of the best
-count as ties and go to the smallest edge, so FFT rounding can change a
-successor only where two values differ by almost exactly ``EXACT_TOL``.
+columns before ``u``.  The successor is the smallest edge that can arrive
+(its value is positive) within ``EXACT_TOL`` of the best, and ``NO_EDGE``
+where none can, so FFT rounding can change a successor only where two values
+differ by almost exactly ``EXACT_TOL``.  Values are exactly 0 where no term
+of their sum is positive, so "can arrive" is decided without rounding.
 
 The sweep is a wavefront: ``u_ij(t)`` is exactly 0 below ``z_j + delta_ij``,
 where ``z_j`` is node ``j``'s least time to ``d`` in minimum bins, so a tail
@@ -74,7 +76,8 @@ class PolicyTable:
     def check_graph(self, graph: StochasticGraph) -> None:
         """Raise ``ValueError`` unless the table was computed on ``graph``:
         one row per node of ``graph``, ``graph``'s digest, edges of ``graph``
-        in ``w``, and ``u`` solved toward the destination it names."""
+        in ``w``, and ``u`` solved toward the destination it names, which is a
+        node of ``graph``."""
         if self.w.shape[0] != graph.num_nodes:
             raise ValueError(
                 f"policy table has {self.w.shape[0]} node rows but the graph has "
@@ -85,6 +88,8 @@ class PolicyTable:
         top = int(self.w.max(initial=NO_EDGE))
         if top >= graph.num_edges:
             raise ValueError(f"policy table's w names edge {top} but the graph has {graph.num_edges} edges")
+        if not graph.has_node(self.dest):
+            raise ValueError(f"policy table's destination {self.dest!r} is not a node of the graph")
         if self.u[graph.node_index(self.dest), 0] != 1.0:
             raise ValueError(f"policy table's destination {self.dest!r} is not the node its u was solved toward")
 
@@ -253,7 +258,7 @@ class _EdgeArrays:
         self.group_tails = tails[starts[order]]
         self.group_of_edge = np.repeat(np.arange(len(order)), sizes)
         self.activation = activation[order]
-        self.rank = (len(rows) - np.arange(len(rows)))[:, None]
+        self.successor = np.append(self.orig, NO_EDGE)
 
         reach = np.minimum((ends[rows] - 1) // self.D, self.R)
         self.conv = np.argsort(reach, kind="stable")
@@ -301,18 +306,20 @@ def _write_step(U, W, t0, arrays: _EdgeArrays, groups, vals):
     """Reduce the first ``groups`` tail groups' edge evaluations ``vals[e, k]``
     at budgets ``t0 + k`` into u and w.
 
-    Values within ``EXACT_TOL`` count as equal, so that convolution rounding
-    never decides the successor; ``u`` is the exact running maximum.
+    An edge is near when its value is positive and within ``EXACT_TOL`` of its
+    group's best, so that convolution rounding never decides the successor.
+    ``w`` is the group's first near row, and a group with none looks up one
+    past the last row, which is ``NO_EDGE``; ``u`` is the exact running
+    maximum.
     """
     n, k, starts = len(vals), vals.shape[1], arrays.group_starts[:groups]
     gmax = np.maximum.reduceat(vals, starts, axis=0)
-    near = vals >= (gmax - EXACT_TOL).take(arrays.group_of_edge[:n], axis=0)
-    # The first near row of a group has the largest rank, len(rows) - row.
-    winner = len(arrays.rank) - np.maximum.reduceat(near * arrays.rank[:n], starts, axis=0)
+    near = (vals > 0.0) & (vals >= (gmax - EXACT_TOL).take(arrays.group_of_edge[:n], axis=0))
+    winner = np.minimum.reduceat(np.where(near, np.arange(n)[:, None], len(arrays.orig)), starts, axis=0)
     tails, t1 = arrays.group_tails[:groups], t0 + k
     best = np.minimum(gmax, 1.0)
     U[tails, t0:t1] = np.maximum.accumulate(np.maximum(best, U[tails, t0 - 1 : t0]), axis=1)
-    W[tails, t0:t1] = np.where(best > 0.0, arrays.orig[winner], NO_EDGE)
+    W[tails, t0:t1] = arrays.successor[winner]
 
 
 def _sweep_blocks(T, arrays: _EdgeArrays, padded, W) -> int:
@@ -408,8 +415,9 @@ def compute_policy(
     ``edge_mask`` restricts the graph to the edges it marks, e.g. the mask that
     :func:`~reliroute.potentials.prune` returns.
 
-    ``w[i, t]`` is the smallest edge within ``EXACT_TOL`` of the best edge at
-    budget ``t``, or ``NO_EDGE`` where the best is 0.
+    ``w[i, t]`` is the smallest edge whose value at budget ``t`` is positive
+    and within ``EXACT_TOL`` of the best, or ``NO_EDGE`` where no edge's is
+    positive.
     """
     return _solve(graph, dest, T, edge_mask)
 

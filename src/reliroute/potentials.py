@@ -198,10 +198,13 @@ def prune(graph: StochasticGraph, table: PotentialTable, budget: int) -> np.ndar
     Pass the mask to :func:`compute_policy` only and search the whole graph
     with the policy it returns.  With a policy-mode table the masked policy
     equals the full graph's for destinations in the table's region and budgets
-    up to the horizon, so the search ranks paths as it would unpruned.  A
-    path-mode table keeps only the best path from its sources, so it answers
-    those sources at ``k=1`` only.  A table built for another graph raises
-    ``ValueError``.
+    up to the horizon, outside the tie band, so the search ranks paths as it
+    would unpruned.  In the tie band the mask may drop an edge up to
+    ``EXACT_TOL`` better than a state's successor (see
+    :func:`~reliroute.policy.compute_policy`), and ``u`` may fall by as much
+    there.  A path-mode table keeps only the best path from its sources, so it
+    answers those sources at ``k=1`` only.  A table built for another graph
+    raises ``ValueError``.
     """
     table.check_graph(graph)
     return table.edge_mask(budget)
@@ -278,10 +281,8 @@ def compute_arc_potentials(
                 if graph.node_index(s) != d_idx:
                     _lower_along_optimal_paths(phi, graph, pol, s, T)
         elif sources is None:
-            # Budgets come out ascending, so an edge's first choice is its least.
-            t, nodes = np.nonzero((pol.w != NO_EDGE).T)
-            edges, first = np.unique(pol.w[nodes, t], return_index=True)
-            phi[edges] = np.minimum(phi[edges], t[first])
+            nodes, t = np.nonzero(pol.w != NO_EDGE)
+            np.minimum.at(phi, pol.w[nodes, t], t)
         else:
             flags = compute_realizability(graph, pol, list(sources), T, initial_budgets="any")
             np.minimum(phi, flags.edge_first_budget, out=phi)
@@ -314,16 +315,14 @@ def build_archive(
     plus the partition, bundled for serialization.  Sources in policy mode
     (a conditioned table is not valid for path queries), a bad horizon, or a
     partition of another graph's nodes raise ``ValueError`` before any table
-    is built."""
-    T = _integer(T, "horizon")
-    partition.check_graph(graph)
+    is built: the first region's :func:`compute_arc_potentials` checks them."""
     if mode == "policy" and sources is not None:
         raise ValueError(f"policy-mode archives serve every source and take none, got {sources!r}")
     tables = {
         r: compute_arc_potentials(graph, partition, r, T, mode=mode, sources=sources)
         for r in range(partition.region_count)
     }
-    return {"partition": partition, "tables": tables, "horizon": T, "mode": mode,
+    return {"partition": partition, "tables": tables, "horizon": tables[0].horizon, "mode": mode,
             "graph_digest": graph.digest}
 
 

@@ -110,6 +110,21 @@ def four_node_graph():
     )
 
 
+def faint_edge_graph():
+    """``a -> d`` takes 1 bin with probability 1e-13 and 50 bins otherwise,
+    and ``a -> b -> d`` takes 11 bins.  Below budget 11, ``a -> b``, the
+    smaller edge, is worth exactly 0, within ``EXACT_TOL`` of ``a -> d``'s
+    1e-13; a successor must be able to arrive, so there it is ``a -> d``.
+    """
+    pmf = rr.DiscreteDistribution.from_pairs
+    return rr.StochasticGraph(
+        1.0,
+        [("a", 0.0, 0.0), ("b", 1.0, 1.0), ("d", 2.0, 0.0)],
+        [("a", "b", pmf([[1, 1.0]])), ("a", "d", pmf([[1, 1e-13], [50, 1.0 - 1e-13]])),
+         ("b", "d", pmf([[10, 1.0]]))],
+    )
+
+
 def shifted_gamma_oracle(min_bin, mean_delay, cov, dt=1.0):
     """One edge's gamma-delay PMF, discretized on its own; the reference for
     ``rr.models.shifted_gamma_pmfs``, which must match it bit for bit.
@@ -179,8 +194,9 @@ def direct_policy(graph, dest, T, edge_mask=None):
     Shares no code with the solver.  Each ``u_ij(t)`` is one ``einsum`` of the
     edge's reversed kernel, a contiguous row over bins ``span - 1 .. 1``, with
     ``u_j`` over the budgets before ``t``.  ``w[i, t]`` is the smallest kept
-    edge within ``EXACT_TOL`` of the best, or ``NO_EDGE`` where the best is 0,
-    and ``u[i, t]`` the running maximum of ``min(best, 1)``.
+    edge whose sum is positive and within ``EXACT_TOL`` of the best, or
+    ``NO_EDGE`` where no sum is positive, and ``u[i, t]`` the running maximum
+    of ``min(best, 1)``.
     """
     d = graph.node_index(dest)
     keep = np.ones(graph.num_edges, dtype=bool) if edge_mask is None else np.asarray(edge_mask, dtype=bool)
@@ -205,11 +221,11 @@ def direct_policy(graph, dest, T, edge_mask=None):
         for t in range(1, T + 1):
             lo = max(0, t - (span - 1))
             vals = np.einsum("ej,ej->e", rev[:, span - 1 - (t - lo) :], u[heads, lo:t])
-            # A pad reads 0 and follows every real slot, so it is never the
-            # first slot within EXACT_TOL of a positive best.
+            # A pad reads 0, so it is never near.  The sums add nonnegative
+            # terms, so a sum is 0 exactly when no term is positive.
             table = np.where(slots >= 0, vals[slots], 0.0)
             best = table.max(axis=1)
-            first = np.argmax(table >= best[:, None] - rr.EXACT_TOL, axis=1)
+            first = np.argmax((table > 0.0) & (table >= best[:, None] - rr.EXACT_TOL), axis=1)
             u[nodes, t] = np.maximum(np.minimum(best, 1.0), u[nodes, t - 1])
             w[nodes, t] = np.where(best > 0.0, edges[slots[np.arange(len(nodes)), first]], rr.NO_EDGE)
     return rr.PolicyTable(dest=dest, horizon=T, u=u, w=w, graph_digest=graph.digest)

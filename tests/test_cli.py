@@ -1,6 +1,7 @@
 """End-to-end command-line checks."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -234,6 +235,30 @@ def test_unhashable_ids_are_reported_as_one_error_line(runner, tmp_path, field, 
     target = tmp_path / "bad.json"
     target.write_text(json.dumps(doc))
     result = runner.invoke(main, ["path", "--graph", str(target), "--source", "a", "--dest", "b", "--budget", "4"])
+    assert _error_line(result) == f"Error: {message}"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--delay-factor", "inf"], "mean delay must be finite, got inf"),
+        (["--delay-factor", "nan"], "mean delay must be finite, got nan"),
+        (["--cov", "inf"], "coefficient of variation must be finite, got inf"),
+        (["--cov", "nan"], "coefficient of variation must be finite, got nan"),
+        (["--spacing", "inf"], "edge #0: free-flow time must be finite, got inf"),
+        (["--spacing", "nan"], "edge #0: free-flow time must be positive, got nan"),
+        (["--dt", "inf"], "edge #0: time step must be finite, got inf"),
+        (["--dt", "nan"], "edge #0: time step must be positive, got nan"),
+        (["--graph", "inf-dt.json"], "time step must be finite, got inf"),
+    ],
+)
+def test_non_finite_values_are_refused_by_name(runner, args, message):
+    with runner.isolated_filesystem():
+        if args[0] == "--graph":
+            Path(args[1]).write_text('{"dt": Infinity, "nodes": [{"id": "a", "x": 0, "y": 0}], "edges": []}')
+            result = runner.invoke(main, ["path", *args, "--source", "a", "--dest", "a", "--budget", "4"])
+        else:
+            result = runner.invoke(main, ["synth", "--grid", "2", *args, "--out", "net.json"])
     assert _error_line(result) == f"Error: {message}"
 
 

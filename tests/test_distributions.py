@@ -1,5 +1,7 @@
 """PMF arithmetic: construction, convolution, CDF/percentiles, mixing."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +58,21 @@ class TestConstruction:
     def test_finiteness_is_checked_before_sign(self, mass):
         with pytest.raises(ValueError, match="probability mass must be finite"):
             DiscreteDistribution(mass)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: DiscreteDistribution([[0.0, 1.0]]), "mass must be a 1-D array of probabilities per bin"),
+            (lambda: DiscreteDistribution([0.0, 1.0], dt=0.0), "dt must be positive, got 0.0"),
+            (lambda: DiscreteDistribution([0.0, 1.0], dt=np.nan), "dt must be positive, got nan"),
+            (lambda: DiscreteDistribution([0.0, 1.0], dt=np.inf), "dt must be finite, got inf"),
+            (lambda: DiscreteDistribution.from_pairs([]), "empty PMF"),
+        ],
+        ids=["two-dimensional", "zero-dt", "nan-dt", "infinite-dt", "no-pairs"],
+    )
+    def test_malformed_input_refused_by_name(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_overflowing_sum_fails_normalization(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="probability mass sums to inf"):

@@ -1,7 +1,9 @@
 """Parametric travel-time models and synthetic network generation."""
 
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +27,10 @@ from reliroute.models import (
 from conftest import shifted_gamma_oracle
 
 
+#: Start of the error for a mixture component whose mean or std is not finite.
+NON_FINITE_MIXTURE = "mixture component means and stds must be finite, got"
+
+
 def simple_topology(length=100.0, speed=10.0, dt=1.0):
     return {
         "dt": dt,
@@ -42,6 +48,34 @@ class TestModels:
     def test_free_flow_below_one_bin(self):
         with pytest.raises(ValueError, match="decrease dt"):
             free_flow_bins(0.4, 1.0)
+
+    @pytest.mark.parametrize(
+        "free_flow, dt, message",
+        [
+            (0, 1.0, "free-flow time must be positive, got 0"),
+            (math.inf, 1.0, "free-flow time must be finite, got inf"),
+            (math.nan, 1.0, "free-flow time must be positive, got nan"),
+            (10.0, 0.0, "time step must be positive, got 0.0"),
+            (10.0, math.inf, "time step must be finite, got inf"),
+            (10.0, math.nan, "time step must be positive, got nan"),
+        ],
+    )
+    def test_free_flow_refusals_named(self, free_flow, dt, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            free_flow_bins(free_flow, dt)
+
+    @pytest.mark.parametrize(
+        "mean_delay, cov, message",
+        [
+            (math.inf, 1.0, "mean delay must be finite, got inf"),
+            (math.nan, 1.0, "mean delay must be finite, got nan"),
+            (1.0, math.inf, "coefficient of variation must be finite, got inf"),
+            (1.0, math.nan, "coefficient of variation must be finite, got nan"),
+        ],
+    )
+    def test_gamma_refuses_non_finite_values(self, mean_delay, cov, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            shifted_gamma_pmf(4, mean_delay, cov)
 
     def test_gamma_moment_check(self):
         # Analytic mean is free-flow (10 bins) + mean delay (5 s).
@@ -120,6 +154,19 @@ class TestModels:
     def test_mixture_weight_validation(self):
         with pytest.raises(ValueError):
             gaussian_mixture_pmf([{"weight": 0.7, "mean": 5, "std": 1}])
+
+    @pytest.mark.parametrize(
+        "components, message",
+        [([], "mixture must have at least one component"),
+         ([{"weight": 1.0, "mean": 5.0, "std": 0.0}], "mixture component std must be positive"),
+         ([{"weight": math.nan, "mean": 5.0, "std": 1.0}], "mixture weights must be nonnegative and sum to 1"),
+         ([{"weight": 1.0, "mean": math.inf, "std": 1.0}], f"{NON_FINITE_MIXTURE} [inf] and [1.0]"),
+         ([{"weight": 1.0, "mean": 5.0, "std": math.nan}], f"{NON_FINITE_MIXTURE} [5.0] and [nan]")],
+        ids=["no-components", "zero-std", "nan-weight", "infinite-mean", "nan-std"],
+    )
+    def test_mixture_refusals_named(self, components, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gaussian_mixture_pmf(components)
 
     def test_literal_forms(self):
         pmf = resolve_distribution_literal({"pmf": [[2, 1.0]]}, 1.0)

@@ -4,6 +4,7 @@ import base64
 import hashlib
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -173,6 +174,9 @@ class TestLoadGraph:
             ("nodes", 5, "'nodes' field must be a list, not int"),
             ("dt", None, "'dt' field is not a number"),
             ("dt", "x", "'dt' field is not a number"),
+            ("dt", 0, "time step must be positive, got 0.0"),
+            ("dt", float("nan"), "time step must be positive, got nan"),
+            ("dt", float("inf"), "time step must be finite, got inf"),
         ],
     )
     def test_malformed_top_level_field_named(self, field, value, message):
@@ -212,16 +216,51 @@ class TestLoadGraph:
             ({"first_bin": 1, "mass_f64": _f64([1.0]), "mass": [1.0]}, f"{ONE_HISTOGRAM_KEY}; found 'mass_f64' and 'mass'"),
             ({"first_bin": 1, "mass_f64": _f64([1.0]), "pmf": [[1, 1.0]]}, f"{ONE_HISTOGRAM_KEY}; found 'mass_f64' and 'pmf'"),
             ({"model": "histogram", "first_bin": 1}, f"{ONE_HISTOGRAM_KEY}; found none"),
+            ([[1, 1.0]], "distribution literal must be an object, got list"),
         ],
         ids=["negative-first-bin", "fractional-first-bin", "boolean-first-bin", "missing-first-bin",
              "string-mass", "object-mass", "empty-mass", "negative-entry", "both-forms",
              "f64-bad-base64", "f64-non-ascii", "f64-ragged-bytes", "f64-empty", "f64-not-a-string",
              "f64-nan", "f64-negative-entry", "mass-and-mass-f64", "mass-f64-and-pmf",
-             "no-masses"],
+             "no-masses", "not-an-object"],
     )
     def test_malformed_dense_literal_names_edge(self, literal, message):
         with pytest.raises(GraphValidationError, match=f"edge 'bad': {message}"):
             rr.load_graph(_two_node_doc(literal))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "graph document must be a JSON object"),
+            ('{"dt": 1, "nodes": []}', "graph document is missing the 'edges' field"),
+            ('{"dt": 1, "nodes": [{"id": "a", "x": NaN, "y": 0}], "edges": []}',
+             "node coordinates must be finite numbers"),
+        ],
+        ids=["json-list", "no-edges", "nan-coordinate"],
+    )
+    def test_malformed_document_file_refused_by_name(self, tmp_path, text, message):
+        target = tmp_path / "graph.json"
+        target.write_text(text)
+        with pytest.raises(GraphValidationError, match=f"^{re.escape(message)}$"):
+            rr.load_graph(target)
+
+    @pytest.mark.parametrize(
+        "dt, x, dist, message",
+        [
+            (0, 0.0, None, "time step must be positive, got 0"),
+            (float("nan"), 0.0, None, "time step must be positive, got nan"),
+            (float("inf"), 0.0, None, "time step must be finite, got inf"),
+            (1.0, float("nan"), None, "node coordinates must be finite numbers"),
+            (1.0, 0.0, "pmf", "edge #0 ('a'->'b'): distribution missing or of wrong type"),
+            (1.0, 0.0, rr.DiscreteDistribution([0.0, 1.0], dt=2.0),
+             "edge #0 ('a'->'b'): distribution dt 2.0 differs from graph dt 1.0"),
+        ],
+        ids=["zero-dt", "nan-dt", "infinite-dt", "nan-coordinate", "not-a-distribution", "another-dt"],
+    )
+    def test_constructor_refusals_named(self, dt, x, dist, message):
+        edges = [] if dist is None else [("a", "b", dist)]
+        with pytest.raises(GraphValidationError, match=f"^{re.escape(message)}$"):
+            rr.StochasticGraph(dt, [("a", x, 0.0), ("b", 1.0, 0.0)], edges)
 
     def test_unknown_node_lookup(self, fixture_graph):
         with pytest.raises(ValueError, match="unknown node"):
@@ -416,6 +455,16 @@ class TestGridPartition:
     )
     def test_assignment_must_hold_integers(self, assignment, kind):
         with pytest.raises(ValueError, match=f"^assignment must hold integer region ids, got {kind} values$"):
+            rr.RegionPartition(assignment)
+
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [([[0]], "assignment must be a nonempty 1-D array"), ([], "assignment must be a nonempty 1-D array"),
+         ([0, 2], "region ids must be exactly 0..r-1 with every id used")],
+        ids=["two-dimensional", "empty", "unused-id"],
+    )
+    def test_assignment_shape_and_ids_checked(self, assignment, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             rr.RegionPartition(assignment)
 
     def test_integer_assignments_accepted(self):

@@ -89,6 +89,8 @@ class TestPathReliability:
         assert rr.path_reliability(fixture_graph, ["v2", "v3"], 2) == pytest.approx(0.5)
 
     def test_broken_path_rejected(self, fixture_graph):
+        with pytest.raises(ValueError, match="^empty path$"):
+            rr.path_reliability(fixture_graph, [], 4)
         with pytest.raises(ValueError, match="no edge"):
             rr.path_reliability(fixture_graph, ["v3", "v1"], 4)
         bad = [edge_by_label(fixture_graph, "e4"), edge_by_label(fixture_graph, "e1")]

@@ -268,6 +268,15 @@ class TestPolicyTableIO:
         with pytest.raises(ValueError, match="destination 'v2'"):
             rr.sota_path_report(fixture_graph, table, "v1", T=5)
 
+    @pytest.mark.parametrize("dest", ["zz", [1]])
+    def test_check_graph_refuses_a_destination_that_is_no_node(self, fixture_graph, tmp_path, dest):
+        target = tmp_path / "table.npz"
+        rr.compute_policy(fixture_graph, "v3", 5).save(target)
+        edit_table_file(target, lambda doc: doc.__setitem__("destination", dest))
+        message = f"policy table's destination {dest!r} is not a node of the graph"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rr.PolicyTable.load(target).check_graph(fixture_graph)
+
     def test_check_graph_refuses_an_edge_past_the_last(self, fixture_graph, tmp_path):
         target = tmp_path / "table.npz"
         rr.compute_policy(fixture_graph, "v3", 5).save(target)
@@ -292,6 +301,11 @@ class TestPolicyTableIO:
         edit_table_file(target, lambda doc: doc.update(horizon=horizon))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             rr.PolicyTable.load(target)
+
+    def test_load_of_a_missing_file_is_an_os_error(self, tmp_path):
+        # Not a ValueError: the CLI reports it as a file it cannot read.
+        with pytest.raises(FileNotFoundError):
+            rr.PolicyTable.load(tmp_path / "missing.npz")
 
     @pytest.mark.parametrize("kind", ["json-text", "graph-document", "potentials-archive", "truncated", "pre-digest"])
     def test_load_refuses_other_files(self, fixture_graph, tmp_path, kind):

@@ -21,6 +21,7 @@ from conftest import (
     direct_policy,
     edge_by_label,
     edit_table_file,
+    faint_edge_graph,
     forward_reachability_oracle,
     four_node_graph,
     per_destination_potentials,
@@ -350,6 +351,14 @@ class TestArcPotentials:
             assert table.phi.tolist() == expect.tolist()
             assert (table.phi < INFINITE_POTENTIAL).any()
 
+    def test_unknown_modes_are_refused_by_name(self, fixture_graph, fixture_region):
+        partition, region = fixture_region
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            rr.compute_arc_potentials(fixture_graph, partition, region, 4, mode="bogus")
+        pol = rr.compute_policy(fixture_graph, "v3", 4)
+        with pytest.raises(ValueError, match="^unknown initial-budget mode 'bogus'$"):
+            rr.compute_realizability(fixture_graph, pol, "v1", initial_budgets="bogus")
+
     def test_path_mode_requires_sources(self, fixture_graph, fixture_region):
         partition, region = fixture_region
         with pytest.raises(ValueError, match="source"):
@@ -561,6 +570,22 @@ class TestPruningSoundness:
         refusal = "policy-mode archives serve every source and take none, got ['s']"
         with pytest.raises(ValueError, match=re.escape(refusal)):
             rr.build_archive(g, partition, 4, mode="policy", sources=["s"])
+
+    def test_a_successor_worth_0_is_no_successor(self):
+        # Were a -> b, worth 0 and within EXACT_TOL of the best, a's successor
+        # at budget 5, a -> d would never be one: the table would drop it, and
+        # the pruned query would find no path where the unpruned one finds
+        # a -> d at 1e-13.
+        g = faint_edge_graph()
+        ab, ad = g.find_edges("a", "b")[0], g.find_edges("a", "d")[0]
+        faint = pytest.approx(1e-13, rel=1e-9, abs=0.0)
+        for pol in (rr.compute_policy(g, "d", 5), direct_policy(g, "d", 5)):
+            assert pol.u[0, 5] == faint and pol.w[0, 5] == ad
+        table = rr.compute_arc_potentials(g, rr.RegionPartition([0, 0, 1]), 1, 60)
+        assert (table.phi[ad], table.phi[ab]) == (1, 11)
+        found = lambda mask: [(p.nodes, p.reliability) for p in rr.sota_path(
+            g, rr.compute_policy(g, "d", 5, edge_mask=mask), "a", 5)]
+        assert found(rr.prune(g, table, 5)) == found(None) == [(("a", "d"), faint)]
 
     def test_whole_graph_search_matches_unpruned_on_randoms(self):
         # Policy tables at k=3 and path tables at k=1, on the pruned policy.

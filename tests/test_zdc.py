@@ -243,9 +243,9 @@ def test_successor_contract_over_a_region():
     # their tail into the last bin at 1e-12, so gaps below the best edge near
     # u = 1 sit at EXACT_TOL itself, where no threshold rule is immune to
     # rounding.  Outside a 1e-13 band around it the solver and the direct
-    # sums must pick the same edge, and that edge must be the smallest within
-    # EXACT_TOL of the best.  Where they differ, the smaller pick lies in the
-    # band.
+    # sums must pick the same edge, and that edge must be the smallest positive
+    # one within EXACT_TOL of the best.  Where they differ, the smaller pick
+    # lies in the band.
     g = rr.synthesize_distributions(rr.grid_topology(16), seed=7)
     T, band = 300, 1e-13
     rng = np.random.default_rng(5)
@@ -271,7 +271,7 @@ def test_successor_contract_over_a_region():
             if in_band(vals):
                 continue
             best = max(vals)
-            near = [e for e, v in zip(g.out_edges[i], vals) if v >= best - rr.EXACT_TOL]
-            expected = near[0] if best > 0.0 else rr.NO_EDGE
+            near = [e for e, v in zip(g.out_edges[i], vals) if v > 0.0 and v >= best - rr.EXACT_TOL]
+            expected = near[0] if near else rr.NO_EDGE
             assert direct.w[i, t] == pol.w[i, t] == expected, (d, i, t)
     print(f"{len(banded)} successor cells differ, all in the band: {banded}")
