@@ -118,9 +118,9 @@ def path_cmd(graph_path, source, dest, budget, k, pot_path):
         table = archive["tables"][archive["partition"].region_of_index(graph.node_index(dest))]
         mask = prune(graph, table, budget)
         if table.sources is not None and source not in table.sources:
-            raise click.ClickException(f"archive was built for sources {list(table.sources)}, not {source!r}")
+            raise ValueError(f"archive was built for sources {list(table.sources)}, not {source!r}")
         if table.mode == "path" and k > 1:
-            raise click.ClickException("archive is path-mode and keeps only the best path; --k must be 1")
+            raise ValueError("archive is path-mode and keeps only the best path; --k must be 1")
     t0 = time.perf_counter()
     table = compute_policy(graph, dest, budget, edge_mask=mask)
     # The mask prunes the solve only: the search needs every edge (see prune).

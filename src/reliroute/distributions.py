@@ -59,9 +59,12 @@ class DiscreteDistribution:
         Probability mass known to lie at bins past ``len(mass)`` (produced by
         capped convolutions).  ``sum(mass) + truncated_tail`` must be 1 within
         ``NORMALIZATION_TOL``.
+
+    ``total_mass`` is ``sum(mass)``, the stored mass without the truncated
+    tail, summed once at construction.
     """
 
-    __slots__ = ("dt", "mass", "truncated_tail", "min_bin", "_cdf")
+    __slots__ = ("dt", "mass", "truncated_tail", "total_mass", "min_bin", "_cdf")
 
     def __init__(self, mass, dt: float = 1.0, truncated_tail: float = 0.0):
         arr = np.array(mass, dtype=np.float64)
@@ -82,8 +85,8 @@ class DiscreteDistribution:
         nonzero = arr.nonzero()[0]
         arr = arr[: int(nonzero[-1]) + 1] if nonzero.size else arr[:0]
 
-        tail = max(float(truncated_tail), 0.0)
-        total = float(arr.sum()) + tail
+        tail, stored = max(float(truncated_tail), 0.0), float(arr.sum())
+        total = stored + tail
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(
                 f"probability mass sums to {total!r}; expected 1 within {NORMALIZATION_TOL} "
@@ -94,6 +97,7 @@ class DiscreteDistribution:
         object.__setattr__(self, "dt", float(dt))
         object.__setattr__(self, "mass", arr)
         object.__setattr__(self, "truncated_tail", tail)
+        object.__setattr__(self, "total_mass", stored)
         object.__setattr__(self, "min_bin", int(nonzero[0]) if nonzero.size else None)
         object.__setattr__(self, "_cdf", None)
 
@@ -147,11 +151,6 @@ class DiscreteDistribution:
     def support_end(self) -> int:
         """One past the last stored bin."""
         return len(self.mass)
-
-    @property
-    def total_mass(self) -> float:
-        """Stored mass, excluding the truncated tail."""
-        return float(self.mass.sum())
 
     def cdf_array(self) -> np.ndarray:
         """Cumulative mass per bin, clamped into [0, 1] (read-only, cached)."""
@@ -213,9 +212,7 @@ def convolve(a: DiscreteDistribution, b: DiscreteDistribution, cap: int | None =
     if cap is not None:
         cap = _integer(cap, "cap", 1)
 
-    total_a = a.total_mass + a.truncated_tail
-    total_b = b.total_mass + b.truncated_tail
-    grand_total = total_a * total_b
+    grand_total = (a.total_mass + a.truncated_tail) * (b.total_mass + b.truncated_tail)
 
     if len(a.mass) == 0 or len(b.mass) == 0:
         full = np.zeros(0, dtype=np.float64)

@@ -48,14 +48,14 @@ def _fold_residual(pmf: np.ndarray) -> np.ndarray:
     return pmf
 
 
-def _check_gamma_args(min_bin: int, mean_delay: float, cov: float) -> None:
-    if min_bin < 1:
-        raise ValueError("edge distributions must have their minimum travel time at bin 1 or later")
-    for name, value in (("mean delay", mean_delay), ("coefficient of variation", cov)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
+def _nonnegative(name: str, value) -> float:
+    """``value`` as a finite, nonnegative ``float``; otherwise ``ValueError`` naming ``name``."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return value
 
 
 def shifted_gamma_pmfs(
@@ -71,12 +71,16 @@ def shifted_gamma_pmfs(
     alone, so the cutoff quantile takes one ``gammaincinv`` call and every
     edge's bin midpoints one ``gammainc`` call over their concatenation.
     """
-    min_bins, mean_delays = list(min_bins), [float(m) for m in mean_delays]
+    min_bins, mean_delays = list(min_bins), list(mean_delays)
     if len(min_bins) != len(mean_delays):
         raise ValueError(f"got {len(min_bins)} minimum bins but {len(mean_delays)} mean delays")
+    cov = _nonnegative("coefficient of variation", cov)
     out, gamma = [], []
     for i, (min_bin, mean_delay) in enumerate(zip(min_bins, mean_delays)):
-        _check_gamma_args(min_bin, mean_delay, cov)
+        min_bin = _integer(min_bin, "minimum bin")
+        if min_bin < 1:
+            raise ValueError("edge distributions must have their minimum travel time at bin 1 or later")
+        mean_delays[i] = mean_delay = _nonnegative("mean delay", mean_delay)
         if mean_delay == 0.0 or cov == 0.0:
             # A deterministic delay still shifts the point mass.
             out.append(DiscreteDistribution.point_mass(min_bin + int(round(mean_delay / dt)), dt=dt))

@@ -71,6 +71,15 @@ class RealizabilityFlags:
         return self.edge_first_budget != INFINITE_POTENTIAL
 
 
+def _source_rows(graph: StochasticGraph, sources, what: str) -> list[int]:
+    """Node rows of ``sources``, one node id or a nonempty list or tuple of them.
+    No source (``None`` or ``[]``) or an unknown node id raises ``ValueError``."""
+    listed = sources if isinstance(sources, (list, tuple)) else [] if sources is None else [sources]
+    if not listed:
+        raise ValueError(f"{what} one or more source nodes, got {sources!r}")
+    return [graph.node_index(s) for s in listed]
+
+
 def compute_realizability(
     graph: StochasticGraph,
     policy: PolicyTable,
@@ -100,17 +109,10 @@ def compute_realizability(
     policy.check_graph(graph)
     T = policy.horizon if T is None else _integer(T, "horizon", bound=("the policy horizon", policy.horizon))
 
-    sources = source if isinstance(source, (list, tuple)) else [source]
-    if not sources:
-        raise ValueError(f"realizability needs one or more source nodes, got {source!r}")
+    rows = _source_rows(graph, source, "realizability needs")
     start = time.perf_counter()
     reached = np.zeros((graph.num_nodes, T + 1), dtype=bool)
-    for s in sources:
-        si = graph.node_index(s)
-        if initial_budgets == "exact":
-            reached[si, T] = True
-        else:
-            reached[si, :] = True
+    reached[rows, T if initial_budgets == "exact" else slice(None)] = True
 
     edge_first = np.full(graph.num_edges, INFINITE_POTENTIAL, dtype=np.int64)
     runs = graph.edge_support
@@ -210,12 +212,12 @@ def prune(graph: StochasticGraph, table: PotentialTable, budget: int) -> np.ndar
     return table.edge_mask(budget)
 
 
-def _lower_along_optimal_paths(phi, graph, pol, source, T):
+def _lower_along_optimal_paths(phi, graph, pol, row, T):
     """Lower ``phi[e]`` to the least budget at which edge ``e`` lies on an
-    optimal path from ``source`` under ``pol``.  The search re-runs only when
-    the certificate fails: some unexpanded prefix of the last search,
+    optimal path from node row ``row`` under ``pol``.  The search re-runs only
+    when the certificate fails: some unexpanded prefix of the last search,
     completed by the policy, may beat the incumbent at that budget."""
-    u_s = pol.u[graph.node_index(source)]
+    u_s = pol.u[row]
     incumbent_edges = None
     incumbent_rel = None  # incumbent's reliability at every budget
     frontier_bound = None  # upper bound on every other path, per budget
@@ -223,7 +225,7 @@ def _lower_along_optimal_paths(phi, graph, pol, source, T):
         if u_s[t] <= 0.0:
             continue
         if incumbent_edges is None or incumbent_rel[t] < frontier_bound[t] - EXACT_TOL:
-            rep = sota_path_report(graph, pol, source, T=t, k=1, keep_frontier=True)
+            rep = sota_path_report(graph, pol, graph.node_ids[row], T=t, k=1, keep_frontier=True)
             if not rep.paths:
                 continue
             incumbent_edges = list(rep.paths[0].edges)
@@ -257,18 +259,17 @@ def compute_arc_potentials(
     re-running the search only when the incumbent's certificate fails; it
     prunes far harder but is only valid for best-path queries from those
     sources.
-    An empty ``sources`` list, or a partition of another graph's nodes,
-    raises ``ValueError``.
+    An empty ``sources`` list, an unknown source, or a partition of another
+    graph's nodes raises ``ValueError`` before the first solve.
     """
     T = _integer(T, "horizon")
     partition.check_graph(graph)
     region = _integer(region, "region", bound=("the last region id", partition.region_count - 1))
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if sources is not None and not isinstance(sources, (list, tuple)):
-        sources = [sources]
-    if (mode == "path" or sources is not None) and not sources:
-        raise ValueError(f"{mode}-mode potentials need one or more source nodes, got {sources!r}")
+    if mode == "path" or sources is not None:
+        rows = _source_rows(graph, sources, f"{mode}-mode potentials need")
+        sources = [graph.node_ids[i] for i in rows]
 
     start = time.perf_counter()
     phi = np.full(graph.num_edges, INFINITE_POTENTIAL, dtype=np.int64)
@@ -277,27 +278,21 @@ def compute_arc_potentials(
     for d_idx in partition.regions[region]:
         pol = _solve(graph, graph.node_ids[d_idx], T, shared=kernels)
         if mode == "path":
-            for s in sources:
-                if graph.node_index(s) != d_idx:
-                    _lower_along_optimal_paths(phi, graph, pol, s, T)
+            for row in rows:
+                if row != d_idx:
+                    _lower_along_optimal_paths(phi, graph, pol, row, T)
         elif sources is None:
             nodes, t = np.nonzero(pol.w != NO_EDGE)
             np.minimum.at(phi, pol.w[nodes, t], t)
         else:
-            flags = compute_realizability(graph, pol, list(sources), T, initial_budgets="any")
+            flags = compute_realizability(graph, pol, sources, T, initial_budgets="any")
             np.minimum(phi, flags.edge_first_budget, out=phi)
 
     _log.debug(
         "%s-mode potentials toward region %d, T=%d, sources %r: %d destinations, %d kernel builds, %.4f s",
         mode, region, T, sources, len(partition.regions[region]), len(kernels), time.perf_counter() - start,
     )
-    return PotentialTable(
-        horizon=T,
-        mode=mode,
-        phi=phi,
-        graph_digest=graph.digest,
-        sources=tuple(sources) if sources is not None else None,
-    )
+    return PotentialTable(T, mode, phi, graph.digest, tuple(sources) if sources is not None else None)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import random
 
 from .distributions import _integer
 from .errors import GraphValidationError
-from .models import _check_gamma_args, free_flow_bins, shifted_gamma_pmfs
+from .models import _nonnegative, free_flow_bins, shifted_gamma_pmfs
 from .network import StochasticGraph, _edge_ident
 
 #: Default generator: gamma-distributed delay on top of the free-flow time.
@@ -60,14 +60,24 @@ def synthesize_distributions(topology: dict, model: dict | None = None, seed: in
       variation ``cov``.  With ``randomize`` each edge scales its mean delay
       by a seeded uniform factor in [0.5, 1.5].
 
-    Two calls with equal inputs and seeds produce identical graphs.
+    Keys the spec leaves out take :data:`DEFAULT_MODEL`'s values.  An unknown
+    name, or a negative or non-finite delay factor, mean delay or ``cov``,
+    raises ``ValueError`` before any edge is read.  Two calls with equal
+    inputs and seeds produce identical graphs.
     """
-    model = dict(DEFAULT_MODEL if model is None else model)
-    name = model.get("name", "shifted-gamma")
-    dt = float(topology.get("dt", 1.0))
-    rng = random.Random(seed)
+    model = {**DEFAULT_MODEL, **(model or {})}
+    name, dt, rng = model["name"], float(topology.get("dt", 1.0)), random.Random(seed)
+    factor, mean_delay, cov, randomize = None, 0.0, 0.0, False  # the deterministic model
+    if name == "shifted-gamma":
+        mean_delay = model.get("mean_delay")
+        if mean_delay is None:
+            factor = _nonnegative("mean delay", model["delay_factor"])
+        else:
+            mean_delay = _nonnegative("mean delay", mean_delay)
+        cov, randomize = _nonnegative("coefficient of variation", model["cov"]), model["randomize"]
+    elif name != "deterministic":
+        raise ValueError(f"unknown generator {name!r}")
 
-    cov = 0.0  # the deterministic model: every edge a point mass
     ends, min_bins, mean_delays = [], [], []
     for pos, e in enumerate(topology["edges"]):
         label = e.get("id")
@@ -83,22 +93,12 @@ def synthesize_distributions(topology: dict, model: dict | None = None, seed: in
             min_bin = free_flow_bins(free_flow, dt)
         except ValueError as exc:
             raise GraphValidationError(f"{ident}: {exc}") from exc
-
-        if name == "deterministic":
-            mean_delay = 0.0
-        elif name == "shifted-gamma":
-            mean_delay = model.get("mean_delay")
-            if mean_delay is None:
-                mean_delay = float(model.get("delay_factor", 0.5)) * free_flow
-            if model.get("randomize", True):
-                mean_delay *= rng.uniform(0.5, 1.5)
-            mean_delay, cov = float(mean_delay), float(model.get("cov", 1.0))
-            _check_gamma_args(min_bin, mean_delay, cov)
-        else:
-            raise ValueError(f"unknown generator {name!r}")
+        delay = mean_delay if factor is None else factor * free_flow
+        if randomize:
+            delay *= rng.uniform(0.5, 1.5)
         ends.append((e["from"], e["to"], label))
         min_bins.append(min_bin)
-        mean_delays.append(mean_delay)
+        mean_delays.append(delay)
 
     dists = shifted_gamma_pmfs(min_bins, mean_delays, cov, dt=dt)
     edges = [(tail, head, dist, label) for (tail, head, label), dist in zip(ends, dists)]

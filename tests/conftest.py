@@ -347,9 +347,9 @@ def per_destination_potentials(graph, partition, region, T, mode="policy", sourc
     for d in partition.regions[region]:
         pol = rr.compute_policy(graph, graph.node_ids[d], T)
         if mode == "path":
-            for s in sources:
-                if graph.node_index(s) != d:
-                    _lower_along_optimal_paths(phi, graph, pol, s, T)
+            for row in map(graph.node_index, sources):
+                if row != d:
+                    _lower_along_optimal_paths(phi, graph, pol, row, T)
             continue
         if sources is not None:
             reached = forward_reachability_oracle(graph, pol, list(sources), T, initial_budgets="any").reached

@@ -65,17 +65,20 @@ class TestModels:
             free_flow_bins(free_flow, dt)
 
     @pytest.mark.parametrize(
-        "mean_delay, cov, message",
+        "mean_delay, cov, message, min_bin",
         [
-            (math.inf, 1.0, "mean delay must be finite, got inf"),
-            (math.nan, 1.0, "mean delay must be finite, got nan"),
-            (1.0, math.inf, "coefficient of variation must be finite, got inf"),
-            (1.0, math.nan, "coefficient of variation must be finite, got nan"),
+            (math.inf, 1.0, "mean delay must be finite, got inf", 4),
+            (math.nan, 1.0, "mean delay must be finite, got nan", 4),
+            (1.0, math.inf, "coefficient of variation must be finite, got inf", 4),
+            (1.0, math.nan, "coefficient of variation must be finite, got nan", 4),
+            (2.0, 1.0, "minimum bin must be an integer, got 1.5", 1.5),
+            (2.0, 1.0, "minimum bin must be an integer, got True", True),
+            (2.0, 1.0, "minimum bin must be an integer, got '3'", "3"),
         ],
     )
-    def test_gamma_refuses_non_finite_values(self, mean_delay, cov, message):
+    def test_gamma_refuses_non_finite_values(self, mean_delay, cov, message, min_bin):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            shifted_gamma_pmf(4, mean_delay, cov)
+            shifted_gamma_pmf(min_bin, mean_delay, cov)
 
     def test_gamma_moment_check(self):
         # Analytic mean is free-flow (10 bins) + mean delay (5 s).
@@ -255,8 +258,8 @@ class TestSynthesize:
             assert_same_pmf(dist, want[g.node_ids[g.edge_tails[e]], g.node_ids[g.edge_heads[e]]])
 
     def test_edges_are_checked_in_order(self):
-        # A bad model value is reported at the first edge, before a bad
-        # length further on, as each edge is checked in turn.
+        # A bad model value is reported before any edge, so before a bad
+        # length further on; the edges are then checked in turn.
         topology = simple_topology()
         topology["edges"].append(dict(topology["edges"][0], length=-1.0))
         with pytest.raises(ValueError, match="mean delay must be nonnegative"):
@@ -267,7 +270,9 @@ class TestSynthesize:
             rr.synthesize_distributions(topology, {"name": "weibull"}, seed=0)
         with pytest.raises(GraphValidationError, match="length"):
             rr.synthesize_distributions(topology, {"name": "deterministic"}, seed=0)
-
+        # Before a bad length on edge 0 too.
+        with pytest.raises(ValueError, match=re.escape("mean delay must be nonnegative, got -1.0")):
+            rr.synthesize_distributions(simple_topology(length=-1.0), {"delay_factor": -1.0}, seed=0)
 
     def test_zero_variance_point_mass(self):
         g = rr.synthesize_distributions(simple_topology(), {"name": "deterministic"}, seed=0)

@@ -375,6 +375,24 @@ class TestArcPotentials:
         with pytest.raises(ValueError, match=re.escape("realizability needs one or more source nodes, got []")):
             rr.compute_realizability(fixture_graph, pol, [])
 
+    @pytest.mark.parametrize(
+        "mode, sources",
+        [("path", ["nope"]), ("policy", ["nope"]), ("path", ["v1", "nope"]), ("policy", "nope")],
+        ids=["path", "conditioned", "path-second-source", "conditioned-one-id"],
+    )
+    def test_unknown_source_is_refused_before_any_solve(self, monkeypatch, fixture_graph, fixture_region,
+                                                        mode, sources):
+        partition, region = fixture_region
+        solves = []
+        solve = rr.potentials._solve
+        monkeypatch.setattr(rr.potentials, "_solve", lambda *args, **kw: solves.append(args) or solve(*args, **kw))
+        with pytest.raises(ValueError, match="^unknown node id 'nope'$"):
+            rr.compute_arc_potentials(fixture_graph, partition, region, 4, mode=mode, sources=sources)
+        if mode == "path":
+            with pytest.raises(ValueError, match="^unknown node id 'nope'$"):
+                rr.build_archive(fixture_graph, partition, 4, mode=mode, sources=sources)
+        assert solves == []
+
     def test_path_mode_fixture(self, fixture_graph, fixture_region):
         partition, region = fixture_region
         table = rr.compute_arc_potentials(
