@@ -64,7 +64,7 @@ class DiscreteDistribution:
     tail, summed once at construction.
     """
 
-    __slots__ = ("dt", "mass", "truncated_tail", "total_mass", "min_bin", "_cdf")
+    __slots__ = ("dt", "mass", "truncated_tail", "total_mass", "min_bin")
 
     def __init__(self, mass, dt: float = 1.0, truncated_tail: float = 0.0):
         arr = np.array(mass, dtype=np.float64)
@@ -99,24 +99,13 @@ class DiscreteDistribution:
         object.__setattr__(self, "truncated_tail", tail)
         object.__setattr__(self, "total_mass", stored)
         object.__setattr__(self, "min_bin", int(nonzero[0]) if nonzero.size else None)
-        object.__setattr__(self, "_cdf", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("DiscreteDistribution is immutable")
 
-    def __getstate__(self):
-        return {
-            "dt": self.dt,
-            "mass": np.asarray(self.mass),
-            "truncated_tail": self.truncated_tail,
-        }
-
-    def __setstate__(self, state):
-        fresh = DiscreteDistribution(
-            state["mass"], dt=state["dt"], truncated_tail=state["truncated_tail"]
-        )
-        for slot in self.__slots__:
-            object.__setattr__(self, slot, getattr(fresh, slot))
+    def __reduce__(self):
+        # Unpickling and copying run the constructor and its checks.
+        return DiscreteDistribution, (self.mass, self.dt, self.truncated_tail)
 
     # -- constructors ------------------------------------------------------
 
@@ -153,13 +142,8 @@ class DiscreteDistribution:
         return len(self.mass)
 
     def cdf_array(self) -> np.ndarray:
-        """Cumulative mass per bin, clamped into [0, 1] (read-only, cached)."""
-        cached = self._cdf
-        if cached is None:
-            cached = np.minimum(np.cumsum(self.mass), 1.0)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_cdf", cached)
-        return cached
+        """Cumulative mass per bin, clamped into [0, 1], computed on each call."""
+        return np.minimum(np.cumsum(self.mass), 1.0)
 
     def cdf(self, t: int) -> float:
         """P(travel time <= t bins).  The truncated tail never counts: its
@@ -189,8 +173,6 @@ class DiscreteDistribution:
         """
         if self.truncated_tail > NORMALIZATION_TOL:
             raise ValueError("mean is undefined for a truncated distribution")
-        if len(self.mass) == 0:
-            return 0.0
         return float(np.dot(np.arange(len(self.mass)), self.mass)) * self.dt
 
     def __repr__(self) -> str:

@@ -273,6 +273,8 @@ def run_benchmark(
         _integer(config.path_repetitions, "path_repetitions", 1)
     if config.pruning and config.grid_k is None:
         raise ValueError(f"pruning {config.pruning!r} needs grid_k, the region grid to prune by (bench --grid)")
+    if config.grid_k is not None and not config.pruning:
+        raise ValueError(f"grid_k {config.grid_k!r} needs pruning, the table kind to prune with (bench --preprocess)")
     table_for = _table_cache(graph, instances, config) if config.pruning else None
     records = [_run_instance(graph, i, inst, config, table_for) for i, inst in enumerate(instances)]
     if out_dir is not None:

@@ -115,19 +115,6 @@ def shifted_gamma_pmfs(
     return out
 
 
-def shifted_gamma_pmf(
-    min_bin: int, mean_delay: float, cov: float, dt: float = 1.0
-) -> DiscreteDistribution:
-    """Gamma-distributed delay on top of a deterministic minimum travel time:
-    the one-edge call of :func:`shifted_gamma_pmfs`.
-
-    ``mean_delay`` is the expected extra time in seconds beyond the minimum;
-    ``cov`` is its coefficient of variation.  ``cov == 0`` or a zero delay
-    degenerates to a point mass at ``min_bin`` shifted by the rounded delay.
-    """
-    return shifted_gamma_pmfs([min_bin], [mean_delay], cov, dt=dt)[0]
-
-
 def gaussian_mixture_pmf(
     components: list[dict], dt: float = 1.0, min_seconds: float | None = None
 ) -> DiscreteDistribution:
@@ -236,13 +223,9 @@ def resolve_distribution_literal(literal: dict, dt: float) -> DiscreteDistributi
             return DiscreteDistribution.from_pairs(literal["pmf"], dt=dt)
         return _dense_histogram(literal, dt)
     if model == "shifted-gamma":
-        shift = float(literal["shift"])
-        return shifted_gamma_pmf(
-            free_flow_bins(shift, dt),
-            float(literal.get("mean_delay", 0.0)),
-            float(literal.get("cov", 1.0)),
-            dt=dt,
-        )
+        min_bin = free_flow_bins(float(literal["shift"]), dt)
+        delay, cov = float(literal.get("mean_delay", 0.0)), float(literal.get("cov", 1.0))
+        return shifted_gamma_pmfs([min_bin], [delay], cov, dt=dt)[0]
     if model == "discretized-gaussian-mixture":
         return gaussian_mixture_pmf(
             literal["components"], dt=dt, min_seconds=literal.get("min_seconds")

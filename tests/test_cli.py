@@ -367,6 +367,8 @@ def test_archives_that_would_change_answers_are_refused(runner, grid6_archives, 
          "pruning 'policy' needs grid_k, the region grid to prune by (bench --grid)"),
         (["bench", "--instances", "2", "--grid", "0", "--preprocess", "policy", "--out", "out"],
          "grid dimension must be at least 1, got 0"),
+        (["bench", "--instances", "2", "--grid", "0", "--out", "out"],
+         "grid_k 0 needs pruning, the table kind to prune with (bench --preprocess)"),
     ],
 )
 def test_value_errors_are_reported_without_traceback(runner, args, message):

@@ -1,5 +1,7 @@
 """PMF arithmetic: construction, convolution, CDF/percentiles, mixing."""
 
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -102,6 +104,17 @@ class TestConstruction:
             d.dt = 2.0
         with pytest.raises(ValueError):
             d.mass[2] = 0.9
+
+    @pytest.mark.parametrize("copier", [lambda d: pickle.loads(pickle.dumps(d)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    @pytest.mark.parametrize("mass, tail", [([0.0, 0.25, 0.5], 0.25), ([0.0, 0.0], 1.0)],
+                             ids=["truncated-tail", "all-in-tail"])
+    def test_pickles_and_copies_through_the_constructor(self, copier, mass, tail):
+        d = DiscreteDistribution(mass, dt=0.5, truncated_tail=tail)
+        back = copier(d)
+        assert back is not d and back.mass.tolist() == d.mass.tolist()
+        assert (back.dt, back.truncated_tail, back.min_bin) == (d.dt, d.truncated_tail, d.min_bin)
+        assert not back.mass.flags.writeable
 
     def test_from_pairs_rejects_bad_bins(self):
         with pytest.raises(ValueError):

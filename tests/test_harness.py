@@ -222,8 +222,9 @@ class TestRunBenchmark:
         "config, message",
         [
             (rr.BenchmarkConfig(pruning="bogus", grid_k=2), "pruning 'bogus' is not one of"),
+            (rr.BenchmarkConfig(grid_k=2), "grid_k 2 needs pruning"),
         ],
-        ids=["pruning"],
+        ids=["pruning", "grid-without-pruning"],
     )
     def test_unknown_config_value_rejected(self, fixture_graph, config, message):
         instances = rr.generate_instances(fixture_graph, 2, seed=1)

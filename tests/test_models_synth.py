@@ -20,7 +20,6 @@ from reliroute.models import (
     free_flow_bins,
     gaussian_mixture_pmf,
     resolve_distribution_literal,
-    shifted_gamma_pmf,
     shifted_gamma_pmfs,
 )
 
@@ -78,20 +77,20 @@ class TestModels:
     )
     def test_gamma_refuses_non_finite_values(self, mean_delay, cov, message, min_bin):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            shifted_gamma_pmf(min_bin, mean_delay, cov)
+            shifted_gamma_pmfs([min_bin], [mean_delay], cov)[0]
 
     def test_gamma_moment_check(self):
         # Analytic mean is free-flow (10 bins) + mean delay (5 s).
         for cov in (0.3, 1.0, 2.0):
-            d = shifted_gamma_pmf(10, 5.0, cov, dt=1.0)
+            d = shifted_gamma_pmfs([10], [5.0], cov, dt=1.0)[0]
             assert d.min_bin == 10
             assert d.mean() == pytest.approx(15.0, abs=0.5)
             assert d.total_mass == pytest.approx(1.0, abs=1e-12)
 
     def test_gamma_degenerate_is_point_mass(self):
-        d = shifted_gamma_pmf(7, 0.0, 1.0)
+        d = shifted_gamma_pmfs([7], [0.0], 1.0)[0]
         assert d.min_bin == 7 and d.mass[7:].tolist() == [1.0]
-        d = shifted_gamma_pmf(7, 3.0, 0.0)
+        d = shifted_gamma_pmfs([7], [3.0], 0.0)[0]
         assert d.min_bin == 10 and d.mass[10:].tolist() == [1.0]
 
     def test_gamma_cutoff_quantile_equals_scipy_stats(self, monkeypatch):
@@ -131,7 +130,7 @@ class TestModels:
         assert len(batch) == len(pairs)
         for (min_bin, mean_delay), got in zip(pairs, batch):
             assert_same_pmf(got, shifted_gamma_oracle(min_bin, mean_delay, cov, dt=dt))
-            assert_same_pmf(got, shifted_gamma_pmf(min_bin, mean_delay, cov, dt=dt))
+            assert_same_pmf(got, shifted_gamma_pmfs([min_bin], [mean_delay], cov, dt=dt)[0])
 
     def test_batch_validates_in_order(self):
         assert shifted_gamma_pmfs([], [], 1.0) == []

@@ -1,6 +1,7 @@
 """Guided path search, the direct evaluator, and the exhaustive oracle."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -93,9 +94,24 @@ class TestPathReliability:
             rr.path_reliability(fixture_graph, [], 4)
         with pytest.raises(ValueError, match="no edge"):
             rr.path_reliability(fixture_graph, ["v3", "v1"], 4)
-        bad = [edge_by_label(fixture_graph, "e4"), edge_by_label(fixture_graph, "e1")]
+        e4 = edge_by_label(fixture_graph, "e4")
+        bad = [e4, edge_by_label(fixture_graph, "e1")]
         with pytest.raises(ValueError, match="consecutive"):
             rr.path_reliability(fixture_graph, None, 4, edges=bad)
+        # Edge indices are integers in 0 .. E-1, refused by name before the
+        # consecutiveness check; a cap is checked even on an empty path.
+        for edges, message in [
+            ([-1], "edge index must be nonnegative, got -1"),
+            ([1.7, e4], "edge index must be an integer, got 1.7"),
+            ([True, e4], "edge index must be an integer, got True"),
+            ([4, e4], "edge index 4 exceeds the last edge 3"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                rr.path_reliability(fixture_graph, None, 6, edges=edges)
+        with pytest.raises(ValueError, match="^edge index 4 exceeds the last edge 3$"):
+            rr.path_distribution(fixture_graph, [4])
+        with pytest.raises(ValueError, match="^cap must be an integer, got 2.5$"):
+            rr.path_distribution(fixture_graph, [], cap=2.5)
 
 
 class TestBruteForce:
