@@ -146,14 +146,14 @@ class DiscreteDistribution:
         return np.minimum(np.cumsum(self.mass), 1.0)
 
     def cdf(self, t: int) -> float:
-        """P(travel time <= t bins).  The truncated tail never counts: its
-        bins are only known to lie past the stored support."""
-        if t < 0:
-            return 0.0
+        """P(travel time <= t bins), ``t`` a nonnegative integer.  The
+        truncated tail never counts: its bins are only known to lie past the
+        stored support."""
+        t = _integer(t, "bin index")
         c = self.cdf_array()
         if len(c) == 0:
             return 0.0
-        return float(c[min(int(t), len(c) - 1)])
+        return float(c[min(t, len(c) - 1)])
 
     def percentile(self, p: float) -> int:
         """Smallest bin ``t`` with ``cdf(t) >= p`` (up to EXACT_TOL slack)."""
@@ -200,8 +200,7 @@ def convolve(a: DiscreteDistribution, b: DiscreteDistribution, cap: int | None =
         full = np.zeros(0, dtype=np.float64)
     else:
         full = np.convolve(a.mass, b.mass)
-    if cap is not None:
-        full = full[:cap]
+    full = full[:cap]
     stored = float(full.sum())
     tail = max(grand_total - stored, 0.0)
     return DiscreteDistribution(full, dt=a.dt, truncated_tail=tail)

@@ -68,19 +68,18 @@ class StochasticGraph:
             raise GraphValidationError(f"time step must be {'finite' if dt > 0 else 'positive'}, got {dt}")
         self.dt = float(dt)
 
-        node_list = []
+        node_list, first_pos = [], {}
         for pos, n in enumerate(nodes):
             try:
                 nid, x, y = (n["id"], n["x"], n["y"]) if isinstance(n, dict) else n
                 hash(nid)  # ids key the node index
+                if first_pos.setdefault(nid, pos) != pos:
+                    raise ValueError(f"node id {nid!r} duplicates the id of node #{first_pos[nid]}")
                 node_list.append((nid, float(x), float(y)))
             except (KeyError, TypeError, ValueError) as exc:
                 raise GraphValidationError(f"node #{pos}: {exc}") from exc
         if not node_list:
             raise GraphValidationError("graph has no nodes")
-        ids = [n[0] for n in node_list]
-        if len(set(ids)) != len(ids):
-            raise GraphValidationError("duplicate node id in node list")
         node_list.sort(key=lambda n: _id_sort_key(n[0]))
         self.node_ids = tuple(n[0] for n in node_list)
         self._index = {nid: i for i, nid in enumerate(self.node_ids)}
@@ -262,8 +261,6 @@ def load_graph(source) -> StochasticGraph:
         try:
             tail, head = e["from"], e["to"]
             dist = resolve_distribution_literal(e["dist"], dt)
-        except GraphValidationError:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphValidationError(f"{_edge_ident(label, pos)}: {exc}") from exc
         edges.append((tail, head, dist, label))

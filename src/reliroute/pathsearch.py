@@ -213,16 +213,13 @@ def _edges_for_node_path(graph: StochasticGraph, nodes) -> list[int]:
     return edges
 
 
-def _edge_indices(graph: StochasticGraph, edges) -> list[int]:
-    return [_integer(e, "edge index", bound=("the last edge", graph.num_edges - 1)) for e in edges]
-
-
 def path_distribution(graph: StochasticGraph, edges, cap: int | None = None) -> DiscreteDistribution:
     """Travel-time distribution of a concrete sequence of edge indices, each in ``0 .. num_edges - 1``."""
     if cap is not None:
         cap = _integer(cap, "cap", 1)
+    edges = [_integer(e, "edge index", bound=("the last edge", graph.num_edges - 1)) for e in edges]
     dist = DiscreteDistribution.point_mass(0, dt=graph.dt)
-    for e in _edge_indices(graph, edges):
+    for e in edges:
         dist = convolve(dist, graph.edge_dists[e], cap=cap)
     return dist
 
@@ -238,10 +235,10 @@ def path_reliability(graph: StochasticGraph, path, T: int, edges=None) -> float:
         if path is None or len(path) == 0:
             raise ValueError("empty path")
         edges = _edges_for_node_path(graph, list(path))
-    else:
-        edges = _edge_indices(graph, edges)
-        for a, b in zip(edges, edges[1:]):
-            if graph.edge_heads[a] != graph.edge_tails[b]:
-                raise ValueError(f"edges {a} and {b} are not consecutive")
-    return path_distribution(graph, edges, cap=T + 1).cdf(T)
+    edges = list(edges)
+    dist = path_distribution(graph, edges, cap=T + 1)
+    for a, b in zip(edges, edges[1:]):
+        if graph.edge_heads[a] != graph.edge_tails[b]:
+            raise ValueError(f"edges {a} and {b} are not consecutive")
+    return dist.cdf(T)
 

@@ -306,9 +306,9 @@ def build_archive(
     mode: str = "policy",
     sources=None,
 ) -> dict:
-    """Compute the table of every region; returns ``{region: PotentialTable}``
-    plus the partition, bundled for serialization.  Sources in policy mode
-    (a conditioned table is not valid for path queries), a bad horizon, or a
+    """Compute the table of every region; returns ``{"partition": partition,
+    "tables": {region: PotentialTable}}``.  Sources in policy mode (a
+    conditioned table is not valid for path queries), a bad horizon, or a
     partition of another graph's nodes raise ``ValueError`` before any table
     is built: the first region's :func:`compute_arc_potentials` checks them."""
     if mode == "policy" and sources is not None:
@@ -317,18 +317,24 @@ def build_archive(
         r: compute_arc_potentials(graph, partition, r, T, mode=mode, sources=sources)
         for r in range(partition.region_count)
     }
-    return {"partition": partition, "tables": tables, "horizon": tables[0].horizon, "mode": mode,
-            "graph_digest": graph.digest}
+    return {"partition": partition, "tables": tables}
 
 
 def save_archive(archive: dict, target) -> None:
-    """Write an archive as a compressed ``npz`` with a JSON header, under
-    exactly the name given.  Its tables share one horizon, mode and sources,
-    and their potentials are one row per region, in region order."""
+    """Write an archive as a compressed ``npz`` under exactly the name given:
+    a JSON header of its tables' graph digest, horizon, mode and sources, and
+    their potentials, one row per region in region order.  Tables that miss or
+    add a region of the partition, or disagree on a header field, raise ``ValueError``."""
     partition, tables = archive["partition"], archive["tables"]
-    header = {key: archive[key] for key in ("graph_digest", "horizon", "mode")}
-    header["sources"] = tables[0].sources
-    phi = np.stack([tables[r].phi for r in range(partition.region_count)])
+    regions = range(partition.region_count)
+    if tables.keys() != set(regions):
+        raise ValueError(f"archive has tables for regions {list(tables)}, not the partition's 0..{len(regions) - 1}")
+    header = {key: getattr(tables[0], key) for key in ("graph_digest", "horizon", "mode", "sources")}
+    for r in regions:
+        stray = [key for key, value in header.items() if getattr(tables[r], key) != value]
+        if stray:
+            raise ValueError(f"archive table of region {r} disagrees with region 0's on {', '.join(stray)}")
+    phi = np.stack([tables[r].phi for r in regions])
     _write_table(target, "potentials archive", header, assignment=partition.assignment, phi=phi)
 
 
@@ -359,4 +365,4 @@ def load_archive(source) -> dict:
         )
     digest, sources = doc["graph_digest"], tuple(sources) if sources else None
     tables = {r: PotentialTable(horizon, mode, row, digest, sources) for r, row in enumerate(phi)}
-    return {"partition": partition, "tables": tables, "horizon": horizon, "mode": mode, "graph_digest": digest}
+    return {"partition": partition, "tables": tables}

@@ -51,14 +51,12 @@ def synthesize_distributions(topology: dict, model: dict | None = None, seed: in
 
     Each edge's minimum travel time is its free-flow time ``length /
     speed_limit`` rounded up to the grid; stochastic delay beyond it follows
-    the generator spec:
-
-    - ``{"name": "deterministic"}``: point mass at the free-flow bin.
-    - ``{"name": "shifted-gamma", "mean_delay": s | None, "delay_factor": f,
-      "cov": c, "randomize": bool}``: gamma delay with mean ``mean_delay``
-      seconds (or ``delay_factor`` times the free-flow time), coefficient of
-      variation ``cov``.  With ``randomize`` each edge scales its mean delay
-      by a seeded uniform factor in [0.5, 1.5].
+    the generator spec ``{"name": "shifted-gamma", "mean_delay": s | None,
+    "delay_factor": f, "cov": c, "randomize": bool}``: gamma delay with mean
+    ``mean_delay`` seconds (or ``delay_factor`` times the free-flow time),
+    coefficient of variation ``cov``.  With ``randomize`` each edge scales its
+    mean delay by a seeded uniform factor in [0.5, 1.5].  A zero mean delay,
+    such as ``{"delay_factor": 0}``, puts each edge's mass at its free-flow bin.
 
     Keys the spec leaves out take :data:`DEFAULT_MODEL`'s values.  An unknown
     name, or a negative or non-finite delay factor, mean delay or ``cov``,
@@ -67,16 +65,14 @@ def synthesize_distributions(topology: dict, model: dict | None = None, seed: in
     """
     model = {**DEFAULT_MODEL, **(model or {})}
     name, dt, rng = model["name"], float(topology.get("dt", 1.0)), random.Random(seed)
-    factor, mean_delay, cov, randomize = None, 0.0, 0.0, False  # the deterministic model
-    if name == "shifted-gamma":
-        mean_delay = model.get("mean_delay")
-        if mean_delay is None:
-            factor = _nonnegative("mean delay", model["delay_factor"])
-        else:
-            mean_delay = _nonnegative("mean delay", mean_delay)
-        cov, randomize = _nonnegative("coefficient of variation", model["cov"]), model["randomize"]
-    elif name != "deterministic":
+    if name != "shifted-gamma":
         raise ValueError(f"unknown generator {name!r}")
+    factor, mean_delay = None, model.get("mean_delay")
+    if mean_delay is None:
+        factor = _nonnegative("mean delay", model["delay_factor"])
+    else:
+        mean_delay = _nonnegative("mean delay", mean_delay)
+    cov, randomize = _nonnegative("coefficient of variation", model["cov"]), model["randomize"]
 
     ends, min_bins, mean_delays = [], [], []
     for pos, e in enumerate(topology["edges"]):

@@ -216,6 +216,19 @@ def _error_line(result):
     return line
 
 
+def test_integer_node_ids_match_their_digits_only(runner, tmp_path):
+    doc = {"dt": 1.0, "nodes": [{"id": 1, "x": 0, "y": 0}, {"id": 2, "x": 1, "y": 0}],
+           "edges": [{"from": 1, "to": 2, "dist": {"pmf": [[1, 1.0]]}}]}
+    target = tmp_path / "ints.json"
+    target.write_text(json.dumps(doc))
+    args = ["path", "--graph", str(target), "--dest", "2", "--budget", "4", "--source"]
+    result = runner.invoke(main, [*args, "1"])
+    assert result.exit_code == 0, result.output
+    out = json.loads(result.output)
+    assert (out["status"], out["path"], out["reliability"]) == ("found", [1, 2], 1.0)
+    assert _error_line(runner.invoke(main, [*args, "1.0"])) == "Error: unknown node id '1.0'"
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

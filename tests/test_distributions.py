@@ -208,6 +208,10 @@ class TestCdfPercentile:
         assert e4.cdf(1) == 0.0
         assert e4.cdf(2) == pytest.approx(0.5)
         assert e4.cdf(3) == pytest.approx(1.0)
+        # The bins every constructor rejects, read through the same rule.
+        for t, message in BAD_BINS + [("2", "must be an integer, got '2'")]:
+            with pytest.raises(ValueError, match=f"^bin index {re.escape(message)}$"):
+                e4.cdf(t)
 
     def test_cdf_nondecreasing(self):
         d = convolve(dist(E2), dist(E3))

@@ -135,6 +135,7 @@ class TestRunBenchmark:
         records = rr.run_benchmark(fixture_graph, [bad], config=rr.BenchmarkConfig(repetitions=1))
         assert records[0].status == "error"
         assert "unknown node" in records[0].error
+        assert rr.summarize(records) == {"instances": 1, "completed": 0}
         # With pruning on, the bad instance fails alone; a good one sharing
         # the run still gets its table.
         good = dataclasses.replace(bad, dest="v3")

@@ -220,9 +220,6 @@ def oracle_dists(topology, model, seed):
     for e in topology["edges"]:
         free_flow = e["length"] / e["speed_limit"]
         min_bin = free_flow_bins(free_flow, dt)
-        if model["name"] == "deterministic":
-            out[e["from"], e["to"]] = shifted_gamma_oracle(min_bin, 0.0, 0.0, dt=dt)
-            continue
         mean_delay = model.get("mean_delay")
         if mean_delay is None:
             mean_delay = model.get("delay_factor", 0.5) * free_flow
@@ -243,7 +240,7 @@ class TestSynthesize:
             (8, 0.5, {"name": "shifted-gamma", "cov": 2.0}),
             (8, 1.0, {"name": "shifted-gamma", "randomize": False}),
             (8, 1.0, {"name": "shifted-gamma", "mean_delay": 7.5, "cov": 0.8}),
-            (8, 1.0, {"name": "deterministic"}),
+            (8, 1.0, {"delay_factor": 0.0}),
         ],
         ids=["grid32", "grid12-dt0.5", "grid16-dt0.25", "cov0.5", "cov2", "fixed-factor",
              "fixed-mean-delay", "deterministic"],
@@ -267,14 +264,16 @@ class TestSynthesize:
             rr.synthesize_distributions(topology, {"name": "shifted-gamma", "cov": -1.0}, seed=0)
         with pytest.raises(ValueError, match="unknown generator 'weibull'"):
             rr.synthesize_distributions(topology, {"name": "weibull"}, seed=0)
-        with pytest.raises(GraphValidationError, match="length"):
+        with pytest.raises(ValueError, match="unknown generator 'deterministic'"):
             rr.synthesize_distributions(topology, {"name": "deterministic"}, seed=0)
+        with pytest.raises(GraphValidationError, match="length"):
+            rr.synthesize_distributions(topology, {"delay_factor": 0.0}, seed=0)
         # Before a bad length on edge 0 too.
         with pytest.raises(ValueError, match=re.escape("mean delay must be nonnegative, got -1.0")):
             rr.synthesize_distributions(simple_topology(length=-1.0), {"delay_factor": -1.0}, seed=0)
 
     def test_zero_variance_point_mass(self):
-        g = rr.synthesize_distributions(simple_topology(), {"name": "deterministic"}, seed=0)
+        g = rr.synthesize_distributions(simple_topology(), {"delay_factor": 0.0}, seed=0)
         d = g.edge_dists[0]
         assert d.min_bin == 10 and d.mass[10:].tolist() == [1.0]
 

@@ -81,6 +81,14 @@ class TestLoadGraph:
         assert g.node_ids == ("v1", "v2", "v3")
         assert [g.edge_label(e) for e in range(4)] == ["e1", "e2", "e3", "e4"]
 
+    def test_mixed_node_ids_numbered_in_one_order(self):
+        # Numbers, then strings, then every other id by its repr; a boolean
+        # sorts with the others, not with the numbers it equals.
+        doc = json.loads('{"dt": 1, "nodes": [{"id": true, "x": 0, "y": 0}, {"id": null, "x": 1, "y": 0},'
+                         ' {"id": "a", "x": 2, "y": 0}, {"id": 2, "x": 3, "y": 0}], "edges": []}')
+        assert rr.load_graph(doc).node_ids == (2, "a", None, True)
+        assert rr.load_graph(dict(doc, nodes=doc["nodes"][:3])).node_ids == ("a", None, True)
+
     def test_fixture_adjacency_consistency(self, fixture_graph):
         g = fixture_graph
         for i in range(g.num_nodes):
@@ -149,6 +157,11 @@ class TestLoadGraph:
     def test_duplicate_node_ids_rejected(self):
         doc = {"dt": 1.0, "nodes": [{"id": "a", "x": 0, "y": 0}] * 2, "edges": []}
         with pytest.raises(GraphValidationError, match="duplicate"):
+            rr.load_graph(doc)
+        # Python counts True as equal to 1; the refusal names the later id and both positions.
+        doc = json.loads('{"dt": 1, "nodes": [{"id": 1, "x": 0, "y": 0}, {"id": "b", "x": 0, "y": 0},'
+                         ' {"id": true, "x": 1, "y": 0}], "edges": []}')
+        with pytest.raises(GraphValidationError, match="^node #2: node id True duplicates the id of node #0$"):
             rr.load_graph(doc)
 
     def test_parse_error(self, tmp_path):

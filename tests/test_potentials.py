@@ -635,8 +635,8 @@ class TestArchiveIO:
         rr.save_archive(archive, target)
         assert list(tmp_path.iterdir()) == [target]
         again = rr.load_archive(target)
-        assert again["horizon"] == 6 and again["mode"] == "path"
-        assert again["graph_digest"] == fixture_graph.digest
+        assert again.keys() == {"partition", "tables"}
+        assert {table.graph_digest for table in again["tables"].values()} == {fixture_graph.digest}
         assert np.array_equal(again["partition"].assignment, partition.assignment)
         assert again["tables"].keys() == archive["tables"].keys()
         for r, table in archive["tables"].items():
@@ -644,6 +644,33 @@ class TestArchiveIO:
             assert loaded.phi.dtype == table.phi.dtype and loaded.phi.tobytes() == table.phi.tobytes()
             assert (loaded.horizon, loaded.mode, loaded.sources) == (6, "path", ("v1",))
             loaded.check_graph(fixture_graph)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda tables: tables.pop(1), "archive has tables for regions [0, 2], not the partition's 0..2"),
+            (lambda tables: tables.update({3: tables[0]}), "archive has tables for regions [0, 1, 2, 3], not the partition's 0..2"),
+            (lambda tables: tables.update({"1": tables.pop(1)}), "archive has tables for regions [0, 2, '1'], not the partition's 0..2"),
+            (lambda tables: tables.update({2: dataclasses.replace(tables[2], horizon=50)}),
+             "archive table of region 2 disagrees with region 0's on horizon"),
+            (lambda tables: tables.update({1: dataclasses.replace(tables[1], graph_digest="0" * 64, mode="path")}),
+             "archive table of region 1 disagrees with region 0's on graph_digest, mode"),
+            (lambda tables: tables.update({2: dataclasses.replace(tables[2], sources=("v1",))}),
+             "archive table of region 2 disagrees with region 0's on sources"),
+        ],
+        ids=["missing-region", "extra-region", "string-region", "horizon", "digest-and-mode", "sources"],
+    )
+    def test_save_refuses_tables_that_disagree(self, fixture_graph, tmp_path, edit, message):
+        archive = rr.build_archive(fixture_graph, rr.grid_partition(fixture_graph, 3), 6)
+        target = tmp_path / "potentials.npz"
+        # The header comes from the tables: a horizon key beside them is not read.
+        rr.save_archive(dict(archive, horizon=50), target)
+        assert {table.horizon for table in rr.load_archive(target)["tables"].values()} == {6}
+        tables = dict(archive["tables"])
+        edit(tables)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rr.save_archive(dict(archive, tables=tables), tmp_path / "bad.npz")
+        assert not (tmp_path / "bad.npz").exists()
 
     def test_reads_documents_with_intervals(self, fixture_graph, tmp_path):
         partition = rr.grid_partition(fixture_graph, 3)
