@@ -15,24 +15,26 @@ import time
 
 import click
 
+from .errors import RelirouteError
 from .harness import BenchmarkConfig, generate_instances, run_benchmark, summarize
 from .network import grid_partition, load_graph, save_graph
 from .pathsearch import sota_path_report
 from .policy import compute_policy
-from .potentials import build_archive, load_archive, prune, save_archive
-from .synth import grid_topology, synthesize_distributions
+from .potentials import MODES, build_archive, load_archive, prune, save_archive
+from .synth import DEFAULT_MODEL, grid_topology, synthesize_distributions
 
 
 class _Main(click.Group):
     """Reports a ``ValueError`` (a bad budget, an unknown node, a malformed
-    graph, a mismatched archive, ...) or an ``OSError`` (a file that cannot be
-    read or written) from any subcommand as one ``Error:`` line, not a
+    graph, a mismatched archive, ...), an ``OSError`` (a file that cannot be
+    read or written) or any other package error (a search that outgrew its
+    queue limit) from any subcommand as one ``Error:`` line, not a
     traceback."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError, RelirouteError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 
@@ -46,16 +48,16 @@ def main():
 @click.option("--dt", type=float, default=1.0, show_default=True)
 @click.option("--spacing", type=float, default=100.0, show_default=True, help="Edge length in metres.")
 @click.option("--speed", type=float, default=10.0, show_default=True, help="Speed limit in m/s.")
-@click.option("--cov", type=float, default=1.0, show_default=True, help="Delay coefficient of variation.")
-@click.option("--delay-factor", type=float, default=0.5, show_default=True,
+@click.option("--cov", type=float, default=DEFAULT_MODEL["cov"], show_default=True,
+              help="Delay coefficient of variation.")
+@click.option("--delay-factor", type=float, default=DEFAULT_MODEL["delay_factor"], show_default=True,
               help="Mean delay as a fraction of free-flow time.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
 def synth(grid_k, dt, spacing, speed, cov, delay_factor, seed, out_path):
     """Generate a synthetic grid network with gamma-delay travel times."""
     topology = grid_topology(grid_k, spacing=spacing, speed=speed, dt=dt)
-    model = {"name": "shifted-gamma", "cov": cov, "delay_factor": delay_factor, "randomize": True}
-    graph = synthesize_distributions(topology, model, seed=seed)
+    graph = synthesize_distributions(topology, {"cov": cov, "delay_factor": delay_factor}, seed=seed)
     save_graph(graph, out_path)
     click.echo(f"wrote {graph.num_nodes} nodes / {graph.num_edges} edges to {out_path}")
 
@@ -154,7 +156,7 @@ def path_cmd(graph_path, source, dest, budget, k, pot_path):
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
 @click.option("--grid", "grid_k", type=int, required=True, help="Partition dimension (k x k regions).")
 @click.option("--horizon", type=int, required=True)
-@click.option("--mode", type=click.Choice(["policy", "path"]), default="policy", show_default=True)
+@click.option("--mode", type=click.Choice(MODES), default="policy", show_default=True)
 @click.option("--source", "sources", multiple=True,
               help="Source node(s) of a path-mode archive, which answers only these.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
@@ -180,9 +182,9 @@ def preprocess(graph_path, grid_k, horizon, mode, sources, out_path):
 @click.option("--instances", "n_instances", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--grid", "grid_k", type=int, default=None, help="Region grid for pruning runs.")
-@click.option("--preprocess", "pruning", type=click.Choice(["policy", "path"]), default=None,
+@click.option("--preprocess", "pruning", type=click.Choice(MODES), default=None,
               help="Also run each instance with this pruning mode.")
-@click.option("--repetitions", type=int, default=3, show_default=True)
+@click.option("--repetitions", type=int, default=BenchmarkConfig.repetitions, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def bench(graph_path, n_instances, seed, grid_k, pruning, repetitions, out_dir):
     """Run the timing study; writes records.csv and plot data."""

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _integer
+from .distributions import NORMALIZATION_TOL, DiscreteDistribution, _integer
 
 #: Upper-tail probability at which generated supports are cut off.
 TAIL_EPS = 1e-12
@@ -127,7 +127,7 @@ def gaussian_mixture_pmf(
     if not components:
         raise ValueError("mixture must have at least one component")
     weights = np.array([float(c["weight"]) for c in components])
-    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-9):  # NaN fails both
+    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= NORMALIZATION_TOL):  # NaN fails both
         raise ValueError("mixture weights must be nonnegative and sum to 1")
     means, stds = ([float(c[key]) for c in components] for key in ("mean", "std"))
     if not all(map(math.isfinite, means + stds)):

@@ -13,7 +13,8 @@ Every node and edge is checked once, in the constructor, whether it comes from
 failure names the offending node or edge.  Each node keeps one adjacency
 index, its outgoing edges.
 
-Graphs are immutable after construction and safe to share across threads.
+Graphs are immutable after construction and safe to share across threads;
+pickles and copies go through the constructor.
 """
 
 from __future__ import annotations
@@ -125,6 +126,14 @@ class StochasticGraph:
         # Edges are sorted by tail, so each node's out-edges are one run.
         bounds = np.searchsorted(self.edge_tails, np.arange(self.num_nodes + 1)).tolist()
         self.out_edges = tuple(range(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
+
+    def __reduce__(self):
+        # Unpickling and copying run the constructor on the nodes and edges in index order.
+        ids = self.node_ids
+        nodes = [(nid, x, y) for nid, (x, y) in zip(ids, self.coords.tolist())]
+        ends = zip(self.edge_tails.tolist(), self._heads, self.edge_dists, self._edge_labels)
+        edges = [(ids[t], ids[h], dist, label) for t, h, dist, label in ends]
+        return StochasticGraph, (self.dt, nodes, edges)
 
     # -- lookups -----------------------------------------------------------
 

@@ -63,15 +63,36 @@ class PolicyTable:
     ``u[i, t]`` is the probability of reaching the destination from node ``i``
     within ``t`` bins under the optimal policy; ``w[i, t]`` is the edge to
     traverse next (``NO_EDGE`` when ``u[i, t] == 0``).  Rows are indexed by
-    graph node index; ``graph_digest`` is the graph's ``digest``.  Immutable
-    once built; share freely.
+    graph node index and columns by budget ``0..horizon``; ``graph_digest``
+    is the graph's ``digest``.  The constructor refuses ``u`` and ``w`` that
+    differ in shape, hold no budget column, or are not float and integer, and
+    marks both read-only.  Immutable once built; share freely.
     """
 
     dest: object
-    horizon: int
     u: np.ndarray
     w: np.ndarray
     graph_digest: str = field(repr=False)
+
+    def __post_init__(self):
+        u, w = self.u, self.w
+        fits = u.shape == w.shape and u.ndim == 2 and u.shape[1] > 0
+        if not (fits and u.dtype.kind == "f" and w.dtype.kind in "iu"):
+            raise ValueError(
+                f"policy table's u has shape {u.shape} and its w {w.shape}, of {u.dtype} and {w.dtype}; both need "
+                "one row per node and one column per budget, u of floats and w of integers"
+            )
+        u.setflags(write=False)
+        w.setflags(write=False)
+
+    def __reduce__(self):
+        # Unpickling and copying run the constructor and its checks.
+        return PolicyTable, (self.dest, self.u, self.w, self.graph_digest)
+
+    @property
+    def horizon(self) -> int:
+        """The largest budget, ``u``'s last column."""
+        return self.u.shape[1] - 1
 
     def check_graph(self, graph: StochasticGraph) -> None:
         """Raise ``ValueError`` unless the table was computed on ``graph``:
@@ -95,33 +116,21 @@ class PolicyTable:
 
     def save(self, target) -> None:
         """Write the table as a compressed ``npz`` with a JSON header of its
-        destination, horizon and graph digest, under exactly the name given."""
-        header = {"destination": self.dest, "horizon": self.horizon, "graph_digest": self.graph_digest}
+        destination and graph digest, under exactly the name given."""
+        header = {"destination": self.dest, "graph_digest": self.graph_digest}
         _write_table(target, "policy table", header, u=self.u, w=self.w)
 
     @classmethod
     def load(cls, source) -> "PolicyTable":
         """Read a table written by :meth:`save`.  Any other file, a missing
-        field, a bad horizon, arrays that do not fit it, or contents that no
-        solve produces (see :func:`_check_contents`) raise ``ValueError``."""
-        doc = _read_table(source, "policy table", ("destination", "horizon", "graph_digest", "u", "w"))
-        horizon, u, w = _integer(doc["horizon"], "policy table horizon"), doc["u"], doc["w"]
-        fits = u.shape == w.shape and u.ndim == 2 and u.shape[1] == horizon + 1
-        if not (fits and u.dtype.kind == "f" and w.dtype.kind in "iu"):
-            raise ValueError(
-                f"policy table's u has shape {u.shape} and its w {w.shape}, of {u.dtype} and {w.dtype}; both need "
-                f"one row per node and one column per budget 0..{horizon}, u of floats and w of integers"
-            )
-        _check_contents(u, w)
-        u.setflags(write=False)
-        w.setflags(write=False)
-        return cls(
-            dest=doc["destination"],
-            horizon=horizon,
-            u=u,
-            w=w,
-            graph_digest=doc["graph_digest"],
-        )
+        field, arrays the constructor refuses, or contents that no solve
+        produces (see :func:`_check_contents`) raise ``ValueError``.  Header
+        entries that older versions wrote (``horizon``, ``order``,
+        ``backend``) are ignored."""
+        doc = _read_table(source, "policy table", ("destination", "graph_digest", "u", "w"))
+        table = cls(dest=doc["destination"], u=doc["u"], w=doc["w"], graph_digest=doc["graph_digest"])
+        _check_contents(table.u, table.w)
+        return table
 
 
 def _check_contents(u, w) -> None:
@@ -446,11 +455,8 @@ def _solve(graph: StochasticGraph, dest, T: int, edge_mask=None, shared: dict | 
     )
 
     padded.setflags(write=False)
-    U.setflags(write=False)
-    W.setflags(write=False)
     return PolicyTable(
         dest=dest,
-        horizon=T,
         u=U,
         w=W,
         graph_digest=graph.digest,

@@ -167,7 +167,8 @@ class PotentialTable:
 
     ``phi[e]`` is the least budget at which edge ``e`` becomes active
     (``INFINITE_POTENTIAL`` when it never does within the horizon);
-    ``graph_digest`` is the graph's ``digest``.
+    ``graph_digest`` is the graph's ``digest``.  The constructor marks
+    ``phi`` read-only.
     """
 
     horizon: int
@@ -175,6 +176,13 @@ class PotentialTable:
     phi: np.ndarray
     graph_digest: str = field(repr=False)
     sources: tuple | None = None
+
+    def __post_init__(self):
+        self.phi.setflags(write=False)
+
+    def __reduce__(self):
+        # Unpickling and copying run the constructor.
+        return PotentialTable, (self.horizon, self.mode, self.phi, self.graph_digest, self.sources)
 
     def edge_mask(self, budget: int) -> np.ndarray:
         """Edges that may participate in any optimal solution at ``<= budget``."""

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import base64
+import copy
 import json
 import math
+import pickle
 import random
 from pathlib import Path
 
@@ -17,6 +19,9 @@ from reliroute.potentials import _lower_along_optimal_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_PATH = REPO_ROOT / "fixtures" / "appendix_a.json"
+
+#: Ways to copy an object that must each go through its constructor, by test id.
+COPIERS = {"pickle": lambda obj: pickle.loads(pickle.dumps(obj)), "copy": copy.copy, "deepcopy": copy.deepcopy}
 
 
 @pytest.fixture(scope="session")
@@ -228,7 +233,7 @@ def direct_policy(graph, dest, T, edge_mask=None):
             first = np.argmax((table > 0.0) & (table >= best[:, None] - rr.EXACT_TOL), axis=1)
             u[nodes, t] = np.maximum(np.minimum(best, 1.0), u[nodes, t - 1])
             w[nodes, t] = np.where(best > 0.0, edges[slots[np.arange(len(nodes)), first]], rr.NO_EDGE)
-    return rr.PolicyTable(dest=dest, horizon=T, u=u, w=w, graph_digest=graph.digest)
+    return rr.PolicyTable(dest=dest, u=u, w=w, graph_digest=graph.digest)
 
 
 def edge_evaluation(graph, u, edge, t):

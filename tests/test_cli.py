@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import reliroute as rr
+from reliroute import cli
 from reliroute.cli import main
 
 from conftest import FIXTURE_PATH, dense_list_form, edit_table_file
@@ -295,6 +296,26 @@ def test_path_refuses_source_outside_the_tables_sources(runner, grid6_archives, 
          "--budget", budget, "--potentials", str(grid6_archives[kind])],
     )
     assert _error_line(result) == f"Error: archive was built for sources ['n00_00'], not '{source}'"
+
+
+def test_synth_defaults_are_the_librarys(runner, tmp_path):
+    result = runner.invoke(main, ["synth", "--grid", "6", "--seed", "7", "--out", str(tmp_path / "net.json")])
+    assert result.exit_code == 0, result.output
+    expected = rr.synthesize_distributions(rr.grid_topology(6), seed=7)
+    assert rr.load_graph(tmp_path / "net.json").digest == expected.digest
+
+
+def test_package_errors_are_reported_without_traceback(runner, monkeypatch):
+    # SearchBudgetExceeded is a RelirouteError and a RuntimeError, not a ValueError.
+    search = cli.sota_path_report
+    monkeypatch.setattr(cli, "sota_path_report", lambda *args, **kw: search(*args, **kw, queue_limit=1))
+    result = runner.invoke(
+        main,
+        ["path", "--graph", str(FIXTURE_PATH), "--source", "v1", "--dest", "v3", "--budget", "4", "--k", "3"],
+    )
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("Error: path search exceeded the queue limit of 1 entries")
+    assert "Traceback" not in result.output
 
 
 def test_path_refuses_ranked_paths_with_a_path_mode_archive(runner, grid6_archives):

@@ -1,7 +1,5 @@
 """PMF arithmetic: construction, convolution, CDF/percentiles, mixing."""
 
-import copy
-import pickle
 import re
 
 import numpy as np
@@ -10,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import reliroute as rr
 from reliroute.distributions import DiscreteDistribution, convolve
+
+from conftest import COPIERS
 
 #: Bin indices every constructor rejects, each with its message after the name.
 BAD_BINS = [
@@ -105,16 +105,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             d.mass[2] = 0.9
 
-    @pytest.mark.parametrize("copier", [lambda d: pickle.loads(pickle.dumps(d)), copy.copy, copy.deepcopy],
-                             ids=["pickle", "copy", "deepcopy"])
-    @pytest.mark.parametrize("mass, tail", [([0.0, 0.25, 0.5], 0.25), ([0.0, 0.0], 1.0)],
-                             ids=["truncated-tail", "all-in-tail"])
+    @pytest.mark.parametrize("copier", list(COPIERS.values()), ids=list(COPIERS))
+    @pytest.mark.parametrize("mass, tail", [([0.0, 0.25, 0.5], 0.25), ([0.0, 0.0], 1.0), ([0.0] + [0.1] * 9, 0.1)],
+                             ids=["truncated-tail", "all-in-tail", "nine-bins"])
     def test_pickles_and_copies_through_the_constructor(self, copier, mass, tail):
         d = DiscreteDistribution(mass, dt=0.5, truncated_tail=tail)
         back = copier(d)
         assert back is not d and back.mass.tolist() == d.mass.tolist()
         assert (back.dt, back.truncated_tail, back.min_bin) == (d.dt, d.truncated_tail, d.min_bin)
         assert not back.mass.flags.writeable
+        assert repr(back) == repr(d)
 
     def test_from_pairs_rejects_bad_bins(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,6 @@
 import base64
 import hashlib
 import json
-import pickle
 import re
 
 import numpy as np
@@ -12,7 +11,7 @@ import pytest
 import reliroute as rr
 from reliroute.errors import GraphValidationError
 
-from conftest import FIXTURE_PATH, dense_list_form, edge_by_label, literal_mass
+from conftest import COPIERS, FIXTURE_PATH, dense_list_form, edge_by_label, literal_mass
 
 #: SHA-256 of the 32x32 acceptance grid's edge masses (see ``_mass_digest``).
 ACCEPTANCE_MASS_SHA256 = "f8acb69ddcda6081b51aace57eefe727bb2b50a8b0454ac36f9b72deec5e45c3"
@@ -331,17 +330,32 @@ class TestSaveRoundTrip:
         assert rr.save_graph(g, target)["edges"][0]["dist"]["truncated_tail"] == 0.2
         _assert_same_pmfs(rr.load_graph(target), g)
 
-    def test_graph_pickles(self):
-        # Graphs can be shared with other processes: distributions pickle by
-        # value and come back immutable.
+    def test_graph_pickles(self, fixture_graph):
+        # Graphs can be shared with other processes: pickles and copies go
+        # through the constructor, so they come back checked and immutable,
+        # with a digest computed from their own edges.
         cut = rr.DiscreteDistribution([0.0, 0.5, 0.3], truncated_tail=0.2)
-        g = rr.StochasticGraph(1.0, [("a", 0, 0), ("b", 1, 0)], [("a", "b", cut, "ab")])
-        again = pickle.loads(pickle.dumps(g))
-        assert again.node_ids == g.node_ids and again.edge_label(0) == "ab"
-        _assert_same_pmfs(again, g)
-        assert again.digest == g.digest
-        with pytest.raises(ValueError):
-            again.edge_dists[0].mass[1] = 0.9
+        whole = rr.DiscreteDistribution.point_mass(2)
+        small = rr.StochasticGraph(
+            1.0, [("b", 1, 0), ("a", 0, 0), (3, 2, 1)], [("b", "a", whole), ("a", "b", cut, "ab"), ("a", "b", whole)]
+        )
+        for g in (small, fixture_graph):
+            # The cached properties are computed before copying.  A truncated edge has no mean.
+            cached = ["digest", "edge_support"] + (["edge_means"] if g is fixture_graph else [])
+            for prop in cached:
+                getattr(g, prop)
+            labels = [g.edge_label(e) for e in range(g.num_edges)]
+            for name, copier in COPIERS.items():
+                again = copier(g)
+                assert "digest" not in vars(again), name
+                assert again.node_ids == g.node_ids
+                assert [again.edge_label(e) for e in range(g.num_edges)] == labels
+                _assert_same_pmfs(again, g)
+                assert again.digest == g.digest
+                assert np.array_equal(again.coords, g.coords) and np.array_equal(again.edge_tails, g.edge_tails)
+                arrays = [again.coords, again.edge_tails, again.edge_heads, again.edge_dists[0].mass]
+                arrays += [getattr(again, prop) for prop in cached[1:]]
+                assert not any(array.flags.writeable for array in arrays), name
 
     def test_acceptance_grid_masses_pinned(self, grids, tmp_path):
         grid = grids["acceptance-32"]

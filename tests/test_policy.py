@@ -1,5 +1,6 @@
 """Policy solver: DP values, the direct-sum oracle, invariants."""
 
+import dataclasses
 import json
 import logging
 import os
@@ -15,6 +16,7 @@ import reliroute as rr
 from reliroute.policy import NO_EDGE
 
 from conftest import (
+    COPIERS,
     FIXTURE_PATH,
     brute_force_paths,
     direct_policy,
@@ -170,6 +172,37 @@ class TestPolicyValues:
             rr.compute_policy(fixture_graph, "nope", 4)
 
 
+class TestPolicyTableConstruction:
+    def test_horizon_is_the_width_of_u(self, fixture_graph):
+        pol = rr.compute_policy(fixture_graph, "v3", 5)
+        assert pol.horizon == 5 == pol.u.shape[1] - 1
+        with pytest.raises(TypeError, match="horizon"):
+            dataclasses.replace(pol, horizon=10)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda u, w: (u, w[:, :-1]), r"u has shape \(3, 6\) and its w \(3, 5\)"),
+            (lambda u, w: (u[0], w[0]), r"u has shape \(6,\) and its w \(6,\)"),
+            (lambda u, w: (w, w), r"u has shape \(3, 6\) and its w \(3, 6\), of int32 and int32; "),
+        ],
+        ids=["widths-differ", "one-dimensional", "integer-probabilities"],
+    )
+    def test_constructor_checks_the_arrays(self, fixture_graph, edit, message):
+        pol = rr.compute_policy(fixture_graph, "v3", 5)
+        u, w = edit(pol.u, pol.w)
+        with pytest.raises(ValueError, match=f"^policy table's {message}"):
+            rr.PolicyTable(pol.dest, u, w, pol.graph_digest)
+
+    @pytest.mark.parametrize("copier", list(COPIERS.values()), ids=list(COPIERS))
+    def test_pickles_and_copies_through_the_constructor(self, fixture_graph, copier):
+        pol = rr.compute_policy(fixture_graph, "v3", 5)
+        back = copier(pol)
+        assert (back.dest, back.horizon, back.graph_digest) == ("v3", 5, pol.graph_digest)
+        assert back.u.tobytes() == pol.u.tobytes() and back.w.tobytes() == pol.w.tobytes()
+        assert not (back.u.flags.writeable or back.w.flags.writeable)
+
+
 class TestPolicyTableIO:
     @pytest.mark.parametrize("suffix", [".npz", ".bin", ".json"])
     def test_round_trip(self, fixture_graph, tmp_path, suffix):
@@ -184,6 +217,9 @@ class TestPolicyTableIO:
         assert again.u.dtype == pol.u.dtype and again.u.tobytes() == pol.u.tobytes()
         assert again.w.dtype == pol.w.dtype and again.w.tobytes() == pol.w.tobytes()
         again.check_graph(fixture_graph)
+        for array in (again.u, again.w):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
 
     def test_load_ignores_update_order_field(self, fixture_graph, tmp_path):
         # Tables written before the solver had a single traversal order carry
@@ -212,16 +248,33 @@ class TestPolicyTableIO:
         assert np.array_equal(again.u, pol.u)
         assert np.array_equal(again.w, pol.w)
 
+    def test_load_ignores_horizon_field(self, fixture_graph, tmp_path):
+        # Tables written before the horizon was read from u's width carry a
+        # "horizon" entry.
+        pol = rr.compute_policy(fixture_graph, "v3", 5)
+        target = tmp_path / "table.npz"
+        pol.save(target)
+
+        def add_horizon(doc):
+            assert "horizon" not in doc
+            doc["horizon"] = 5
+
+        edit_table_file(target, add_horizon)
+        again = rr.PolicyTable.load(target)
+        assert again.horizon == 5
+        assert np.array_equal(again.u, pol.u)
+        assert np.array_equal(again.w, pol.w)
+
     @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda doc: doc.update(w=doc["w"][:-1]), r"u has shape \(3, 6\) and its w \(2, 6\)"),
-            (lambda doc: doc.update(horizon=4), r"one column per budget 0..4"),
             (lambda doc: doc.pop("destination"), r"missing a field: 'destination'"),
             (lambda doc: doc.pop("graph_digest"), r"^policy table is missing a field: 'graph_digest'$"),
             (lambda doc: doc.update(w=doc["w"].astype(float)), r"of float64 and float64; .* w of integers$"),
+            (lambda doc: doc.update(u=doc["u"][:, :0], w=doc["w"][:, :0]), r"u has shape \(3, 0\) and its w \(3, 0\)"),
         ],
-        ids=["row-counts-differ", "wrong-horizon", "no-destination", "no-digest", "float-successors"],
+        ids=["row-counts-differ", "no-destination", "no-digest", "float-successors", "no-budget-column"],
     )
     def test_load_rejects_malformed_documents(self, fixture_graph, tmp_path, edit, message):
         target = tmp_path / "table.npz"
@@ -284,23 +337,6 @@ class TestPolicyTableIO:
         table = rr.PolicyTable.load(target)
         with pytest.raises(ValueError, match=r"^policy table's w names edge 4 but the graph has 4 edges$"):
             table.check_graph(fixture_graph)
-
-    @pytest.mark.parametrize(
-        "horizon, message",
-        [
-            (4.7, "policy table horizon must be an integer, got 4.7"),
-            (5.0, "policy table horizon must be an integer, got 5.0"),
-            (True, "policy table horizon must be an integer, got True"),
-            ("5", "policy table horizon must be an integer, got '5'"),
-            (-1, "policy table horizon must be nonnegative, got -1"),
-        ],
-    )
-    def test_load_validates_the_horizon(self, fixture_graph, tmp_path, horizon, message):
-        target = tmp_path / "table.npz"
-        rr.compute_policy(fixture_graph, "v3", 5).save(target)
-        edit_table_file(target, lambda doc: doc.update(horizon=horizon))
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            rr.PolicyTable.load(target)
 
     def test_load_of_a_missing_file_is_an_os_error(self, tmp_path):
         # Not a ValueError: the CLI reports it as a file it cannot read.

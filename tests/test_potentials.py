@@ -17,6 +17,7 @@ import reliroute as rr
 from reliroute.potentials import INFINITE_POTENTIAL
 
 from conftest import (
+    COPIERS,
     FIXTURE_PATH,
     direct_policy,
     edge_by_label,
@@ -644,6 +645,18 @@ class TestArchiveIO:
             assert loaded.phi.dtype == table.phi.dtype and loaded.phi.tobytes() == table.phi.tobytes()
             assert (loaded.horizon, loaded.mode, loaded.sources) == (6, "path", ("v1",))
             loaded.check_graph(fixture_graph)
+            for phi in (table.phi, loaded.phi):
+                with pytest.raises(ValueError, match="read-only"):
+                    phi[0] = 0
+
+    @pytest.mark.parametrize("copier", list(COPIERS.values()), ids=list(COPIERS))
+    def test_tables_pickle_and_copy_through_the_constructor(self, fixture_graph, copier):
+        partition = rr.grid_partition(fixture_graph, 3)
+        table = rr.compute_arc_potentials(fixture_graph, partition, 0, 6, mode="path", sources=["v1"])
+        back = copier(table)
+        assert (back.horizon, back.mode, back.graph_digest, back.sources) == (6, "path", fixture_graph.digest, ("v1",))
+        assert back.phi.dtype == table.phi.dtype and back.phi.tobytes() == table.phi.tobytes()
+        assert not back.phi.flags.writeable
 
     @pytest.mark.parametrize(
         "edit, message",
