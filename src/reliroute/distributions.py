@@ -30,6 +30,11 @@ NORMALIZATION_TOL = 1e-9
 EXACT_TOL = 1e-12
 
 
+def _immutable(self, *args):
+    # __setattr__ and __delattr__ of the immutable types, once they are built.
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def _integer(value, name: str, least: int = 0, bound: tuple[str, int] | None = None) -> int:
     """``value`` as an ``int`` if it is an integer (numpy integers included,
     booleans not) of at least ``least`` and, given ``bound = (bound_name,
@@ -100,8 +105,7 @@ class DiscreteDistribution:
         object.__setattr__(self, "total_mass", stored)
         object.__setattr__(self, "min_bin", int(nonzero[0]) if nonzero.size else None)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("DiscreteDistribution is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self):
         # Unpickling and copying run the constructor and its checks.

@@ -217,7 +217,7 @@ def _run_instance(graph, index, inst, config, table_for):
             best = rep.paths[0]
             rec.reliability, rec.path_nodes, rec.path_edges = best.reliability, best.nodes, best.edges
             rec.path_edge_count = len(best.edges)
-            rec.path_mean_seconds = float(sum(graph.edge_dists[e].mean() for e in best.edges))
+            rec.path_mean_seconds = float(sum(graph._dist(e).mean() for e in best.edges))
 
         if config.pruning:
             rec.pruning = config.pruning

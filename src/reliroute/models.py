@@ -58,24 +58,31 @@ def _nonnegative(name: str, value) -> float:
     return value
 
 
-def shifted_gamma_pmfs(
-    min_bins, mean_delays, cov: float, dt: float = 1.0
-) -> list[DiscreteDistribution]:
+def _from_bin_zero(first_bin: int, mass) -> np.ndarray:
+    # Masses that start at first_bin, as a dense array from bin 0.
+    full = np.zeros(first_bin + len(mass))
+    full[first_bin:] = mass
+    return full
+
+
+def shifted_gamma_masses(min_bins, mean_delays, cov: float, dt: float = 1.0) -> tuple[list[int], list[np.ndarray]]:
     """Gamma-distributed delays on top of deterministic minimum travel times,
     one PMF per ``(min_bins[i], mean_delays[i])`` pair, all with the
-    coefficient of variation ``cov``.
+    coefficient of variation ``cov``: each PMF's first bin, and its masses
+    from that bin on.
 
     ``mean_delays[i]`` is the expected extra time in seconds beyond
     ``min_bins[i]``.  A zero delay, or ``cov == 0``, degenerates to a point
     mass shifted by the rounded delay.  The gamma shape depends on ``cov``
     alone, so the cutoff quantile takes one ``gammaincinv`` call and every
-    edge's bin midpoints one ``gammainc`` call over their concatenation.
+    edge's bin midpoints one ``gammainc`` call over their concatenation; the
+    gamma PMFs are views of that one array, each summing to one exactly.
     """
     min_bins, mean_delays = list(min_bins), list(mean_delays)
     if len(min_bins) != len(mean_delays):
         raise ValueError(f"got {len(min_bins)} minimum bins but {len(mean_delays)} mean delays")
     cov = _nonnegative("coefficient of variation", cov)
-    out, gamma = [], []
+    firsts, masses, gamma = [], [], []
     for i, (min_bin, mean_delay) in enumerate(zip(min_bins, mean_delays)):
         min_bin = _integer(min_bin, "minimum bin")
         if min_bin < 1:
@@ -83,12 +90,14 @@ def shifted_gamma_pmfs(
         mean_delays[i] = mean_delay = _nonnegative("mean delay", mean_delay)
         if mean_delay == 0.0 or cov == 0.0:
             # A deterministic delay still shifts the point mass.
-            out.append(DiscreteDistribution.point_mass(min_bin + int(round(mean_delay / dt)), dt=dt))
+            firsts.append(min_bin + int(round(mean_delay / dt)))
+            masses.append(np.ones(1))
         else:
-            out.append(None)
+            firsts.append(min_bin)
+            masses.append(None)
             gamma.append(i)
     if not gamma:
-        return out
+        return firsts, masses
 
     from scipy import special
 
@@ -109,10 +118,16 @@ def shifted_gamma_pmfs(
     pmf[starts[:-1]] = cdf[starts[:-1]]
     bounds = starts.tolist()
     for k, i in enumerate(gamma):
-        full = np.zeros(min_bins[i] + lasts[k] + 1)
-        full[min_bins[i]:] = _fold_residual(pmf[bounds[k]:bounds[k + 1]])
-        out[i] = DiscreteDistribution(full, dt=dt)
-    return out
+        masses[i] = _fold_residual(pmf[bounds[k]:bounds[k + 1]])
+    return firsts, masses
+
+
+def shifted_gamma_pmfs(
+    min_bins, mean_delays, cov: float, dt: float = 1.0
+) -> list[DiscreteDistribution]:
+    """:func:`shifted_gamma_masses` as one :class:`DiscreteDistribution` per pair."""
+    firsts, masses = shifted_gamma_masses(min_bins, mean_delays, cov, dt=dt)
+    return [DiscreteDistribution(_from_bin_zero(f, m), dt=dt) for f, m in zip(firsts, masses)]
 
 
 def gaussian_mixture_pmf(
@@ -146,20 +161,18 @@ def gaussian_mixture_pmf(
     pmf = np.empty(len(edges))
     pmf[0] = cdf[0]  # everything at or below the floor bin
     pmf[1:] = np.diff(cdf)
-    _fold_residual(pmf)
-    full = np.zeros(last + 1)
-    full[floor_bin:] = pmf
-    return DiscreteDistribution(full, dt=dt)
+    return DiscreteDistribution(_from_bin_zero(floor_bin, _fold_residual(pmf)), dt=dt)
 
 
-def dense_literal(dist: DiscreteDistribution) -> dict:
-    """``{"first_bin": k, "mass_f64": "<base64>"}`` for ``dist``, plus its
-    ``"truncated_tail"`` when nonzero: the masses from the first nonzero bin
-    on, as little-endian float64 bytes, which load back bit-identically."""
-    raw = dist.mass[dist.min_bin:].astype("<f8", copy=False).tobytes()
-    literal = {"first_bin": dist.min_bin, "mass_f64": base64.b64encode(raw).decode("ascii")}
-    if dist.truncated_tail:
-        literal["truncated_tail"] = dist.truncated_tail
+def dense_literal(mass: np.ndarray, first_bin: int, truncated_tail: float) -> dict:
+    """``{"first_bin": k, "mass_f64": "<base64>"}`` for the masses ``mass``
+    from bin 0 whose first nonzero bin is ``first_bin``, plus
+    ``"truncated_tail"`` when nonzero: the masses from ``first_bin`` on, as
+    little-endian float64 bytes, which load back bit-identically."""
+    raw = mass[first_bin:].astype("<f8", copy=False).tobytes()
+    literal = {"first_bin": first_bin, "mass_f64": base64.b64encode(raw).decode("ascii")}
+    if truncated_tail:
+        literal["truncated_tail"] = truncated_tail
     return literal
 
 
@@ -174,15 +187,47 @@ def _decode_mass_f64(text) -> np.ndarray:
     return np.frombuffer(raw, "<f8")
 
 
-def _dense_histogram(literal: dict, dt: float) -> DiscreteDistribution:
-    first, mass = _integer(literal.get("first_bin"), "'first_bin'"), literal.get("mass")
-    if "mass_f64" in literal:
-        mass = _decode_mass_f64(literal["mass_f64"])
-    elif not isinstance(mass, list) or not mass:
-        raise ValueError(f"'mass' must be a nonempty list of probabilities, got {mass!r:.40}")
-    arr = np.zeros(first + len(mass))
-    arr[first:] = np.asarray(mass, dtype=np.float64)
-    return DiscreteDistribution(arr, dt=dt, truncated_tail=float(literal.get("truncated_tail", 0.0)))
+def literal_masses(literal: dict, dt: float) -> tuple[int, np.ndarray, float]:
+    """A distribution literal's first bin, its masses from that bin on and its
+    truncated tail (see :func:`resolve_distribution_literal` for the forms).
+
+    A malformed literal raises ``ValueError``.  Dense histograms are decoded
+    but their values are not checked: :func:`~reliroute.network.load_graph`
+    checks every edge's masses at once.  The other forms resolve to a checked
+    :class:`DiscreteDistribution`, whose masses start at bin 0.
+    """
+    if not isinstance(literal, dict):
+        raise ValueError(f"distribution literal must be an object, got {type(literal).__name__}")
+    if "dt" in literal and float(literal["dt"]) != dt:
+        raise ValueError(
+            f"distribution dt {literal['dt']} does not match the graph time step {dt}"
+        )
+    found = [key for key in ("mass_f64", "mass", "pmf") if key in literal]
+    model = literal.get("model", "histogram" if found else None)
+    if model == "histogram":
+        if len(found) != 1:
+            names = " and ".join(map(repr, found)) or "none"
+            raise ValueError(f"histogram literal needs exactly one of 'mass_f64', 'mass', 'pmf'; found {names}")
+        if found == ["pmf"]:
+            dist = DiscreteDistribution.from_pairs(literal["pmf"], dt=dt)
+            return 0, dist.mass, dist.truncated_tail
+        first, mass = _integer(literal.get("first_bin"), "'first_bin'"), literal.get("mass")
+        if "mass_f64" in literal:
+            mass = _decode_mass_f64(literal["mass_f64"])
+        elif not isinstance(mass, list) or not mass:
+            raise ValueError(f"'mass' must be a nonempty list of probabilities, got {mass!r:.40}")
+        else:  # copied into a 1-D row, which refuses nested lists
+            mass = _from_bin_zero(0, np.asarray(mass, dtype=np.float64))
+        return first, mass, float(literal.get("truncated_tail", 0.0))
+    if model == "shifted-gamma":
+        min_bin = free_flow_bins(float(literal["shift"]), dt)
+        delay, cov = float(literal.get("mean_delay", 0.0)), float(literal.get("cov", 1.0))
+        firsts, masses = shifted_gamma_masses([min_bin], [delay], cov, dt=dt)
+        return firsts[0], masses[0], 0.0
+    if model == "discretized-gaussian-mixture":
+        dist = gaussian_mixture_pmf(literal["components"], dt=dt, min_seconds=literal.get("min_seconds"))
+        return 0, dist.mass, dist.truncated_tail
+    raise ValueError(f"unknown distribution literal: {literal!r}")
 
 
 def resolve_distribution_literal(literal: dict, dt: float) -> DiscreteDistribution:
@@ -207,27 +252,5 @@ def resolve_distribution_literal(literal: dict, dt: float) -> DiscreteDistributi
     ``np.frombuffer``; the ``mass`` list, for hand-written documents, still
     loads.  Both go through the same :class:`DiscreteDistribution` checks.
     """
-    if not isinstance(literal, dict):
-        raise ValueError(f"distribution literal must be an object, got {type(literal).__name__}")
-    if "dt" in literal and float(literal["dt"]) != dt:
-        raise ValueError(
-            f"distribution dt {literal['dt']} does not match the graph time step {dt}"
-        )
-    found = [key for key in ("mass_f64", "mass", "pmf") if key in literal]
-    model = literal.get("model", "histogram" if found else None)
-    if model == "histogram":
-        if len(found) != 1:
-            names = " and ".join(map(repr, found)) or "none"
-            raise ValueError(f"histogram literal needs exactly one of 'mass_f64', 'mass', 'pmf'; found {names}")
-        if found == ["pmf"]:
-            return DiscreteDistribution.from_pairs(literal["pmf"], dt=dt)
-        return _dense_histogram(literal, dt)
-    if model == "shifted-gamma":
-        min_bin = free_flow_bins(float(literal["shift"]), dt)
-        delay, cov = float(literal.get("mean_delay", 0.0)), float(literal.get("cov", 1.0))
-        return shifted_gamma_pmfs([min_bin], [delay], cov, dt=dt)[0]
-    if model == "discretized-gaussian-mixture":
-        return gaussian_mixture_pmf(
-            literal["components"], dt=dt, min_seconds=literal.get("min_seconds")
-        )
-    raise ValueError(f"unknown distribution literal: {literal!r}")
+    first, mass, tail = literal_masses(literal, dt)
+    return DiscreteDistribution(_from_bin_zero(first, mass), dt=dt, truncated_tail=tail)

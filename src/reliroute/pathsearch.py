@@ -156,7 +156,7 @@ def sota_path_report(
             j = heads[e]
             if j in nodes:
                 continue  # loop-free paths only
-            em = graph.edge_dists[e].mass
+            em = graph._mass(e)
             child_q = np.convolve(qmass, em)[:cap]
             uj = U[j, T::-1]
             qk = child_q[: T + 1]
@@ -220,7 +220,7 @@ def path_distribution(graph: StochasticGraph, edges, cap: int | None = None) -> 
     edges = [_integer(e, "edge index", bound=("the last edge", graph.num_edges - 1)) for e in edges]
     dist = DiscreteDistribution.point_mass(0, dt=graph.dt)
     for e in edges:
-        dist = convolve(dist, graph.edge_dists[e], cap=cap)
+        dist = convolve(dist, graph._dist(e), cap=cap)
     return dist
 
 

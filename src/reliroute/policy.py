@@ -56,7 +56,7 @@ _log = logging.getLogger(__name__)
 NO_EDGE = -1
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyTable:
     """Per-node arrival probabilities and successor edges toward one destination.
 
@@ -172,8 +172,10 @@ def _read_table(source, kind: str, fields) -> dict:
     ``fields``, one naming it."""
     try:
         # Our own handle: np.load does not close one it opened if NpzFile then raises.
+        # Arrays that own their data: a reshaped read would leave a writable
+        # base under a table's read-only arrays.
         with open(source, "rb") as handle, np.load(handle) as data:
-            doc = dict(json.loads(str(data["meta"])), **data)
+            doc = dict(json.loads(str(data["meta"])), **{name: np.require(data[name], requirements="O") for name in data})
     except OSError:
         raise
     except Exception:
@@ -300,10 +302,10 @@ def _transform(graph: StochasticGraph, edges, D: int, R: int):
     # before the sweep allocates its ring.
     kernels = np.zeros((R + 1, len(edges), D))
     first = np.empty(len(edges))
+    min_bins = graph.edge_support[:, 0, 0]
     for c, e in enumerate(edges):
-        dist = graph.edge_dists[e]
-        mass = dist.mass
-        first[c] = mass[dist.min_bin]
+        mass = graph._mass(e)
+        first[c] = mass[min_bins[e]]
         full, rest = divmod(min(len(mass), (R + 1) * D), D)
         kernels[:full, c] = mass[: full * D].reshape(full, D)
         if rest:

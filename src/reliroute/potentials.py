@@ -161,14 +161,14 @@ def compute_realizability(
 # activation potentials
 
 
-@dataclass
+@dataclass(frozen=True)
 class PotentialTable:
     """Per-edge activation budgets toward one destination region.
 
     ``phi[e]`` is the least budget at which edge ``e`` becomes active
     (``INFINITE_POTENTIAL`` when it never does within the horizon);
     ``graph_digest`` is the graph's ``digest``.  The constructor marks
-    ``phi`` read-only.
+    ``phi`` read-only, and the fields cannot be reassigned.
     """
 
     horizon: int
@@ -372,5 +372,6 @@ def load_archive(source) -> dict:
             f"or INFINITE_POTENTIAL, got {phi.dtype} values of shape {phi.shape}"
         )
     digest, sources = doc["graph_digest"], tuple(sources) if sources else None
+    phi.setflags(write=False)  # the rows below are views of it
     tables = {r: PotentialTable(horizon, mode, row, digest, sources) for r, row in enumerate(phi)}
     return {"partition": partition, "tables": tables}

@@ -12,8 +12,8 @@ import random
 
 from .distributions import _integer
 from .errors import GraphValidationError
-from .models import _nonnegative, free_flow_bins, shifted_gamma_pmfs
-from .network import StochasticGraph, _edge_ident
+from .models import _nonnegative, free_flow_bins, shifted_gamma_masses
+from .network import StochasticGraph, _edge_ident, _flatten
 
 #: Default generator: gamma-distributed delay on top of the free-flow time.
 DEFAULT_MODEL = {"name": "shifted-gamma", "delay_factor": 0.5, "cov": 1.0, "randomize": True}
@@ -96,6 +96,5 @@ def synthesize_distributions(topology: dict, model: dict | None = None, seed: in
         min_bins.append(min_bin)
         mean_delays.append(delay)
 
-    dists = shifted_gamma_pmfs(min_bins, mean_delays, cov, dt=dt)
-    edges = [(tail, head, dist, label) for (tail, head, label), dist in zip(ends, dists)]
-    return StochasticGraph(dt, topology["nodes"], edges)
+    firsts, masses = shifted_gamma_masses(min_bins, mean_delays, cov, dt=dt)
+    return StochasticGraph._from_masses(dt, topology["nodes"], ends, *_flatten(firsts, masses), [0.0] * len(ends))

@@ -20,6 +20,7 @@ from reliroute.models import (
     free_flow_bins,
     gaussian_mixture_pmf,
     resolve_distribution_literal,
+    shifted_gamma_masses,
     shifted_gamma_pmfs,
 )
 
@@ -103,9 +104,9 @@ class TestModels:
 
         def recording(min_bins, mean_delays, cov, dt=1.0):
             calls.extend((mean_delay, cov) for mean_delay in mean_delays)
-            return shifted_gamma_pmfs(min_bins, mean_delays, cov, dt=dt)
+            return shifted_gamma_masses(min_bins, mean_delays, cov, dt=dt)
 
-        monkeypatch.setattr(synth, "shifted_gamma_pmfs", recording)
+        monkeypatch.setattr(synth, "shifted_gamma_masses", recording)
         rr.synthesize_distributions(rr.grid_topology(32), seed=20250808)
         assert len(calls) == 3968
         mean_delay, cov = np.array(calls).T

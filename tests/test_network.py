@@ -16,6 +16,17 @@ from conftest import COPIERS, FIXTURE_PATH, dense_list_form, edge_by_label, lite
 #: SHA-256 of the 32x32 acceptance grid's edge masses (see ``_mass_digest``).
 ACCEPTANCE_MASS_SHA256 = "f8acb69ddcda6081b51aace57eefe727bb2b50a8b0454ac36f9b72deec5e45c3"
 
+#: Graph digests from before the graphs kept their masses in one store; the
+#: store hashes the same bytes, so it must give the same digests.
+PINNED_DIGESTS = {
+    "acceptance-32": "bf99ab94c6653f90a57f4c35de20abcae9ce40bf344f2b96c86d22ee5225d8fb",
+    "12-dt0.5": "03ff5f1c38920ab578f443c7b7e5be4f417f06853bb841432e4c707c9310abab",
+    "appendix-a": "fffdc4abcb43f758fe72b19d4307744825b19ea97ab8724c9186bf665180bb2b",
+}
+
+#: SHA-256 of ``json.dumps(save_graph(...))`` of the 6x6 grid of seed 7, from the same time.
+SAVED_GRID6_SHA256 = "a2f063323cea49451bb09c6709361f5fdaf99588492b15ba53a5536a9ac974ab"
+
 GRIDS = {
     "acceptance-32": lambda: rr.synthesize_distributions(rr.grid_topology(32), seed=20250808),
     "12-dt0.5": lambda: rr.synthesize_distributions(rr.grid_topology(12, dt=0.5), seed=20250808),
@@ -388,6 +399,126 @@ class TestSaveRoundTrip:
             again = rr.load_graph(json.loads(json.dumps(form)))
             _assert_same_pmfs(again, grids[name])
             assert again.digest == grids[name].digest
+
+def _dist_bytes(graph):
+    return [(d.mass.tobytes(), d.min_bin, d.truncated_tail, d.total_mass) for d in graph.edge_dists]
+
+
+class TestMassStore:
+    def test_digests_pinned(self, grids, fixture_graph):
+        assert grids["acceptance-32"].digest == PINNED_DIGESTS["acceptance-32"]
+        assert grids["12-dt0.5"].digest == PINNED_DIGESTS["12-dt0.5"]
+        assert fixture_graph.digest == PINNED_DIGESTS["appendix-a"]
+
+    def test_saved_document_pinned(self):
+        g = rr.synthesize_distributions(rr.grid_topology(6), seed=7)
+        assert hashlib.sha256(json.dumps(rr.save_graph(g)).encode()).hexdigest() == SAVED_GRID6_SHA256
+
+    @pytest.mark.parametrize("name", sorted(GRIDS) + ["appendix-a", "truncated"])
+    def test_reload_gives_equal_distributions(self, grids, fixture_graph, name):
+        cut = rr.DiscreteDistribution([0.0, 0.5, 0.0, 0.3], truncated_tail=0.2)
+        g = {"appendix-a": fixture_graph,
+             "truncated": rr.StochasticGraph(1.0, [("a", 0, 0), ("b", 1, 0)], [("a", "b", cut)])}.get(name)
+        g = grids[name] if g is None else g
+        again = rr.load_graph(rr.save_graph(g))
+        assert _dist_bytes(again) == _dist_bytes(g)
+        assert again.digest == g.digest
+
+    def test_distributions_are_built_on_first_use_only(self, grids):
+        # Loading, hashing, solving, searching and saving read the store, and
+        # never build edge_dists.
+        g = rr.load_graph(rr.save_graph(grids["16-seed7"]))
+        dest = g.node_ids[-1]
+        pol = rr.compute_policy(g, dest, 300)
+        rr.sota_path(g, pol, g.node_ids[0], 300)
+        rr.path_reliability(g, rr.let_path(g, g.node_ids[0], dest).nodes, 300)
+        rr.save_graph(g)
+        assert g.digest == grids["16-seed7"].digest
+        assert "edge_dists" not in vars(g)
+        assert len(g.edge_dists) == g.num_edges and "edge_dists" in vars(g)
+
+    def test_masses_are_refused_before_endpoints(self):
+        # Literals are checked before the graph: the sum at edge 5 is reported,
+        # not the undeclared endpoint at edge 0, with the constructor's repr of the sum.
+        whole = {"first_bin": 1, "mass": [1.0]}
+        edges = [{"from": "a", "to": "zz", "dist": {"pmf": [[1, 1.0]]}}] + [{"from": "a", "to": "b", "dist": whole}] * 4
+        edges.append({"from": "a", "to": "b", "dist": {"first_bin": 2, "mass_f64": _f64([0.3, 0.3, 0.3])}})
+        doc = {"dt": 1.0, "nodes": [{"id": "a", "x": 0, "y": 0}, {"id": "b", "x": 1, "y": 0}], "edges": edges}
+        message = "edge #5: probability mass sums to 0.8999999999999999; expected 1 within 1e-09 (including any truncated tail)"
+        with pytest.raises(GraphValidationError, match=f"^{re.escape(message)}$"):
+            rr.load_graph(doc)
+        with pytest.raises(GraphValidationError, match="^edge #0 .*: endpoint is not a declared node$"):
+            rr.load_graph(dict(doc, edges=edges[:5]))
+
+    def test_first_bad_edge_is_reported_whatever_its_fault(self):
+        # Bad masses are found in a batch after every literal parses, yet an
+        # earlier edge's bad masses still come before a later literal that does
+        # not parse, and an earlier literal that does not parse before later bad masses.
+        nodes = [{"id": "a", "x": 0, "y": 0}, {"id": "b", "x": 1, "y": 0}]
+        good = {"from": "a", "to": "b", "dist": {"first_bin": 1, "mass": [1.0]}}
+        short = {"from": "a", "to": "b", "dist": {"first_bin": 1, "mass": [0.5]}}
+        broken = {"from": "a", "to": "b", "dist": {"first_bin": 1, "mass_f64": "AA*A"}}
+        for edges, message in [
+            ([good, short, good, broken], "^edge #1: probability mass sums to 0.5;"),
+            ([good, broken, good, short], "^edge #1: 'mass_f64' is not valid base64"),
+            ([good, dict(short, dist={"pmf": [[1, 0.5]]}), broken], "^edge #1: probability mass sums to 0.5;"),
+            ([good, dict(good, dist={"first_bin": 1, "mass": [1.0], "truncated_tail": -0.5}), short],
+             "^edge #1: truncated_tail must be finite and nonnegative, got -0.5$"),
+            ([short, dict(good, dist={"first_bin": 1, "mass": [float("nan"), 1.0]})], "^edge #0: probability mass sums to 0.5;"),
+        ]:
+            with pytest.raises(GraphValidationError, match=message):
+                rr.load_graph({"dt": 1.0, "nodes": nodes, "edges": edges})
+
+    @pytest.mark.parametrize("bins", [3, 1000])
+    def test_sums_near_the_tolerance_are_decided_per_edge(self, bins):
+        # Masses that sum to within a few ulps of 1 +- NORMALIZATION_TOL: the
+        # graph keeps exactly the edges the constructor keeps, and refuses the
+        # first of the others with the constructor's message.
+        rng = np.random.default_rng(bins)
+        nodes = [{"id": "a", "x": 0, "y": 0}, {"id": "b", "x": 1, "y": 0}]
+        for side in (1.0, -1.0):
+            for step in range(-6, 7):
+                mass = rng.random(bins)
+                mass *= (1.0 + side * (rr.NORMALIZATION_TOL + step * 2.0 ** -52)) / mass.sum()
+                row = np.concatenate([[0.0], mass])
+                doc = {"dt": 1.0, "nodes": nodes, "edges": [{"from": "a", "to": "b", "dist": {"first_bin": 1, "mass_f64": _f64(mass)}}]}
+                try:
+                    want = rr.DiscreteDistribution(row).mass.tobytes()
+                except ValueError as exc:
+                    with pytest.raises(GraphValidationError, match=f"^edge #0: {re.escape(str(exc))}$"):
+                        rr.load_graph(doc)
+                else:
+                    assert rr.load_graph(doc).edge_dists[0].mass.tobytes() == want
+
+
+class TestFrozen:
+    def test_graph_refuses_assignment(self, fixture_graph):
+        g = rr.load_graph(FIXTURE_PATH)
+        for name, value in [("dt", 2.0), ("edge_tails", np.zeros(4, dtype=np.int64)), ("digest", "0" * 64), ("out_edges", ())]:
+            with pytest.raises(AttributeError, match="^StochasticGraph is immutable$"):
+                setattr(g, name, value)
+        with pytest.raises(AttributeError, match="^StochasticGraph is immutable$"):
+            del g.dt
+        # The cached properties still compute, from the unchanged graph.
+        assert g.dt == 1.0 and g.digest == fixture_graph.digest
+        assert g.edge_support.tolist() == fixture_graph.edge_support.tolist()
+        assert g.edge_means.tolist() == fixture_graph.edge_means.tolist()
+        assert not any(a.flags.writeable for a in (g.edge_tails, g.edge_heads, g.coords, g._store))
+
+    def test_partition_refuses_assignment(self, fixture_graph):
+        part = rr.grid_partition(fixture_graph, 3)
+        for name, value in [("assignment", np.zeros(3, dtype=np.int64)), ("region_count", 1), ("regions", ())]:
+            with pytest.raises(AttributeError, match="^RegionPartition is immutable$"):
+                setattr(part, name, value)
+        assert part.region_count == 3 and part.assignment.tolist() == [0, 1, 2]
+        assert not any(members.flags.writeable for members in part.regions)
+        # The partition copies the assignment, so the caller's array, or a
+        # view's base, cannot change it.
+        given = np.array([0, 1, 1])
+        part = rr.RegionPartition(given[:])
+        given[0] = 1
+        assert part.assignment.tolist() == [0, 1, 1] and given.flags.writeable
+
 
 class TestDigest:
     def test_changes_with_seed_cov_and_dt(self):

@@ -202,6 +202,13 @@ class TestPolicyTableConstruction:
         assert back.u.tobytes() == pol.u.tobytes() and back.w.tobytes() == pol.w.tobytes()
         assert not (back.u.flags.writeable or back.w.flags.writeable)
 
+    def test_fields_cannot_be_reassigned(self, fixture_graph):
+        # Reassigning u would skip the constructor's checks and freezing.
+        pol = rr.compute_policy(fixture_graph, "v3", 5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pol.u = np.zeros((3, 9))
+        assert pol.horizon == 5 and not pol.u.flags.writeable
+
 
 class TestPolicyTableIO:
     @pytest.mark.parametrize("suffix", [".npz", ".bin", ".json"])
@@ -220,6 +227,7 @@ class TestPolicyTableIO:
         for array in (again.u, again.w):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0
+            assert array.base is None or not array.base.flags.writeable
 
     def test_load_ignores_update_order_field(self, fixture_graph, tmp_path):
         # Tables written before the solver had a single traversal order carry

@@ -649,6 +649,19 @@ class TestArchiveIO:
                 with pytest.raises(ValueError, match="read-only"):
                     phi[0] = 0
 
+    def test_loaded_rows_and_fields_are_frozen(self, fixture_graph, tmp_path):
+        # A loaded table's phi is a row of the stacked array, which is read-only
+        # too, and no field of a table can be reassigned.
+        archive = rr.build_archive(fixture_graph, rr.grid_partition(fixture_graph, 3), 6)
+        rr.save_archive(archive, tmp_path / "potentials.npz")
+        table = rr.load_archive(tmp_path / "potentials.npz")["tables"][0]
+        kept = table.kept_count(6)
+        with pytest.raises(ValueError, match="read-only"):
+            table.phi.base[:] = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.phi = np.zeros_like(table.phi)
+        assert table.kept_count(6) == kept
+
     @pytest.mark.parametrize("copier", list(COPIERS.values()), ids=list(COPIERS))
     def test_tables_pickle_and_copy_through_the_constructor(self, fixture_graph, copier):
         partition = rr.grid_partition(fixture_graph, 3)
