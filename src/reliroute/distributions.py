@@ -197,15 +197,15 @@ def convolve(a: DiscreteDistribution, b: DiscreteDistribution, cap: int | None =
         raise ValueError(f"time-step mismatch: {a.dt} vs {b.dt}")
     if cap is not None:
         cap = _integer(cap, "cap", 1)
-
-    grand_total = (a.total_mass + a.truncated_tail) * (b.total_mass + b.truncated_tail)
-
-    if len(a.mass) == 0 or len(b.mass) == 0:
-        full = np.zeros(0, dtype=np.float64)
-    else:
-        full = np.convolve(a.mass, b.mass)
-    full = full[:cap]
-    stored = float(full.sum())
-    tail = max(grand_total - stored, 0.0)
+    full, tail = _convolved(a.mass, a.total_mass + a.truncated_tail, b.mass, b.total_mass + b.truncated_tail, cap)
     return DiscreteDistribution(full, dt=a.dt, truncated_tail=tail)
+
+
+def _convolved(a, a_whole, b, b_whole, cap):
+    """The masses below ``cap`` of the sum of two independent travel times,
+    with masses ``a`` and ``b`` and totals, tails included, ``a_whole`` and
+    ``b_whole``; and the truncated tail, what the product of the totals
+    leaves beyond those masses."""
+    full = (np.convolve(a, b) if len(a) and len(b) else np.zeros(0))[:cap]
+    return full, max(a_whole * b_whole - float(full.sum()), 0.0)
 

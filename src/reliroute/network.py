@@ -10,9 +10,9 @@ not just successor nodes.
 
 A graph keeps every edge's masses in one flat, read-only float64 store: edge
 ``e``'s row is its masses from bin 0, the bytes of ``edge_dists[e].mass``.
-The digest, the edge supports and means, the policy solver, the path search
-and :func:`save_graph` read the store; ``edge_dists`` is built from it on
-first use only.
+The digest, the edge supports and means, the policy solver's kernel spectra,
+the path search and :func:`save_graph` read the store; ``edge_dists`` is
+built from it on first use only.
 
 Every node and edge is checked once, whether it comes from :func:`load_graph`,
 from :mod:`reliroute.synth` or from a direct call, and a failure names the
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from functools import cached_property
 from pathlib import Path
 
@@ -251,6 +252,9 @@ class StochasticGraph:
             _store=store,
             _bounds=tuple(bounds.tolist()),
             _truncated=truncated,
+            # Kernel spectra per block width D, built on first use (see _kernel_spectra).
+            _spectra={},
+            _spectra_lock=threading.Lock(),
         )
 
     def __reduce__(self):
@@ -300,6 +304,27 @@ class StochasticGraph:
     def _dist(self, e: int) -> DiscreteDistribution:
         # Edge e's distribution, built from its row.
         return DiscreteDistribution(self._mass(e), self.dt, float(self._truncated[e]))
+
+    def _kernel_spectra(self, D: int, R: int) -> np.ndarray:
+        """The kernel partitions ``R..1`` of ``D`` bins of every edge,
+        transformed, partition-major: ``[i, e]`` is the ``rfft`` over ``2 D``
+        bins of bins ``[(R - i) D, (R - i) D + D)`` of edge ``e``, read-only.
+
+        Kept per ``D``, for the largest ``R`` asked so far, and built from the
+        store in one gather.  A partition's transform does not depend on
+        ``R``, so a smaller ``R`` reads the last ``R`` rows.  The spectra are
+        not pickled.
+        """
+        with self._spectra_lock:
+            held = self._spectra.get(D)
+            if held is None or len(held) < R:
+                bounds = np.array(self._bounds)
+                bins = (np.arange(R, 0, -1)[:, None] * D + np.arange(D))[:, None, :]
+                at = np.where(bins < np.diff(bounds)[:, None], bounds[:-1, None] + bins, len(self._store))
+                held = np.fft.rfft(np.append(self._store, 0.0)[at], 2 * D, axis=2)
+                held.setflags(write=False)
+                self._spectra[D] = held
+        return held[len(held) - R :]
 
     @cached_property
     def edge_dists(self) -> tuple[DiscreteDistribution, ...]:

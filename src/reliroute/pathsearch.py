@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, _integer, convolve
+from .distributions import DiscreteDistribution, _convolved, _integer
 from .errors import SearchBudgetExceeded
 from .network import StochasticGraph
 from .policy import PolicyTable, _edge_mask
@@ -214,14 +214,24 @@ def _edges_for_node_path(graph: StochasticGraph, nodes) -> list[int]:
 
 
 def path_distribution(graph: StochasticGraph, edges, cap: int | None = None) -> DiscreteDistribution:
-    """Travel-time distribution of a concrete sequence of edge indices, each in ``0 .. num_edges - 1``."""
+    """Travel-time distribution of a concrete sequence of edge indices, each in ``0 .. num_edges - 1``.
+
+    The edges' store rows are convolved in path order as
+    :func:`~reliroute.distributions.convolve` convolves two distributions,
+    each partial result trimmed of trailing zeros as a distribution trims
+    its masses, so the result is the chained ``convolve``'s, bit for bit.
+    """
     if cap is not None:
         cap = _integer(cap, "cap", 1)
     edges = [_integer(e, "edge index", bound=("the last edge", graph.num_edges - 1)) for e in edges]
-    dist = DiscreteDistribution.point_mass(0, dt=graph.dt)
+    mass, tail = np.ones(1), 0.0
     for e in edges:
-        dist = convolve(dist, graph._dist(e), cap=cap)
-    return dist
+        row = graph._mass(e)
+        whole = float(row.sum()) + float(graph._truncated[e])
+        full, tail = _convolved(mass, float(mass.sum()) + tail, row, whole, cap)
+        nonzero = full.nonzero()[0]
+        mass = full[: int(nonzero[-1]) + 1] if nonzero.size else full[:0]
+    return DiscreteDistribution(mass, graph.dt, tail)
 
 
 def path_reliability(graph: StochasticGraph, path, T: int, edges=None) -> float:

@@ -32,9 +32,12 @@ partitions past its reach: those terms are exact zeros at the start of each
 run of the sum, so the tables are bit-identical to a sweep over every edge
 and partition.
 
-A single solve is sequential; many solves (e.g. different destinations) can
-run in parallel over the shared immutable graph, and a finished
-:class:`PolicyTable` is immutable and shareable.
+The kernel spectra are the graph's, transformed once per block width (see
+:meth:`StochasticGraph._kernel_spectra`).  Within a solve, a block's sums
+over its older windows may run on one helper thread while the block before
+it reduces (see :func:`_sweep_blocks`), with the same tables.  Many solves
+(e.g. different destinations) can run in parallel over the shared immutable
+graph, and a finished :class:`PolicyTable` is immutable and shareable.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from __future__ import annotations
 import json
 import logging
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,7 +71,8 @@ class PolicyTable:
     graph node index and columns by budget ``0..horizon``; ``graph_digest``
     is the graph's ``digest``.  The constructor refuses ``u`` and ``w`` that
     differ in shape, hold no budget column, or are not float and integer, and
-    marks both read-only.  Immutable once built; share freely.
+    makes both read-only, copying an array that a writable array under it
+    could change.  Immutable once built; share freely.
     """
 
     dest: object
@@ -82,8 +88,8 @@ class PolicyTable:
                 f"policy table's u has shape {u.shape} and its w {w.shape}, of {u.dtype} and {w.dtype}; both need "
                 "one row per node and one column per budget, u of floats and w of integers"
             )
-        u.setflags(write=False)
-        w.setflags(write=False)
+        object.__setattr__(self, "u", _frozen(u))
+        object.__setattr__(self, "w", _frozen(w))
 
     def __reduce__(self):
         # Unpickling and copying run the constructor and its checks.
@@ -131,6 +137,18 @@ class PolicyTable:
         table = cls(dest=doc["destination"], u=doc["u"], w=doc["w"], graph_digest=doc["graph_digest"])
         _check_contents(table.u, table.w)
         return table
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only, or a read-only copy of it when a writable array
+    under it, or a buffer that is not an array, could still change it."""
+    base = a.base
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None:
+        a = a.copy()
+    a.setflags(write=False)
+    return a
 
 
 def _check_contents(u, w) -> None:
@@ -237,15 +255,11 @@ class _EdgeArrays:
     ``D`` and the ``R`` partitions are set by every kept edge, dropped ones
     included, so the block layout does not depend on which groups are dropped.
     ``spectra`` holds the transforms of each row's kernel partitions 1..R,
-    partition-major, and ``first_mass`` each row's mass at ``min_bin``, which
-    may lie beyond the last partition.
+    partition-major, taken from the graph's kernel spectra (see
+    :meth:`StochasticGraph._kernel_spectra`), and ``first_mass`` each row's
+    mass at ``min_bin``, which may lie beyond the last partition."""
 
-    Without ``shared`` the spectra are built for these rows alone.  Solves
-    toward several destinations pass one ``shared`` dict, which keeps the
-    :func:`_transform` of every edge of the graph per ``(D, R)``, and gather
-    their rows from it: the same numbers, transformed once."""
-
-    def __init__(self, graph: StochasticGraph, d: int, T: int, edge_mask, shared: dict | None = None):
+    def __init__(self, graph: StochasticGraph, d: int, T: int, edge_mask):
         kept = np.nonzero(_edge_mask(graph, edge_mask) & (graph.edge_tails != d))[0]
         self.num_kept = len(kept)
         runs = graph.edge_support[kept]
@@ -264,12 +278,16 @@ class _EdgeArrays:
         sizes = np.diff(np.append(starts, len(kept)))[order]
         self.group_ends = np.cumsum(sizes)
         self.group_starts = self.group_ends - sizes
+        # floor(log2(size)) and the first row of the last run of 2^level rows (see _group_reduce).
+        self.group_level = np.frexp(sizes)[1] - 1
+        self.group_last_run = self.group_ends - (1 << self.group_level)
         rows = np.arange(sizes.sum()) + np.repeat(starts[order] - self.group_starts, sizes)
         self.orig, self.heads, self.mins = kept[rows], heads[rows], mins[rows]
         self.group_tails = tails[starts[order]]
         self.group_of_edge = np.repeat(np.arange(len(order)), sizes)
         self.activation = activation[order]
         self.successor = np.append(self.orig, NO_EDGE)
+        self.first_mass = graph._store[np.array(graph._bounds)[self.orig] + self.mins]
 
         reach = np.minimum((ends[rows] - 1) // self.D, self.R)
         self.conv = np.argsort(reach, kind="stable")
@@ -277,40 +295,26 @@ class _EdgeArrays:
         self.conv_row[self.conv] = np.arange(len(rows))
         self.class_starts = np.flatnonzero(np.diff(reach[self.conv], prepend=-1) != 0)
         self.class_reach = reach[self.conv][self.class_starts]
-        edges = self.orig[self.conv]
-        if shared is None:
-            self.spectra, first = _transform(graph, edges, self.D, self.R)
-        else:
-            if (self.D, self.R) not in shared:
-                shared[self.D, self.R] = _transform(graph, np.arange(graph.num_edges), self.D, self.R)
-            spectra, first = shared[self.D, self.R]
-            self.spectra, first = spectra.take(edges, axis=1), first[edges]
-        self.first_mass = np.empty(len(rows))
-        self.first_mass[self.conv] = first
+        self.spectra = graph._kernel_spectra(self.D, self.R).take(self.orig[self.conv], axis=1)
 
 
-def _transform(graph: StochasticGraph, edges, D: int, R: int):
-    """The kernel partitions 1..R of ``D`` bins of each of ``edges``,
-    transformed, and each edge's mass at its ``min_bin``.
+def _group_reduce(ufunc, x, arrays: _EdgeArrays, groups):
+    """``ufunc.reduceat(x, group_starts[:groups], axis=0)`` for ``maximum``
+    or ``minimum``, whose result does not depend on the order of its terms.
 
-    ``spectra[i, c]`` is the ``rfft`` over ``2 D`` bins of partition
-    ``R - i``, bins ``[(R - i) D, (R - i) D + D)``, of ``edges[c]``.  Each
-    row is transformed on its own, so a row's spectrum does not depend on
-    which other edges are transformed with it.
+    A sparse table: row ``r`` of level ``j`` reduces rows ``r .. r + 2^j -
+    1`` of ``x``, and a group of ``size`` rows is covered by two runs of ``2^j``
+    rows, ``j = floor(log2(size))``, one from its first row and one ending at
+    its last.  That is a few whole-array passes where ``reduceat`` makes one
+    call per row.
     """
-    # kernels[k, c] is partition k of edges[c].  They are freed on return,
-    # before the sweep allocates its ring.
-    kernels = np.zeros((R + 1, len(edges), D))
-    first = np.empty(len(edges))
-    min_bins = graph.edge_support[:, 0, 0]
-    for c, e in enumerate(edges):
-        mass = graph._mass(e)
-        first[c] = mass[min_bins[e]]
-        full, rest = divmod(min(len(mass), (R + 1) * D), D)
-        kernels[:full, c] = mass[: full * D].reshape(full, D)
-        if rest:
-            kernels[full, c, :rest] = mass[full * D : full * D + rest]
-    return np.fft.rfft(kernels[:0:-1], 2 * D, axis=2), first
+    levels = arrays.group_level[:groups]
+    table = np.empty((int(levels.max()) + 1,) + x.shape, dtype=x.dtype)
+    table[0] = x
+    for j in range(1, len(table)):
+        h, m = 1 << (j - 1), len(x) - (1 << j) + 1
+        ufunc(table[j - 1, :m], table[j - 1, h : h + m], out=table[j, :m])
+    return ufunc(table[levels, arrays.group_starts[:groups]], table[levels, arrays.group_last_run[:groups]])
 
 
 def _write_step(U, W, t0, arrays: _EdgeArrays, groups, vals):
@@ -321,21 +325,71 @@ def _write_step(U, W, t0, arrays: _EdgeArrays, groups, vals):
     group's best, so that convolution rounding never decides the successor.
     ``w`` is the group's first near row, and a group with none looks up one
     past the last row, which is ``NO_EDGE``; ``u`` is the exact running
-    maximum.
+    maximum.  No value is negative, so a positive one is at least the least
+    positive float.
     """
-    n, k, starts = len(vals), vals.shape[1], arrays.group_starts[:groups]
-    gmax = np.maximum.reduceat(vals, starts, axis=0)
-    near = (vals > 0.0) & (vals >= (gmax - EXACT_TOL).take(arrays.group_of_edge[:n], axis=0))
-    winner = np.minimum.reduceat(np.where(near, np.arange(n)[:, None], len(arrays.orig)), starts, axis=0)
+    n, k = vals.shape
+    gmax = _group_reduce(np.maximum, vals, arrays, groups)
+    floor = np.maximum(gmax - EXACT_TOL, np.nextafter(0.0, 1.0))
+    near = vals >= floor.take(arrays.group_of_edge[:n], axis=0)
+    # A row that is not near counts past the last row, so the group's least
+    # is its first near row, or past the last row when it has none.
+    past = len(arrays.orig)
+    winner = _group_reduce(np.minimum, np.arange(n)[:, None] + (past + 1) * ~near, arrays, groups)
     tails, t1 = arrays.group_tails[:groups], t0 + k
     best = np.minimum(gmax, 1.0)
     U[tails, t0:t1] = np.maximum.accumulate(np.maximum(best, U[tails, t0 - 1 : t0]), axis=1)
-    W[tails, t0:t1] = arrays.successor[winner]
+    W[tails, t0:t1] = arrays.successor[np.minimum(winner, past)]
 
 
-def _sweep_blocks(T, arrays: _EdgeArrays, padded, W) -> int:
+def _far_sums(b, arrays: _EdgeArrays, ring, members, acc, second, todo) -> None:
+    """Sum block ``b``'s partitions 2..R, all but the newest window, of each
+    reach class's active rows into ``acc`` and, where a class's sum wraps
+    around the ring, its second run into ``second``.
+
+    The classes are popped from ``todo``, a deque of class indices that the
+    helper thread and the sweep may pop from at once; each class is summed
+    whole by the thread that pops it.
+
+    The full sum is one run over ring slots ``[0, s)`` and one over ``[s,
+    R)``, each from zero, where ``s = b mod R``.  Partition 1 meets slot ``(b
+    - 1) mod R`` and is the last term of the first run, or of the second when
+    ``s`` is 0; it is left out here.  ``einsum`` adds one term at a time from
+    zero, so adding it afterwards gives the full sum's bits.  Slot ``b mod
+    R`` is never read, so block ``b - 1`` may fill it meanwhile.
+    """
+    R, spectra = arrays.R, arrays.spectra
+    s = b % R
+    while True:
+        try:
+            c = todo.pop()
+        except IndexError:
+            return
+        lo, reach = arrays.class_starts[c], arrays.class_reach[c]
+        part = slice(lo, lo + members[c, b])
+        if s:
+            i = max(s - reach, 0)
+            np.einsum("kef,kef->ef", ring[i : s - 1, part], spectra[R - s + i : R - 1, part], out=acc[part])
+            if b >= R and reach > s:
+                i = max(s, R + s - reach)
+                np.einsum("kef,kef->ef", ring[i:, part], spectra[i - s : R - s, part], out=second[part])
+        else:
+            i = R - reach
+            np.einsum("kef,kef->ef", ring[i : R - 1, part], spectra[i : R - 1, part], out=acc[part])
+
+
+#: A block's far sums (see :func:`_far_sums`) run on a helper thread when they
+#: take at least this many complex products: about half a millisecond of
+#: ``einsum``, which releases the GIL, against a handoff's round trip of tens
+#: of microseconds.  Smaller sums, on graphs of a few hundred rows, are bound
+#: by the Python work both threads do between numpy calls, and run inline.
+_HANDOFF_PRODUCTS = 1 << 18
+
+
+def _sweep_blocks(T, arrays: _EdgeArrays, padded, W) -> tuple[int, int]:
     """Sweep the budgets in blocks of ``D``, the least minimum travel time, and
-    return the number of edge-blocks convolved.
+    return the number of edge-blocks convolved and of blocks whose far sums
+    ran on the helper thread.
 
     No kernel has mass below ``D`` bins, so block ``b``, budgets
     ``[bD, bD + D)``, reads only earlier blocks and is computed at once by
@@ -356,6 +410,14 @@ def _sweep_blocks(T, arrays: _EdgeArrays, padded, W) -> int:
     order rounds differently and can move a successor.  Within that order a
     reach class skips the partitions past its reach: they hold no mass and
     come first in both runs, so the terms skipped are exact zeros.
+
+    Only partition 1 reads the window of block ``b - 1``.  So while block
+    ``b`` adds its partition 1 and reduces, block ``b + 1``'s far sums may
+    run on a helper thread, into the other of two buffers, when they take at
+    least ``_HANDOFF_PRODUCTS`` products; on reaching block ``b + 1`` the
+    sweep sums the classes the helper has not taken yet.  The helper is
+    started on the first handoff and stopped before return; its exceptions
+    reach the caller.
     """
     D, R, heads, spectra = arrays.D, arrays.R, arrays.heads, arrays.spectra
     rows, blocks = len(heads), T // D + 1
@@ -367,11 +429,12 @@ def _sweep_blocks(T, arrays: _EdgeArrays, padded, W) -> int:
     # first run and R + s - i in the second.
     ring = np.zeros_like(spectra)
     conv_heads = heads[arrays.conv]
-    # Buffers at full size, sliced to each block's active prefix.
+    # Buffers at full size, sliced to each block's active prefix; block b's
+    # far sums go to buffers[b % 2].
     window_spectrum = np.empty((len(U), D + 1), dtype=spectra.dtype)
-    acc = np.empty(spectra.shape[1:], dtype=spectra.dtype)
-    second_run = np.empty_like(acc)
-    summed = np.empty_like(acc)
+    buffers = np.zeros((2, 2) + spectra.shape[1:], dtype=spectra.dtype)  # [b % 2]: (acc, second)
+    near = np.empty_like(buffers[0, 0])
+    summed = np.empty_like(near)
     out = np.empty((rows, 2 * D))
     low = np.empty((rows, D))
     zero = np.empty((rows, D), dtype=bool)
@@ -384,35 +447,62 @@ def _sweep_blocks(T, arrays: _EdgeArrays, padded, W) -> int:
     bounds = np.append(arrays.class_starts, rows)
     # members[c, b]: the active rows of reach class c at block b.
     members = np.array([np.searchsorted(arrays.conv[lo:hi], active) for lo, hi in zip(bounds[:-1], bounds[1:])])
-    for b in range(1, blocks):
-        np.fft.rfft(padded[:, margin + (b - 2) * D : margin + b * D], axis=1, out=window_spectrum)
-        np.take(window_spectrum, conv_heads, axis=0, out=ring[(b - 1) % R])
-        cell += D
-        n = active[b]
-        if not n:
-            continue
-        s = b % R
-        for lo, reach, count in zip(arrays.class_starts, arrays.class_reach, members[:, b]):
-            if not count:
+    # Classes sorted by reach: wraps[s] is the first row whose class's sum
+    # has a second run at s = b mod R, from block R on.
+    wraps = bounds[np.searchsorted(arrays.class_reach, np.arange(R), side="right")]
+    # Block b's far sums take min(b, reach) - 1 partitions of each active row.
+    far_partitions = np.maximum(np.minimum(np.arange(blocks), arrays.class_reach[:, None]) - 1, 0)
+    handoff = (members * far_partitions).sum(axis=0) * (D + 1) >= _HANDOFF_PRODUCTS
+
+    def classes(b):
+        # Block b's classes with active rows, popped from the end: the longest reach first.
+        return deque(np.flatnonzero(members[:, b]).tolist())
+
+    pool = pending = None
+    handed = 0
+    try:
+        for b in range(1, blocks):
+            np.fft.rfft(padded[:, margin + (b - 2) * D : margin + b * D], axis=1, out=window_spectrum)
+            newest = (b - 1) % R
+            np.take(window_spectrum, conv_heads, axis=0, out=ring[newest])
+            cell += D
+            n = active[b]
+            if not n:
                 continue
-            part = slice(lo, lo + count)
-            i = max(s - reach, 0)
-            np.einsum("kef,kef->ef", ring[i:s, part], spectra[R - s + i :, part], out=acc[part])
-            if b >= R and reach > s:
-                i = max(s, R + s - reach)
-                np.einsum("kef,kef->ef", ring[i:, part], spectra[i - s : R - s, part], out=second_run[part])
-                acc[part] += second_run[part]
-        np.take(acc, arrays.conv_row[:n], axis=0, out=summed[:n])
-        vals = np.fft.irfft(summed[:n], 2 * D, axis=1, out=out[:n])[:, D:]
-        # U's rows never decrease, so the first support bin's term is a lower
-        # bound that is zero exactly when the sum is, whatever FFT rounding.
-        padded.take(cell[:n], out=low[:n])
-        np.multiply(low[:n], first[:n], out=low[:n])
-        np.maximum(vals, low[:n], out=vals)
-        np.less_equal(low[:n], 0.0, out=zero[:n])
-        np.copyto(vals, 0.0, where=zero[:n])
-        _write_step(U, W, b * D, arrays, groups[b], vals[:, : T + 1 - b * D])
-    return int(active.sum())
+            acc, second = buffers[b % 2]
+            if pending is None:
+                todo = classes(b)
+            # Sum the classes the helper has not taken, then wait for the rest.
+            _far_sums(b, arrays, ring, members, acc, second, todo)
+            if pending is not None:
+                pending.result()
+            pending = None
+            if b + 1 < blocks and handoff[b + 1]:
+                if pool is None:
+                    pool = ThreadPoolExecutor(1, thread_name_prefix="reliroute-far-sums")
+                todo = classes(b + 1)
+                pending = pool.submit(_far_sums, b + 1, arrays, ring, members, *buffers[(b + 1) % 2], todo)
+                handed += 1
+            # Partition 1, then the second run where it has one, over every
+            # row: a row that is not active holds finite values nobody reads.
+            np.einsum("kef,kef->ef", ring[newest : newest + 1], spectra[R - 1 :], out=near)
+            acc += near
+            if b >= R and b % R:
+                acc[wraps[b % R] :] += second[wraps[b % R] :]
+            np.take(acc, arrays.conv_row[:n], axis=0, out=summed[:n])
+            vals = np.fft.irfft(summed[:n], 2 * D, axis=1, out=out[:n])[:, D:]
+            # U's rows never decrease, so the first support bin's term is a lower
+            # bound that is zero exactly when the sum is, whatever FFT rounding.
+            padded.take(cell[:n], out=low[:n])
+            np.multiply(low[:n], first[:n], out=low[:n])
+            np.maximum(vals, low[:n], out=vals)
+            np.less_equal(low[:n], 0.0, out=zero[:n])
+            np.copyto(vals, 0.0, where=zero[:n])
+            _write_step(U, W, b * D, arrays, groups[b], vals[:, : T + 1 - b * D])
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return int(active.sum()), handed
 
 
 def compute_policy(
@@ -430,13 +520,6 @@ def compute_policy(
     and within ``EXACT_TOL`` of the best, or ``NO_EDGE`` where no edge's is
     positive.
     """
-    return _solve(graph, dest, T, edge_mask)
-
-
-def _solve(graph: StochasticGraph, dest, T: int, edge_mask=None, shared: dict | None = None) -> PolicyTable:
-    """:func:`compute_policy`; solves toward several destinations of one
-    graph share kernel transforms through one ``shared`` dict (see
-    :class:`_EdgeArrays`), with tables bit-identical to solving alone."""
     T = _integer(T, "horizon")
     d = graph.node_index(dest)
     start = time.perf_counter()
@@ -447,13 +530,14 @@ def _solve(graph: StochasticGraph, dest, T: int, edge_mask=None, shared: dict | 
     U = padded[:, margin:]
     W = np.full((graph.num_nodes, T + 1), NO_EDGE, dtype=np.int32)
     U[d, :] = 1.0
-    arrays = _EdgeArrays(graph, d, T, edge_mask, shared)
+    arrays = _EdgeArrays(graph, d, T, edge_mask)
 
-    active = _sweep_blocks(T, arrays, padded, W) if len(arrays.orig) else 0
+    active, handed = _sweep_blocks(T, arrays, padded, W) if len(arrays.orig) else (0, 0)
     blocks = T // arrays.D + 1
     _log.debug(
-        "policy toward %r, T=%d: %d blocks of D=%d, R=%d partitions, %d of %d edge-blocks active, %.4f s",
-        dest, T, blocks, arrays.D, arrays.R, active, blocks * arrays.num_kept, time.perf_counter() - start,
+        "policy toward %r, T=%d: %d blocks of D=%d, R=%d partitions, %d of %d edge-blocks active, "
+        "%d blocks handed off, %.4f s",
+        dest, T, blocks, arrays.D, arrays.R, active, blocks * arrays.num_kept, handed, time.perf_counter() - start,
     )
 
     padded.setflags(write=False)

@@ -24,9 +24,8 @@ as wide as the least minimum travel time, so every landing falls below its
 block and every flag is final before it propagates.
 
 A table solves one policy per region destination.  The solves are
-independent but share their kernel transforms, one per block layout, which
-a region's destinations almost always have in common.  Tables are immutable
-once built.
+independent and read the graph's kernel spectra, which the first of them
+builds.  Tables are immutable once built.
 """
 
 from __future__ import annotations
@@ -39,9 +38,7 @@ import numpy as np
 
 from .distributions import EXACT_TOL, _integer
 from .network import RegionPartition, StochasticGraph
-# compute_policy is not called here, but perfbench's traced run wraps it where
-# this module would look it up.
-from .policy import NO_EDGE, PolicyTable, _read_table, _solve, _write_table, compute_policy  # noqa: F401
+from .policy import NO_EDGE, PolicyTable, _frozen, _read_table, _write_table, compute_policy
 from .pathsearch import path_distribution, sota_path_report
 
 _log = logging.getLogger(__name__)
@@ -167,8 +164,9 @@ class PotentialTable:
 
     ``phi[e]`` is the least budget at which edge ``e`` becomes active
     (``INFINITE_POTENTIAL`` when it never does within the horizon);
-    ``graph_digest`` is the graph's ``digest``.  The constructor marks
-    ``phi`` read-only, and the fields cannot be reassigned.
+    ``graph_digest`` is the graph's ``digest``.  The constructor makes
+    ``phi`` read-only, copying an array that a writable array under it could
+    change, and the fields cannot be reassigned.
     """
 
     horizon: int
@@ -178,7 +176,7 @@ class PotentialTable:
     sources: tuple | None = None
 
     def __post_init__(self):
-        self.phi.setflags(write=False)
+        object.__setattr__(self, "phi", _frozen(self.phi))
 
     def __reduce__(self):
         # Unpickling and copying run the constructor.
@@ -281,10 +279,8 @@ def compute_arc_potentials(
 
     start = time.perf_counter()
     phi = np.full(graph.num_edges, INFINITE_POTENTIAL, dtype=np.int64)
-    # Kernel transforms per (D, R), shared by the region's solves.
-    kernels = {}
     for d_idx in partition.regions[region]:
-        pol = _solve(graph, graph.node_ids[d_idx], T, shared=kernels)
+        pol = compute_policy(graph, graph.node_ids[d_idx], T)
         if mode == "path":
             for row in rows:
                 if row != d_idx:
@@ -297,8 +293,8 @@ def compute_arc_potentials(
             np.minimum(phi, flags.edge_first_budget, out=phi)
 
     _log.debug(
-        "%s-mode potentials toward region %d, T=%d, sources %r: %d destinations, %d kernel builds, %.4f s",
-        mode, region, T, sources, len(partition.regions[region]), len(kernels), time.perf_counter() - start,
+        "%s-mode potentials toward region %d, T=%d, sources %r: %d destinations, %.4f s",
+        mode, region, T, sources, len(partition.regions[region]), time.perf_counter() - start,
     )
     return PotentialTable(T, mode, phi, graph.digest, tuple(sources) if sources is not None else None)
 

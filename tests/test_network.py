@@ -520,6 +520,50 @@ class TestFrozen:
         assert part.assignment.tolist() == [0, 1, 1] and given.flags.writeable
 
 
+class TestKernelSpectra:
+    def test_each_partition_is_the_rfft_of_its_bins(self, grids):
+        g = grids["12-dt0.5"]
+        D = int(g.edge_support[:, 0, 0].min())
+        spectra = g._kernel_spectra(D, 4)
+        assert spectra.shape == (4, g.num_edges, D + 1) and not spectra.flags.writeable
+        for e in range(0, g.num_edges, 7):
+            mass = np.zeros(5 * D)
+            head = g.edge_dists[e].mass[: 5 * D]
+            mass[: len(head)] = head
+            for i in range(4):
+                want = np.fft.rfft(mass[(4 - i) * D : (5 - i) * D], 2 * D)
+                assert spectra[i, e].tobytes() == want.tobytes(), (e, i)
+
+    def test_kept_per_block_width_for_the_largest_horizon_asked(self):
+        g = rr.synthesize_distributions(rr.grid_topology(4), seed=1)
+        wide = g._kernel_spectra(3, 6)
+        held = g._spectra[3]
+        # Fewer partitions read the last rows and build nothing.
+        assert g._kernel_spectra(3, 2).tobytes() == wide[4:].tobytes() and g._spectra[3] is held
+        assert g._kernel_spectra(3, 0).shape == (0, g.num_edges, 4)
+        # More partitions rebuild; a partition's transform does not change.
+        wider = g._kernel_spectra(3, 9)
+        assert g._spectra[3] is not held and wider[3:].tobytes() == wide.tobytes()
+        g._kernel_spectra(5, 2)
+        assert sorted(g._spectra) == [3, 5]
+
+    def test_tables_alike_from_a_fresh_graph_and_a_cache_built_for_more(self):
+        build = lambda: rr.synthesize_distributions(rr.grid_topology(8), seed=4)
+        fresh, used = build(), build()
+        rr.compute_policy(used, "n07_07", 400)
+        rr.compute_policy(used, "n00_00", 400, edge_mask=np.arange(used.num_edges) % 5 > 0)
+        for dest, T in [("n07_07", 60), ("n03_05", 200), ("n00_00", 400)]:
+            a, b = rr.compute_policy(fresh, dest, T), rr.compute_policy(used, dest, T)
+            assert a.u.tobytes() == b.u.tobytes() and a.w.tobytes() == b.w.tobytes()
+
+    @pytest.mark.parametrize("copier", list(COPIERS.values()), ids=list(COPIERS))
+    def test_spectra_are_not_pickled(self, fixture_graph, copier):
+        g = rr.load_graph(FIXTURE_PATH)
+        rr.compute_policy(g, "v3", 20)
+        assert g._spectra
+        assert copier(g)._spectra == {}
+
+
 class TestDigest:
     def test_changes_with_seed_cov_and_dt(self):
         def grid6(seed=7, cov=1.0, dt=1.0):

@@ -114,6 +114,52 @@ class TestPathReliability:
             rr.path_distribution(fixture_graph, [], cap=2.5)
 
 
+def chained_convolve(graph, edges, cap):
+    """The path's distribution as one ``convolve`` per edge, from bin 0."""
+    dist = rr.DiscreteDistribution.point_mass(0, dt=graph.dt)
+    for e in edges:
+        dist = rr.convolve(dist, graph.edge_dists[e], cap=cap)
+    return dist
+
+
+def test_path_distribution_is_the_chained_convolve():
+    # LET paths of two grids, and random walks over a grid whose edges carry
+    # truncated tails and over a node with two looping edges, each with no
+    # cap and with a cap that may cut every bin of a partial path (its masses
+    # then go empty).  Caps past 128 bins reach numpy's pairwise sums.
+    rng = random.Random(31)
+    grids = [rr.synthesize_distributions(rr.grid_topology(8), seed=3),
+             rr.synthesize_distributions(rr.grid_topology(6, dt=0.5), seed=4)]
+    paths = []
+    for g in grids:
+        for _ in range(12):
+            s, d = rng.sample(g.node_ids, 2)
+            paths.append((g, list(rr.let_path(g, s, d).edges)))
+    g = grids[0]
+    cut = rr.StochasticGraph(g.dt, [(n, 0.0, 0.0) for n in g.node_ids], [
+        (g.node_ids[g.edge_tails[e]], g.node_ids[g.edge_heads[e]],
+         rr.convolve(g.edge_dists[e], rr.DiscreteDistribution.point_mass(0), cap=int(g.edge_dists[e].min_bin) + 2))
+        for e in range(g.num_edges)])
+    # Kernels with gaps, so that a cap can leave a partial result ending in
+    # zeros, which convolve trims before the next edge and before its total.
+    gaps = rr.StochasticGraph(1.0, [(0, 0.0, 0.0)], [
+        (0, 0, rr.DiscreteDistribution.from_pairs([(2, 0.3), (9, 0.2), (40, 0.5)])),
+        (0, 0, rr.DiscreteDistribution.from_pairs([(1, 0.25), (3, 0.25), (17, 0.125), (70, 0.375)])),
+    ])
+    for graph, walks in ((cut, 12), (gaps, 200)):
+        for _ in range(walks):
+            walk, node = [], rng.randrange(graph.num_nodes)
+            for _ in range(rng.randint(0, 9)):
+                walk.append(rng.choice(graph.out_edges[node]))
+                node = int(graph.edge_heads[walk[-1]])
+            paths.append((graph, walk))
+    for graph, edges in paths:
+        for cap in (None, rng.randint(1, 240)):
+            want, got = chained_convolve(graph, edges, cap), rr.path_distribution(graph, edges, cap=cap)
+            assert got.mass.tobytes() == want.mass.tobytes(), (edges, cap)
+            assert (got.truncated_tail, got.total_mass, got.dt) == (want.truncated_tail, want.total_mass, want.dt)
+
+
 class TestBruteForce:
     def test_fixture_best(self, fixture_graph):
         best = brute_force_best_path(fixture_graph, "v1", "v3", 4)

@@ -210,6 +210,20 @@ class TestPolicyTableConstruction:
         assert pol.horizon == 5 and not pol.u.flags.writeable
 
 
+    def test_a_table_built_from_a_view_keeps_no_writable_base(self, fixture_graph):
+        # Writing to the base of the arrays given must not change the table:
+        # the constructor copies views of writable arrays.  A solve's u views
+        # its read-only padded table and is not copied.
+        pol = rr.compute_policy(fixture_graph, "v3", 5)
+        base_u, base_w = pol.u.copy(), pol.w.copy()
+        built = rr.PolicyTable("v3", base_u[:], base_w[:], pol.graph_digest)
+        base_u[0] = 0.5
+        base_w[0] = 0
+        assert built.u.tobytes() == pol.u.tobytes() and built.w.tobytes() == pol.w.tobytes()
+        assert not (built.u.flags.writeable or built.w.flags.writeable)
+        assert pol.u.base.shape[1] > pol.u.shape[1] and not pol.u.base.flags.writeable
+
+
 class TestPolicyTableIO:
     @pytest.mark.parametrize("suffix", [".npz", ".bin", ".json"])
     def test_round_trip(self, fixture_graph, tmp_path, suffix):
@@ -402,9 +416,20 @@ class TestSolveLogging:
         [record] = [r for r in caplog.records if r.name.startswith("reliroute")]
         assert record.levelno == logging.DEBUG
         assert re.fullmatch(
-            r"policy toward 'd', T=5: 3 blocks of D=2, R=1 partitions, 2 of 3 edge-blocks active, \d+\.\d{4} s",
+            r"policy toward 'd', T=5: 3 blocks of D=2, R=1 partitions, 2 of 3 edge-blocks active, "
+            r"0 blocks handed off, \d+\.\d{4} s",
             record.getMessage(),
         )
+
+    def test_debug_record_counts_the_blocks_handed_off(self, caplog, monkeypatch):
+        # With every block's far sums handed off, block 2's go to the helper
+        # while block 1 reduces: one handoff of the two active blocks.
+        monkeypatch.setattr(rr.policy, "_HANDOFF_PRODUCTS", 0)
+        g = rr.StochasticGraph(1.0, [("s", 0, 0), ("d", 1, 0)], [("s", "d", rr.DiscreteDistribution.point_mass(2))])
+        with caplog.at_level(logging.DEBUG, logger="reliroute"):
+            rr.compute_policy(g, "d", 5)
+        [record] = [r for r in caplog.records if r.name.startswith("reliroute")]
+        assert re.search(r", 2 of 3 edge-blocks active, 1 blocks handed off, \d+\.\d{4} s$", record.getMessage())
 
     def test_tables_identical_with_debug_on(self, caplog):
         g = rr.synthesize_distributions(rr.grid_topology(6), seed=3)

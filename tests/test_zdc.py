@@ -1,6 +1,9 @@
 """The block policy solver vs. the direct-sum and reference oracles."""
 
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -275,3 +278,163 @@ def test_successor_contract_over_a_region():
             expected = near[0] if near else rr.NO_EDGE
             assert direct.w[i, t] == pol.w[i, t] == expected, (d, i, t)
     print(f"{len(banded)} successor cells differ, all in the band: {banded}")
+
+
+# ---------------------------------------------------------------------------
+# the pipelined sweep: a block's far sums inline or on the helper thread
+
+#: ``_HANDOFF_PRODUCTS`` settings that hand every block's far sums off, or none.
+HANDOFF = {"always": 0, "never": sys.maxsize}
+
+
+def solve_with_handoff(handoff, g, d, T, mask=None):
+    """The solve with every block's far sums handed off, or none, and the
+    blocks whose far sums ran on another thread."""
+    far_sums, helped = rr.policy._far_sums, []
+
+    def spy(b, *args):
+        if threading.current_thread() is not threading.main_thread():
+            helped.append(b)
+        return far_sums(b, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rr.policy, "_HANDOFF_PRODUCTS", HANDOFF[handoff])
+        patch.setattr(rr.policy, "_far_sums", spy)
+        return rr.compute_policy(g, d, T, edge_mask=mask), helped
+
+
+def assert_handoff_changes_nothing(g, d, T, mask=None):
+    """Tables with and without the handoff are identical, bit for bit, and
+    match the oracles; with it, every block after the first active one has
+    its far sums summed on the helper."""
+    always, helped = solve_with_handoff("always", g, d, T, mask)
+    never, unhelped = solve_with_handoff("never", g, d, T, mask)
+    assert unhelped == []
+    assert always.u.tobytes() == never.u.tobytes() and always.w.tobytes() == never.w.tobytes()
+    assert_solver_matches_oracles(g, d, T, mask)
+    return helped
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(graph=small_graphs(), T=st.integers(0, 40))
+def test_property_handoff_changes_no_table(graph, T):
+    g, d = graph
+    assert_handoff_changes_nothing(g, d, T)
+
+
+@pytest.mark.parametrize(
+    "deltas, widths, horizon",
+    [((1, 6), (33, 80), (128, 200)), ((2, 12), (1, 20), (40, 150)), ((1, 8), (60, 100), (10, 50))],
+    ids=["ring-wraps", "mixed-blocks", "kernels-past-the-horizon"],
+)
+def test_handoff_changes_no_table(deltas, widths, horizon):
+    # Long rings wrap many times, so blocks with s = b mod R = 0 close their
+    # second run with partition 1; kernels past the horizon keep R at the
+    # block count less one, so the ring never wraps.  Masked solves too.
+    rng = random.Random(41)
+    helped = 0
+    for _ in range(4):
+        n = rng.randint(3, 6)
+        g = random_graph(rng, n, lambda: kernel(rng, deltas, widths))
+        T = rng.randint(*horizon)
+        mask = np.array([rng.random() < 0.7 for _ in range(g.num_edges)])
+        for m in (None, mask):
+            helped += len(assert_handoff_changes_nothing(g, n - 1, T, m))
+    assert helped
+
+
+def test_handoff_with_one_partition_and_an_edge_past_the_horizon():
+    # Every kernel within 2D bins gives R = 1: no far partitions, only the
+    # newest window.  An edge whose least travel time exceeds the horizon
+    # reads only the zero margin, and its length sets R to the block count
+    # less one.
+    edges = [
+        (0, 1, rr.DiscreteDistribution([0, 0, 0.5, 0.5])),
+        (1, 3, rr.DiscreteDistribution.point_mass(2)),
+        (2, 3, rr.DiscreteDistribution([0, 0, 0.25, 0.75])),
+        (0, 3, rr.DiscreteDistribution.point_mass(3)),
+    ]
+    nodes = [(i, float(i), 0.0) for i in range(4)]
+    for extra, R in [([], 1), ([(0, 2, rr.DiscreteDistribution.point_mass(90))], 20)]:
+        g = rr.StochasticGraph(1.0, nodes, edges + extra)
+        assert rr.policy._EdgeArrays(g, 3, 40, None).R == R
+        assert assert_handoff_changes_nothing(g, 3, 40) == list(range(2, 41 // 2 + 1))
+
+
+def test_handoff_where_the_last_block_closes_the_ring():
+    # A kernel of 60 bins against D = 3 and T = 30: R = 10 partitions, and
+    # the last block is b = R, where s = 0 before the ring ever wraps.
+    mass = np.zeros(61)
+    mass[3:] = np.linspace(1.0, 2.0, 58)
+    g = rr.StochasticGraph(1.0, [(i, float(i), 0.0) for i in range(3)], [
+        (0, 1, rr.DiscreteDistribution(mass / mass.sum())),
+        (1, 2, rr.DiscreteDistribution.point_mass(3)),
+        (0, 2, rr.DiscreteDistribution(mass / mass.sum())),
+    ])
+    assert rr.policy._EdgeArrays(g, 2, 30, None).R == 10
+    assert assert_handoff_changes_nothing(g, 2, 30) == list(range(2, 11))
+
+
+def test_a_worker_exception_reaches_the_caller(monkeypatch):
+    g = rr.synthesize_distributions(rr.grid_topology(4), seed=2)
+    monkeypatch.setattr(rr.policy, "_HANDOFF_PRODUCTS", 0)
+    far_sums = rr.policy._far_sums
+
+    def fail_on_helper(b, *args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError(f"far sums of block {b} failed")
+        return far_sums(b, *args)
+
+    monkeypatch.setattr(rr.policy, "_far_sums", fail_on_helper)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="^far sums of block 2 failed$"):
+        rr.compute_policy(g, "n03_03", 80)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("handoff", list(HANDOFF))
+def test_no_thread_outlives_a_solve(monkeypatch, handoff):
+    g = rr.synthesize_distributions(rr.grid_topology(6), seed=3)
+    monkeypatch.setattr(rr.policy, "_HANDOFF_PRODUCTS", HANDOFF[handoff])
+    threads = threading.active_count()
+    rr.compute_policy(g, "n05_05", 150)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("handoff", list(HANDOFF))
+def test_solves_from_a_thread_pool_equal_serial_ones(monkeypatch, handoff):
+    # More threads than cores share one fresh graph, so they race to build
+    # its spectra, and with every block handed off each solve's sweep and
+    # helper race for its classes; a short switch interval varies the
+    # interleaving.
+    monkeypatch.setattr(rr.policy, "_HANDOFF_PRODUCTS", HANDOFF[handoff])
+    build = lambda: rr.synthesize_distributions(rr.grid_topology(6), seed=5)
+    g, shared = build(), build()
+    queries = [(d, T) for d in ("n05_05", "n00_00", "n02_03", "n04_01") for T in (60, 150)]
+    serial = [rr.compute_policy(g, d, T) for d, T in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            pooled = list(pool.map(lambda q: rr.compute_policy(shared, *q), queries, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, pooled):
+        assert a.u.tobytes() == b.u.tobytes() and a.w.tobytes() == b.w.tobytes()
+
+
+@pytest.mark.parametrize("ufunc", [np.maximum, np.minimum], ids=["maximum", "minimum"])
+def test_group_reduce_is_reduceat(ufunc):
+    # Groups of 1 to 40 rows, the first few of them active.
+    rng = np.random.default_rng(3)
+    sizes = rng.integers(1, 41, size=30)
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    nodes = [(i, float(i), 0.0) for i in range(len(sizes) + 1)]
+    edges = [(int(t), len(sizes), rr.DiscreteDistribution.point_mass(1)) for t in rows]
+    arrays = rr.policy._EdgeArrays(rr.StochasticGraph(1.0, nodes, edges), len(sizes), 5, None)
+    assert sorted(np.diff(np.append(arrays.group_starts, len(rows))).tolist()) == sorted(sizes.tolist())
+    for groups in (1, 7, len(sizes)):
+        n = arrays.group_ends[groups - 1]
+        x = rng.integers(0, 9, size=(n, 3)) if ufunc is np.minimum else rng.random((n, 3))
+        want = ufunc.reduceat(x, arrays.group_starts[:groups], axis=0)
+        assert np.array_equal(rr.policy._group_reduce(ufunc, x, arrays, groups), want)
